@@ -19,8 +19,10 @@ order whose fills fold into the final period's reward.
 from __future__ import annotations
 
 import json
+import os
 import struct
-from dataclasses import dataclass, field
+import tempfile
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,6 +31,7 @@ from ..book import OrderKind, Side
 from ..kernel import SimTime, seconds, time_from_str
 from ..messages import MarketDataReply, OrderAccepted, OrderCancelled, OrderExecuted
 from ..mlp import (
+    CheckpointError,
     MLPParams,
     Mode,
     RMSpropState,
@@ -46,7 +49,6 @@ from ..rl import (
     Experience,
     FillRecord,
     MULTIPLIERS,
-    PLACEMENT_MARKET,
     ReplayBuffer,
     RewardParams,
     StateVector,
@@ -100,6 +102,8 @@ class DDQLConfig:
             raise ValueError("parent_quantity and num_periods must be positive")
         if self.train_every <= 0 or self.target_sync_every <= 0:
             raise ValueError("training cadences must be positive")
+        if 1.0 not in self.multipliers:
+            raise ValueError("multipliers must include 1.0, the TWAP action")
 
     @property
     def twap_child_quantity(self) -> float:
@@ -175,6 +179,9 @@ class LearnerState:
     # the two networks, the RMSprop tensors, and the packed replay buffer.
 
     def save(self, path) -> None:
+        """Writes the checkpoint to a temporary file beside `path` and
+        renames it over `path`, so an interrupted save leaves the previous
+        file whole."""
         header = {
             "epsilon": self.epsilon,
             "episode_index": self.episode_index,
@@ -208,52 +215,87 @@ class LearnerState:
             packed[i, 14] = float(e.terminal)
         chunks.append(struct.pack("<Q", len(experiences)))
         chunks.append(packed.tobytes())
-        with open(path, "wb") as fh:
-            fh.write(b"".join(chunks))
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=os.path.basename(path), suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(b"".join(chunks))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path, config: DDQLConfig, seed: int = 0) -> "LearnerState":
-        with open(path, "rb") as fh:
-            data = fh.read()
+        """Raises CheckpointError naming `path` for any file that is not a
+        whole checkpoint of this config's network shape."""
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+            return cls._from_bytes(data, config, seed)
+        except OSError as exc:
+            raise CheckpointError(f"{path}: {exc.strerror}") from None
+        except CheckpointError as exc:
+            raise CheckpointError(f"{path}: {exc}") from None
+
+    @classmethod
+    def _from_bytes(cls, data: bytes, config: DDQLConfig, seed: int) -> "LearnerState":
         if data[:4] != CHECKPOINT_MAGIC:
-            raise ValueError(f"bad checkpoint magic {data[:4]!r}")
+            raise CheckpointError(f"bad checkpoint magic {data[:4]!r}")
         offset = 4
-        (version,) = struct.unpack_from("<I", data, offset)
-        offset += 4
+
+        def take(size: int, part: str) -> int:
+            """Start of the next `size` bytes, which must all be there."""
+            nonlocal offset
+            if offset + size > len(data):
+                raise CheckpointError(f"truncated checkpoint ({part})")
+            start, offset = offset, offset + size
+            return start
+
+        def unpack(fmt: str, part: str) -> int:
+            return struct.unpack_from(fmt, data, take(struct.calcsize(fmt), part))[0]
+
+        version = unpack("<I", "header")
         if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        (header_len,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        header = json.loads(data[offset:offset + header_len])
-        offset += header_len
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        header_len = unpack("<I", "header")
+        start = take(header_len, "header")
+        try:
+            header = json.loads(data[start:offset])
+            counters = [header[k] for k in ("epsilon", "episode_index", "train_count",
+                                             "sync_count", "rng_state")]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CheckpointError(f"bad checkpoint header ({exc})") from None
         state = cls(config, seed)
         blobs = []
         for _ in range(2):
-            (blob_len,) = struct.unpack_from("<Q", data, offset)
-            offset += 8
-            blobs.append(data[offset:offset + blob_len])
-            offset += blob_len
+            blob_len = unpack("<Q", "weights")
+            start = take(blob_len, "weights")
+            blobs.append(data[start:offset])
         state.eval_params = params_from_bytes(blobs[0], config.layer_sizes)
         state.target_params = params_from_bytes(blobs[1], config.layer_sizes)
-        (n_arrays,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        arrays = []
-        for _ in range(n_arrays):
-            (raw_len,) = struct.unpack_from("<Q", data, offset)
-            offset += 8
-            arrays.append(np.frombuffer(data, dtype="<f8", count=raw_len // 8,
-                                        offset=offset).copy())
-            offset += raw_len
-        half = n_arrays // 2
         state.optstate = init_rmsprop(state.eval_params, config.learning_rate)
-        for i in range(half):
-            state.optstate.square_avg_w[i] = arrays[i].reshape(
-                state.eval_params.weights[i].shape)
-            state.optstate.square_avg_b[i] = arrays[half + i]
-        (n_experiences,) = struct.unpack_from("<Q", data, offset)
-        offset += 8
-        packed = np.frombuffer(data, dtype="<f8", count=n_experiences * EXPERIENCE_WIDTH,
-                               offset=offset).reshape(n_experiences, EXPERIENCE_WIDTH)
+        slots = state.optstate.square_avg_w + state.optstate.square_avg_b
+        if unpack("<I", "optimizer") != len(slots):
+            raise CheckpointError("optimizer state does not match the network")
+        arrays = []
+        for slot in slots:
+            raw_len = unpack("<Q", "optimizer")
+            if raw_len != slot.size * 8:
+                raise CheckpointError("optimizer state does not match the network")
+            arrays.append(np.frombuffer(data, dtype="<f8", count=slot.size,
+                                        offset=take(raw_len, "optimizer"))
+                          .reshape(slot.shape).copy())
+        half = len(arrays) // 2
+        state.optstate.square_avg_w[:] = arrays[:half]
+        state.optstate.square_avg_b[:] = arrays[half:]
+        n_experiences = unpack("<Q", "buffer")
+        packed = np.frombuffer(
+            data, dtype="<f8", count=n_experiences * EXPERIENCE_WIDTH,
+            offset=take(n_experiences * EXPERIENCE_WIDTH * 8, "buffer"),
+        ).reshape(n_experiences, EXPERIENCE_WIDTH)
+        if offset != len(data):
+            raise CheckpointError("trailing bytes in checkpoint")
         for row in packed:
             state.buffer.push(Experience(
                 StateVector.from_array(row[:6]),
@@ -262,13 +304,13 @@ class LearnerState:
                 StateVector.from_array(row[8:14]),
                 bool(row[14]),
             ))
-        state.epsilon = header["epsilon"]
-        state.episode_index = header["episode_index"]
-        state.train_count = header["train_count"]
-        state.sync_count = header["sync_count"]
-        rng_state = header["rng_state"]
+        (state.epsilon, state.episode_index, state.train_count, state.sync_count,
+         rng_state) = counters
         state.rng = np.random.default_rng()
-        state.rng.bit_generator.state = rng_state
+        try:
+            state.rng.bit_generator.state = rng_state
+        except (ValueError, TypeError, KeyError) as exc:
+            raise CheckpointError(f"bad checkpoint rng state ({exc})") from None
         return state
 
 

@@ -8,13 +8,13 @@ comparisons see identical timing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..book import Side
 from ..kernel import SimTime, seconds
 from ..messages import MarketDataReply, OrderExecuted
-from ..rl import ActionSpace, EpisodeResult, PLACEMENT_MARKET
+from ..rl import MULTIPLIERS, ActionSpace, EpisodeResult, PLACEMENT_MARKET
 from .base import TradingAgent
 
 
@@ -25,6 +25,7 @@ class TWAPConfig:
     session_start: SimTime
     session_end: SimTime
     period: SimTime = seconds(30)
+    multipliers: tuple = MULTIPLIERS  # the action grid the trace is recorded in
 
     def validate(self) -> None:
         if self.parent_quantity <= 0:
@@ -58,6 +59,8 @@ class TWAPExecutionAgent(TradingAgent):
         super().__init__(exchange_id, name)
         self.config = config
         self.schedule = twap_schedule(config)
+        # every period is the same action: the TWAP child at multiplier 1.0
+        self.action = ActionSpace(config.multipliers).encode(1.0, PLACEMENT_MARKET)
         self._period = 0
         self._pending_quantity: Optional[int] = None
         self._order_period: dict = {}
@@ -90,18 +93,10 @@ class TWAPExecutionAgent(TradingAgent):
         if quantity > 0:
             order_id = self.send_market(self.config.side, quantity)
             self._order_period[order_id] = self._period
-        self.result.action_trace.append(ActionSpace().encode(1.0, PLACEMENT_MARKET))
+        self.result.action_trace.append(self.action)
         self._period += 1
         if self._period < len(self.schedule):
             self.kernel.schedule_wakeup(self.agent_id, self.schedule[self._period][0])
-
-    def per_period_vwap(self) -> list:
-        """Realized (period, filled, vwap) rows for reporting."""
-        rows = {}
-        for period, quantity, price in self.fills:
-            filled, notional = rows.get(period, (0, 0))
-            rows[period] = (filled + quantity, notional + quantity * price)
-        return [(p, q, n / q) for p, (q, n) in sorted(rows.items())]
 
     def on_stop(self) -> None:
         total = sum(q for _, q, _ in self.fills)

@@ -4,14 +4,22 @@ Subcommands share one YAML config format.  Every run resolves the config
 against built-in defaults, executes, then writes a manifest holding the
 resolved config, the seed, and a sha256 of every artifact; feeding that
 manifest back in as --config reproduces the run byte for byte.
+
+The format and its defaults are derived from the config dataclasses (see
+SCHEMA): a key is its field's name and its value is coerced to the type of
+the field's default, lists to tuples.  The few keys that differ are listed
+in SPECIAL_KEYS: `*_seconds` durations, "HH:MM:SS" clock times, buy/sell
+sides.  An unknown key at any depth is an error that names its dotted path.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import sys
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -19,8 +27,8 @@ import yaml
 
 from .agents import DDQLConfig, LearnerState, MomentumConfig
 from .book import Side
-from .kernel import SimTime, seconds, time_from_str
-from .lobster import SyntheticFlowConfig, generate_to_file
+from .kernel import NANOS_PER_SECOND, seconds, time_from_str, time_to_str
+from .lobster import LobsterParseError, SyntheticFlowConfig, generate_to_file
 from .metrics import (
     FitRefusal,
     FlowSeries,
@@ -32,8 +40,10 @@ from .metrics import (
     samples_to_csv,
     windowed_volume,
 )
+from .mlp import CheckpointError
 from .rl import ActionSpace
 from .training import (
+    CheckpointWriteError,
     DataSource,
     RunSetup,
     evaluate,
@@ -43,83 +53,105 @@ from .training import (
     write_action_trace,
 )
 
-DEFAULT_CONFIG: dict = {
-    "seed": 0,
-    "out_dir": "runs/default",
-    "data": {
-        "kind": "synthetic",
-        "paths": [],
-        "synthetic": {
-            "arrival_rate_per_side": 1.0,
-            "size_gamma_shape": 2.0,
-            "size_gamma_scale": 50.0,
-            "placement_geometric_p": 0.5,
-            "cancel_probability": 0.2,
-            "initial_mid_ticks": 1_000_000,
-            "session_start": "09:30:00",
-            "session_end": "16:00:00",
-        },
-    },
-    "kernel": {
-        "latency_nanos": 1_000_000,
-        "computation_delay_nanos": 0,
-        "warmup_seconds": 60.0,
-        "post_margin_seconds": 5.0,
-    },
-    "roster": {
-        "momentum_count": 6,
-        "momentum": {
-            "short_window": 20,
-            "long_window": 50,
-            "order_size": 10,
-            "poll_interval_seconds": 1.0,
-        },
-        "include_twap": True,
-        "record_quotes": False,
-    },
-    "ddql": {
-        "episodes": 9,
-        "num_periods": 660,
-        "period_seconds": 30.0,
-        "session_start": "10:00:00",
-        "session_end": "15:30:00",
-        "gamma": 0.99,
-        "epsilon_start": 1.0,
-        "epsilon_min": 0.05,
-        "epsilon_decay": 0.9,
-        "train_every": 5,
-        "target_sync_every": 5,
-        "batch_size": 32,
-        "min_experience": 200,
-        "max_experience": 10_000,
-        "side": "buy",
-        "parent_quantity": 6600,
-        "hidden_sizes": [64, 64],
-        "dropout_rate": 0.2,
-        "learning_rate": 0.01,
-        "reward_scale": 1.0,
-        "act_with_target_net": False,
-        "multipliers": [0.1, 0.5, 1.0, 1.5, 2.0, 2.5],
-    },
-    "realism": {
-        "window_seconds": 60.0,
-        "bucket_minutes": 15.0,
-        "paired": False,
-    },
-}
-
 
 class ConfigError(Exception):
     pass
 
 
-def deep_merge(base: dict, override: dict) -> dict:
+@dataclass
+class RealismConfig:
+    window_seconds: float = 60.0
+    bucket_minutes: float = 15.0
+    paired: bool = False
+
+    def validate(self) -> None:
+        if self.window_seconds <= 0 or self.bucket_minutes <= 0:
+            raise ValueError("window_seconds and bucket_minutes must be positive")
+
+
+def _side(name) -> Side:
+    if name not in ("buy", "sell"):
+        raise ValueError(f"must be 'buy' or 'sell', got {name!r}")
+    return Side.BID if name == "buy" else Side.ASK
+
+
+# (load, dump): YAML value -> field value, field default -> YAML value
+SECONDS = (lambda value: seconds(float(value)), lambda t: t / NANOS_PER_SECOND)
+CLOCK = (lambda value: time_from_str(value) if isinstance(value, str) else int(value),
+         lambda t: time_to_str(t).removesuffix(".000000000"))
+SIDE = (_side, lambda side: "buy" if side is Side.BID else "sell")
+
+# The keys that are not their field's name with its default's type:
+# (dataclass, YAML key) -> (field, (load, dump), or None to coerce as usual)
+SPECIAL_KEYS = {
+    (RunSetup, "out_dir"): ("out_dir", (Path, str)),
+    (RunSetup, "warmup_seconds"): ("warmup", SECONDS),
+    (RunSetup, "post_margin_seconds"): ("post_margin", SECONDS),
+    (RunSetup, "include_twap"): ("include_twap_twin", None),
+    (MomentumConfig, "poll_interval_seconds"): ("poll_interval", SECONDS),
+    (SyntheticFlowConfig, "session_start"): ("session_start_ns", CLOCK),
+    (SyntheticFlowConfig, "session_end"): ("session_end_ns", CLOCK),
+    (DDQLConfig, "period_seconds"): ("period", SECONDS),
+    (DDQLConfig, "session_start"): ("session_start", CLOCK),
+    (DDQLConfig, "session_end"): ("session_end", CLOCK),
+    (DDQLConfig, "side"): ("side", SIDE),
+}
+
+
+def _keys(cls, only: Optional[tuple] = None, skip: tuple = ()) -> dict:
+    """YAML key -> (field, load, YAML default) for the fields of `cls`."""
+    special = {field: (key, conversion) for (owner, key), (field, conversion)
+               in SPECIAL_KEYS.items() if owner is cls}
+    keys = {}
+    for f in fields(cls):
+        if f.name in skip or (only is not None and f.name not in only):
+            continue
+        default = f.default if f.default is not MISSING else f.default_factory()
+        key, conversion = special.get(f.name, (f.name, None))
+        if conversion is None and isinstance(default, tuple):
+            item = type(default[0])
+            conversion = (lambda value, item=item: tuple(item(v) for v in value), list)
+        load, dump = conversion or (type(default), lambda value: value)
+        keys[key] = (f.name, load, dump(default))
+    return keys
+
+
+# The config tree: each mapping holds the keys of one dataclass; RunSetup's
+# own fields are split over the top level, `kernel` and `roster`.
+SCHEMA = {
+    **_keys(RunSetup, only=("seed", "out_dir")),
+    "data": {
+        **_keys(DataSource, only=("kind", "paths")),
+        "synthetic": _keys(SyntheticFlowConfig, skip=("seed",)),  # the run seed
+    },
+    "kernel": _keys(RunSetup, only=("latency_nanos", "computation_delay_nanos",
+                                    "warmup", "post_margin")),
+    "roster": {
+        **_keys(RunSetup, only=("momentum_count", "include_twap_twin", "record_quotes")),
+        "momentum": _keys(MomentumConfig),
+    },
+    "ddql": _keys(DDQLConfig),
+    "realism": _keys(RealismConfig),
+}
+
+
+def default_config(schema: dict = SCHEMA) -> dict:
+    return {name: default_config(node) if isinstance(node, dict) else copy.copy(node[2])
+            for name, node in schema.items()}
+
+
+def deep_merge(base: dict, override: dict, prefix: str = "") -> dict:
+    """`override` laid over `base`, whose keys are the only ones allowed."""
     merged = dict(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = deep_merge(merged[key], value)
-        else:
-            merged[key] = value
+        if key not in base:
+            raise ConfigError(f"unknown config key {prefix}{key}")
+        if isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{prefix}{key} must be a mapping, "
+                                  f"got {type(value).__name__}")
+            value = deep_merge(base[key], value, f"{prefix}{key}.")
+        merged[key] = value
     return merged
 
 
@@ -138,10 +170,7 @@ def load_config(path) -> dict:
 
 def resolve_config(user: dict, seed: Optional[int] = None,
                    out_dir: Optional[str] = None) -> dict:
-    unknown = set(user) - set(DEFAULT_CONFIG)
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    cfg = deep_merge(DEFAULT_CONFIG, user)
+    cfg = deep_merge(default_config(), user)
     if seed is not None:
         cfg["seed"] = seed
     if out_dir is not None:
@@ -149,98 +178,49 @@ def resolve_config(user: dict, seed: Optional[int] = None,
     return cfg
 
 
-def _as_time(value) -> SimTime:
-    if isinstance(value, str):
-        return time_from_str(value)
-    return int(value)
+def _fields(cfg: dict, path: str = "") -> dict:
+    """Field values from the keys of the mapping at dotted `path`."""
+    schema, values = SCHEMA, cfg
+    for part in filter(None, path.split(".")):
+        schema, values = schema[part], values[part]
+    loaded = {}
+    for name, node in schema.items():
+        if not isinstance(node, dict):
+            try:
+                loaded[node[0]] = node[1](values[name])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{path}.{name}: {exc}".lstrip(".")) from None
+    return loaded
 
 
-def _side(name: str) -> Side:
+def _build(cls, cfg: dict, path: str, **given):
+    """A validated `cls` from the mapping at `path`; `given` sets the fields
+    the mapping does not hold."""
+    config = cls(**_fields(cfg, path), **given)
     try:
-        return {"buy": Side.BID, "sell": Side.ASK}[name]
-    except KeyError:
-        raise ConfigError(f"side must be 'buy' or 'sell', got {name!r}") from None
+        config.validate()
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return config
 
 
-def build_ddql_config(section: dict) -> DDQLConfig:
-    return DDQLConfig(
-        episodes=int(section["episodes"]),
-        num_periods=int(section["num_periods"]),
-        period=seconds(float(section["period_seconds"])),
-        session_start=_as_time(section["session_start"]),
-        session_end=_as_time(section["session_end"]),
-        gamma=float(section["gamma"]),
-        epsilon_start=float(section["epsilon_start"]),
-        epsilon_min=float(section["epsilon_min"]),
-        epsilon_decay=float(section["epsilon_decay"]),
-        train_every=int(section["train_every"]),
-        target_sync_every=int(section["target_sync_every"]),
-        batch_size=int(section["batch_size"]),
-        min_experience=int(section["min_experience"]),
-        max_experience=int(section["max_experience"]),
-        side=_side(section["side"]),
-        parent_quantity=int(section["parent_quantity"]),
-        hidden_sizes=tuple(int(h) for h in section["hidden_sizes"]),
-        dropout_rate=float(section["dropout_rate"]),
-        learning_rate=float(section["learning_rate"]),
-        reward_scale=float(section["reward_scale"]),
-        act_with_target_net=bool(section["act_with_target_net"]),
-        multipliers=tuple(float(m) for m in section["multipliers"]),
-    )
-
-
-def build_flow_config(section: dict, seed: int) -> SyntheticFlowConfig:
-    return SyntheticFlowConfig(
-        arrival_rate_per_side=float(section["arrival_rate_per_side"]),
-        size_gamma_shape=float(section["size_gamma_shape"]),
-        size_gamma_scale=float(section["size_gamma_scale"]),
-        placement_geometric_p=float(section["placement_geometric_p"]),
-        cancel_probability=float(section["cancel_probability"]),
-        initial_mid_ticks=int(section["initial_mid_ticks"]),
-        session_start_ns=_as_time(section["session_start"]),
-        session_end_ns=_as_time(section["session_end"]),
-        seed=seed,
-    )
+def build_flow_config(cfg: dict) -> SyntheticFlowConfig:
+    return _build(SyntheticFlowConfig, cfg, "data.synthetic", seed=_fields(cfg)["seed"])
 
 
 def build_data_source(cfg: dict) -> DataSource:
-    section = cfg["data"]
-    kind = section["kind"]
-    if kind == "lobster":
-        missing = [p for p in section["paths"] if not Path(p).is_file()]
-        if missing:
-            raise ConfigError(f"data files not found: {missing}")
-        return DataSource(kind="lobster", paths=list(section["paths"]))
-    if kind == "synthetic":
-        return DataSource(kind="synthetic",
-                          synthetic=build_flow_config(section["synthetic"], cfg["seed"]))
-    if kind == "none":
-        return DataSource(kind="none")
-    raise ConfigError(f"unknown data kind {kind!r}")
+    synthetic = build_flow_config(cfg) if cfg["data"]["kind"] == "synthetic" else None
+    source = _build(DataSource, cfg, "data", synthetic=synthetic)
+    missing = [p for p in source.paths if not Path(p).is_file()] if source.kind == "lobster" else []
+    if missing:
+        raise ConfigError(f"data files not found: {missing}")
+    return source
 
 
-def build_setup(cfg: dict, out_dir: Path) -> RunSetup:
-    roster = cfg["roster"]
-    momentum = MomentumConfig(
-        short_window=int(roster["momentum"]["short_window"]),
-        long_window=int(roster["momentum"]["long_window"]),
-        order_size=int(roster["momentum"]["order_size"]),
-        poll_interval=seconds(float(roster["momentum"]["poll_interval_seconds"])),
-    )
-    return RunSetup(
-        ddql=build_ddql_config(cfg["ddql"]),
-        data=build_data_source(cfg),
-        seed=int(cfg["seed"]),
-        out_dir=out_dir,
-        warmup=seconds(float(cfg["kernel"]["warmup_seconds"])),
-        post_margin=seconds(float(cfg["kernel"]["post_margin_seconds"])),
-        latency_nanos=int(cfg["kernel"]["latency_nanos"]),
-        computation_delay_nanos=int(cfg["kernel"]["computation_delay_nanos"]),
-        momentum_count=int(roster["momentum_count"]),
-        momentum=momentum,
-        include_twap_twin=bool(roster["include_twap"]),
-        record_quotes=bool(roster["record_quotes"]),
-    )
+def build_setup(cfg: dict) -> RunSetup:
+    return RunSetup(ddql=_build(DDQLConfig, cfg, "ddql"), data=build_data_source(cfg),
+                    momentum=_build(MomentumConfig, cfg, "roster.momentum"),
+                    **_fields(cfg), **_fields(cfg, "kernel"), **_fields(cfg, "roster"))
 
 
 # -- manifest ----------------------------------------------------------------
@@ -256,12 +236,8 @@ def hash_artifacts(out_dir: Path) -> dict:
 
 
 def write_manifest(mode: str, cfg: dict, out_dir: Path) -> Path:
-    manifest = {
-        "mode": mode,
-        "seed": cfg["seed"],
-        "config": cfg,
-        "artifacts": hash_artifacts(out_dir),
-    }
+    manifest = {"mode": mode, "seed": cfg["seed"], "config": cfg,
+                "artifacts": hash_artifacts(out_dir)}
     path = Path(out_dir) / "manifest.json"
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -273,7 +249,7 @@ def write_manifest(mode: str, cfg: dict, out_dir: Path) -> Path:
 
 
 def cmd_gen_data(cfg: dict, args: argparse.Namespace, out_dir: Path) -> int:
-    flow = build_flow_config(cfg["data"]["synthetic"], cfg["seed"])
+    flow = build_flow_config(cfg)
     path = out_dir / f"synthetic_{cfg['seed']}.csv"
     sidecar = generate_to_file(flow, path)
     print(f"wrote {sidecar['total_events']} events to {path}")
@@ -281,9 +257,8 @@ def cmd_gen_data(cfg: dict, args: argparse.Namespace, out_dir: Path) -> int:
 
 
 def cmd_replay(cfg: dict, args: argparse.Namespace, out_dir: Path) -> int:
-    setup = build_setup(cfg, out_dir)
+    setup = build_setup(cfg)
     setup.momentum_count = 0
-    setup.include_twap_twin = False
     outcome = run_episode(setup, 0, executor="none", include_twap_twin=False)
     outcome.log.to_jsonl(out_dir / "replay_log.jsonl")
     with open(out_dir / "book_final.csv", "w") as fh:
@@ -294,7 +269,7 @@ def cmd_replay(cfg: dict, args: argparse.Namespace, out_dir: Path) -> int:
 
 
 def cmd_train(cfg: dict, args: argparse.Namespace, out_dir: Path) -> int:
-    setup = build_setup(cfg, out_dir)
+    setup = build_setup(cfg)
     outcome = train(setup, resume=bool(args.resume))
     traces = out_dir / "traces"
     traces.mkdir(parents=True, exist_ok=True)
@@ -308,7 +283,7 @@ def cmd_train(cfg: dict, args: argparse.Namespace, out_dir: Path) -> int:
 
 
 def cmd_evaluate(cfg: dict, args: argparse.Namespace, out_dir: Path) -> int:
-    setup = build_setup(cfg, out_dir)
+    setup = build_setup(cfg)
     checkpoint = Path(args.checkpoint) if args.checkpoint else latest_checkpoint(out_dir)
     if checkpoint is None or not checkpoint.is_file():
         print("no checkpoint found; pass --checkpoint or train first", file=sys.stderr)
@@ -323,43 +298,33 @@ def cmd_evaluate(cfg: dict, args: argparse.Namespace, out_dir: Path) -> int:
     return 0
 
 
-def _fit_sections(flow: FlowSeries, realism: dict) -> tuple[dict, dict]:
+def _fit_sections(flow: FlowSeries, realism: RealismConfig) -> tuple[dict, dict]:
     """All stylized-fact fits for one flow; returns (report sections, flat
     fits).  A metric short on data is recorded as refused and the rest
     still run."""
     sections: dict = {}
     fits: dict = {}
-    try:
-        volume = windowed_volume(flow, float(realism["window_seconds"]))
-        sections["windowed_volume"] = volume
-        fits["volume_gamma"] = volume.gamma
-        fits["volume_lognormal"] = volume.lognormal
-    except InsufficientDataError as exc:
-        print(f"warning: windowed volume skipped: {exc}", file=sys.stderr)
-        sections["windowed_volume"] = {"refused": str(exc)}
-        fits["volume_gamma"] = FitRefusal("gamma", str(exc), 0)
-        fits["volume_lognormal"] = FitRefusal("lognormal", str(exc), 0)
-    try:
-        inter = interarrival_fit(flow)
-        sections["interarrival"] = inter
-        fits["interarrival_exponential"] = inter.exponential
-        fits["interarrival_weibull"] = inter.weibull
-    except InsufficientDataError as exc:
-        print(f"warning: interarrival fit skipped: {exc}", file=sys.stderr)
-        sections["interarrival"] = {"refused": str(exc)}
-        fits["interarrival_exponential"] = FitRefusal("exponential", str(exc), 0)
-        fits["interarrival_weibull"] = FitRefusal("weibull", str(exc), 0)
-    try:
-        sections["intraday"] = intraday_profile(flow, float(realism["bucket_minutes"]))
-    except InsufficientDataError as exc:
-        print(f"warning: intraday profile skipped: {exc}", file=sys.stderr)
-        sections["intraday"] = {"refused": str(exc)}
+    for section, run, section_fits in (
+        ("windowed_volume", lambda: windowed_volume(flow, realism.window_seconds),
+         {"volume_gamma": "gamma", "volume_lognormal": "lognormal"}),
+        ("interarrival", lambda: interarrival_fit(flow),
+         {"interarrival_exponential": "exponential", "interarrival_weibull": "weibull"}),
+        ("intraday", lambda: intraday_profile(flow, realism.bucket_minutes), {}),
+    ):
+        try:
+            sections[section] = report = run()
+            fits.update({name: getattr(report, dist) for name, dist in section_fits.items()})
+        except InsufficientDataError as exc:
+            print(f"warning: {section} skipped: {exc}", file=sys.stderr)
+            sections[section] = {"refused": str(exc)}
+            fits.update({name: FitRefusal(dist, str(exc), 0)
+                         for name, dist in section_fits.items()})
     return sections, fits
 
 
 def cmd_realism(cfg: dict, args: argparse.Namespace, out_dir: Path) -> int:
-    realism = cfg["realism"]
-    if not realism["paired"]:
+    realism = _build(RealismConfig, cfg, "realism")
+    if not realism.paired:
         source = build_data_source(cfg)
         events = source.events_for_episode(0, cfg["seed"])
         if not events:
@@ -380,7 +345,7 @@ def cmd_realism(cfg: dict, args: argparse.Namespace, out_dir: Path) -> int:
 
     # paired mode: identical roster and seeds, with and without the learning
     # agent, then per-parameter deltas
-    setup = build_setup(cfg, out_dir)
+    setup = build_setup(cfg)
     if args.checkpoint:
         learner = LearnerState.load(Path(args.checkpoint), setup.ddql, setup.seed)
         epsilon = 0.0
@@ -396,14 +361,8 @@ def cmd_realism(cfg: dict, args: argparse.Namespace, out_dir: Path) -> int:
     flow_without = FlowSeries.from_log(without_agent.log, session=session)
     sections_with, fits_with = _fit_sections(flow_with, realism)
     sections_without, fits_without = _fit_sections(flow_without, realism)
-    report_to_json(
-        {
-            "with_agent": {k: v.to_dict() for k, v in sections_with.items()},
-            "without_agent": {k: v.to_dict() for k, v in sections_without.items()},
-            "deltas": fit_deltas(fits_without, fits_with),
-        },
-        out_dir / "realism.json",
-    )
+    report_to_json({"with_agent": sections_with, "without_agent": sections_without,
+                    "deltas": fit_deltas(fits_without, fits_with)}, out_dir / "realism.json")
     print(f"paired report at {out_dir / 'realism.json'}")
     return 0
 
@@ -419,9 +378,7 @@ COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="lobsim",
-        description="Order book simulation and execution-agent experiments.",
-    )
+        prog="lobsim", description="Order book simulation and execution-agent experiments.")
     sub = parser.add_subparsers(dest="mode", required=True)
     for name in COMMANDS:
         cmd = sub.add_parser(name)
@@ -445,8 +402,8 @@ def main(argv: Optional[list] = None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         status = COMMANDS[args.mode](cfg, args, out_dir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigError, LobsterParseError, CheckpointError, CheckpointWriteError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     if status == 0:
         write_manifest(args.mode, cfg, out_dir)

@@ -15,14 +15,14 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import IntEnum
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .book import Order, OrderBook, OrderKind, Side
-from .kernel import NANOS_PER_SECOND, SimTime
+from .kernel import NANOS_PER_SECOND, SimTime, time_from_str
 
 
 class EventType(IntEnum):
@@ -35,9 +35,11 @@ class EventType(IntEnum):
 
 
 class LobsterParseError(Exception):
-    def __init__(self, line_number: int, reason: str):
-        super().__init__(f"line {line_number}: {reason}")
+    def __init__(self, line_number: int, reason: str, path=None):
+        where = f"line {line_number}" if path is None else f"{path}: line {line_number}"
+        super().__init__(f"{where}: {reason}")
         self.line_number = line_number
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -113,13 +115,17 @@ def parse_line(line: str, line_number: int) -> LobsterEvent:
 
 def parse_message_file(path) -> Iterator[LobsterEvent]:
     """Yield events in file order.  Malformed rows raise LobsterParseError
-    with the 1-based line number; a time going backwards only warns."""
+    with the path and the 1-based line number; a time going backwards only
+    warns."""
     last_time = None
     with open(path) as fh:
         for line_number, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            event = parse_line(line, line_number)
+            try:
+                event = parse_line(line, line_number)
+            except LobsterParseError as exc:
+                raise LobsterParseError(line_number, exc.reason, path) from None
             if last_time is not None and event.time_ns < last_time:
                 warnings.warn(
                     f"line {line_number}: time goes backwards "
@@ -157,8 +163,8 @@ class SyntheticFlowConfig:
     placement_geometric_p: float = 0.5
     cancel_probability: float = 0.2
     initial_mid_ticks: int = 1_000_000
-    session_start_ns: SimTime = 0
-    session_end_ns: SimTime = 3_600 * NANOS_PER_SECOND
+    session_start_ns: SimTime = time_from_str("09:30:00")
+    session_end_ns: SimTime = time_from_str("16:00:00")
     seed: int = 0
 
     def validate(self) -> None:
@@ -174,19 +180,6 @@ class SyntheticFlowConfig:
             raise ValueError("initial_mid_ticks must exceed one tick")
         if self.session_start_ns >= self.session_end_ns:
             raise ValueError("session start must precede end")
-
-    def to_dict(self) -> dict:
-        return {
-            "arrival_rate_per_side": self.arrival_rate_per_side,
-            "size_gamma_shape": self.size_gamma_shape,
-            "size_gamma_scale": self.size_gamma_scale,
-            "placement_geometric_p": self.placement_geometric_p,
-            "cancel_probability": self.cancel_probability,
-            "initial_mid_ticks": self.initial_mid_ticks,
-            "session_start_ns": self.session_start_ns,
-            "session_end_ns": self.session_end_ns,
-            "seed": self.seed,
-        }
 
 
 def generate_synthetic(config: SyntheticFlowConfig) -> Iterator[LobsterEvent]:
@@ -270,7 +263,7 @@ def generate_to_file(config: SyntheticFlowConfig, path) -> dict:
 
     write_message_file(counting(generate_synthetic(config)), path)
     sidecar = {
-        "config": config.to_dict(),
+        "config": asdict(config),
         "event_counts": dict(sorted(counts.items())),
         "total_events": total,
         "merged_rate_per_second": 2.0 * config.arrival_rate_per_side,

@@ -452,13 +452,11 @@ def fit_deltas(before: dict, after: dict) -> dict:
 
 
 def report_to_json(sections: dict, path) -> None:
-    """Serialize a {name: report-like} mapping, calling to_dict where offered."""
-    body = {
-        key: value.to_dict() if hasattr(value, "to_dict") else value
-        for key, value in sections.items()
-    }
+    """Serialize a mapping of plain values and reports, at any depth; a
+    report is written as its to_dict()."""
     with open(path, "w") as fh:
-        json.dump(body, fh, indent=2, sort_keys=True)
+        json.dump(sections, fh, indent=2, sort_keys=True,
+                  default=lambda report: report.to_dict())
         fh.write("\n")
 
 

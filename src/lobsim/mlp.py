@@ -26,7 +26,7 @@ class Mode(Enum):
     EVAL = "EVAL"
 
 
-class CheckpointError(Exception):
+class CheckpointError(ValueError):
     pass
 
 

@@ -8,7 +8,6 @@ that divide prices are dimensionless, so tick scaling cancels.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
@@ -16,15 +15,6 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .book import BookSnapshot, OrderKind, Side
-
-FEATURE_NAMES = (
-    "time_remaining",
-    "quantity_remaining",
-    "spread",
-    "volume_imbalance",
-    "return_1",
-    "return_t",
-)
 
 MULTIPLIERS = (0.1, 0.5, 1.0, 1.5, 2.0, 2.5)
 NUM_PLACEMENTS = 4
@@ -66,10 +56,6 @@ class StateVector:
 class Action:
     multiplier: float
     placement: int
-
-    @property
-    def index(self) -> int:
-        return ActionSpace().encode(self.multiplier, self.placement)
 
 
 class ActionSpace:
@@ -336,20 +322,3 @@ class EpisodeResult:
             "slippage": self.slippage,
             "fill_ratio": self.fill_ratio,
         }
-
-
-def experiences_to_csv(experiences: Sequence[Experience], path) -> None:
-    """One row per experience with both states flattened."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = [f"s_{name}" for name in FEATURE_NAMES]
-        header += ["action", "reward"]
-        header += [f"next_{name}" for name in FEATURE_NAMES]
-        header += ["terminal"]
-        writer.writerow(header)
-        for exp in experiences:
-            row = list(exp.state.to_array())
-            row += [exp.action, exp.reward]
-            row += list(exp.next_state.to_array())
-            row.append(int(exp.terminal))
-            writer.writerow(row)

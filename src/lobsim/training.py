@@ -76,7 +76,7 @@ class RunSetup:
     ddql: DDQLConfig
     data: DataSource
     seed: int = 0
-    out_dir: Path = Path("runs")
+    out_dir: Path = Path("runs/default")
     warmup: SimTime = seconds(60)
     post_margin: SimTime = seconds(5)
     latency_nanos: int = 1_000_000
@@ -105,6 +105,7 @@ class RunSetup:
             session_start=self.ddql.session_start,
             session_end=self.ddql.session_end,
             period=self.ddql.period,
+            multipliers=self.ddql.multipliers,
         )
 
 

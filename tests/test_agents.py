@@ -238,7 +238,8 @@ class TestMarketReplay:
         # best bid/ask after every type-1/2/3 event must match an
         # independent rebuild of the same stream
         flow = SyntheticFlowConfig(
-            arrival_rate_per_side=2.0, session_end_ns=seconds(120), seed=17
+            arrival_rate_per_side=2.0, session_start_ns=0, session_end_ns=seconds(120),
+            seed=17,
         )
         events = list(generate_synthetic(flow))
         exchange, replay, _ = replay_setup(events, latency=1_000_000)
@@ -372,14 +373,15 @@ class TestTWAPSchedule:
 
 
 class TestTWAPAgent:
-    def run_against_wall(self, parent=30, periods=3, wall_price=10_010):
+    def run_against_wall(self, parent=30, periods=3, wall_price=10_010, **grid):
         config = KernelConfig(start_time=0, stop_time=seconds(200))
         exchange = ExchangeAgent()
         # deep resting liquidity so every child fills at one price
         exchange.book.submit(Order(1, -1, Side.ASK, wall_price, 10_000, OrderKind.LIMIT, 0))
         exchange.book.submit(Order(2, -1, Side.BID, 9_990, 10_000, OrderKind.LIMIT, 0))
         twap = TWAPExecutionAgent(
-            TWAPConfig(parent, Side.BID, seconds(10), seconds(10) + periods * seconds(30)),
+            TWAPConfig(parent, Side.BID, seconds(10), seconds(10) + periods * seconds(30),
+                       **grid),
             exchange_id=0,
         )
         run_simulation(config, [exchange, twap])
@@ -401,6 +403,10 @@ class TestTWAPAgent:
         twap = self.run_against_wall()
         assert twap.result.action_trace == [8, 8, 8]  # multiplier 1.0, market placement
 
-    def test_per_period_vwap_rows(self):
-        twap = self.run_against_wall()
-        assert twap.per_period_vwap() == [(0, 10, 10_010.0), (1, 10, 10_010.0), (2, 10, 10_010.0)]
+    def test_action_trace_uses_the_configured_grid(self):
+        twap = self.run_against_wall(multipliers=(0.5, 1.0, 2.0))
+        assert twap.result.action_trace == [4, 4, 4]  # multiplier rank 1, market placement
+
+    def test_grid_without_the_twap_action_rejected(self):
+        with pytest.raises(ValueError, match="multiplier"):
+            self.run_against_wall(multipliers=(0.5, 2.0))

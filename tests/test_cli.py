@@ -13,8 +13,10 @@ import sys
 import pytest
 import yaml
 
+from lobsim import DDQLConfig, MomentumConfig, SyntheticFlowConfig
 from lobsim.cli import (
     build_data_source,
+    build_setup,
     load_config,
     main,
     resolve_config,
@@ -131,6 +133,46 @@ class TestConfigHandling:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 99
 
+    @pytest.mark.parametrize("dotted", ["ddql.epsilon_dacay",
+                                        "roster.momentum.poll_intervall_seconds",
+                                        "data.synthetic.foo"])
+    def test_unknown_nested_key_names_its_path(self, tmp_path, capsys, dotted):
+        cfg = base_config()
+        *sections, key = dotted.split(".")
+        node = cfg
+        for name in sections:
+            node = node.setdefault(name, {})
+        node[key] = 0.5
+        path = write_config(tmp_path, cfg)
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and dotted in err
+
+    def test_section_that_is_not_a_mapping(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["kernel"] = 5
+        path = write_config(tmp_path, cfg)
+        assert main(["replay", "--config", str(path)]) == 2
+        assert "kernel must be a mapping" in capsys.readouterr().err
+
+    def test_bad_value_names_its_key(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["ddql"]["episodes"] = "many"
+        path = write_config(tmp_path, cfg)
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "ddql.episodes" in err
+
+    def test_defaults_are_the_dataclass_defaults(self, tmp_path):
+        cfg = resolve_config({}, out_dir=str(tmp_path))
+        assert cfg["data"]["synthetic"]["session_start"] == "09:30:00"
+        assert cfg["ddql"]["period_seconds"] == 30.0
+        assert cfg["roster"]["momentum"]["poll_interval_seconds"] == 1.0
+        setup = build_setup(cfg)
+        assert setup.ddql == DDQLConfig()
+        assert setup.momentum == MomentumConfig()
+        assert setup.data.synthetic == SyntheticFlowConfig()
+
     def test_missing_mode_rejected_by_parser(self):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -199,6 +241,18 @@ class TestReplay:
         records, _ = read_jsonl(out / "replay_log.jsonl")
         assert records == []
         assert (out / "book_final.csv").is_file()
+
+
+class TestDataErrors:
+    def test_malformed_lobster_row_is_one_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("60.000000000,1,1,10,1000000,1\n61.0,1,2,ten,1000100,-1\n")
+        cfg = base_config()
+        cfg["data"] = {"kind": "lobster", "paths": [str(bad)]}
+        path = write_config(tmp_path, cfg)
+        assert main(["replay", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(bad) in err and "line 2" in err
 
 
 class TestTrain:
@@ -285,6 +339,57 @@ class TestEvaluate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["mode"] == "evaluate"
 
+    @pytest.mark.parametrize("grid", [[1.0, 2.0], [0.5, 1.0, 2.0]])
+    def test_custom_grid_records_twap_as_multiplier_one(self, tmp_path, grid):
+        cfg = base_config()
+        cfg["ddql"].update(episodes=1, multipliers=grid)
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 0
+        assert main(["evaluate", "--config", str(path), "--out", str(out)]) == 0
+        rows = (out / "twap_actions.csv").read_text().splitlines()[1:]
+        assert len(rows) == 5
+        for row in rows:
+            _, index, multiplier, placement = row.split(",")
+            assert (int(index), float(multiplier), int(placement)) == \
+                (4 * grid.index(1.0), 1.0, 0)
+
+    def test_grid_without_one_is_rejected_before_training(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["ddql"]["multipliers"] = [0.5, 2.0]
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+        assert "multipliers must include 1.0" in capsys.readouterr().err
+        assert not (out / "checkpoints").exists()
+
+    def test_truncated_checkpoint_is_one_line(self, tmp_path, capsys):
+        path, out = self.train_once(tmp_path)
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes((out / "checkpoints/latest.ckpt").read_bytes()[:200])
+        code = main(["evaluate", "--config", str(path), "--out", str(tmp_path / "eval"),
+                     "--checkpoint", str(cut)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(cut) in err
+
+    def test_truncated_checkpoint_on_resume_is_one_line(self, tmp_path, capsys):
+        path, out = self.train_once(tmp_path)
+        ckpt = out / "checkpoints/episode_0000.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:-30])
+        capsys.readouterr()
+        assert main(["train", "--config", str(path), "--out", str(out), "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(ckpt) in err
+
+    def test_checkpoint_write_failure_is_one_line(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config())
+        out = tmp_path / "run"
+        (out / "checkpoints/episode_0000.ckpt").mkdir(parents=True)  # blocks the write
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "last good: None" in err
+
     def test_explicit_checkpoint_path(self, tmp_path):
         path, out = self.train_once(tmp_path)
         elsewhere = tmp_path / "eval"
@@ -319,6 +424,33 @@ class TestRealism:
         assert "interarrival_exponential.rate" in body["deltas"]
         rate_delta = body["deltas"]["interarrival_exponential.rate"]
         assert rate_delta is None or rate_delta >= 0.0
+
+    def test_paired_report_keeps_a_refused_fit(self, tmp_path):
+        cfg = base_config()
+        cfg["realism"].update(paired=True, bucket_minutes=15.0)  # one bucket: refused
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["realism", "--config", str(path), "--out", str(out)]) == 0
+        body = json.loads((out / "realism.json").read_text())
+        assert "refused" in body["with_agent"]["intraday"]
+        assert "gamma" in body["without_agent"]["windowed_volume"]
+
+    def test_paired_with_missing_checkpoint_is_one_line(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["realism"]["paired"] = True
+        path = write_config(tmp_path, cfg)
+        missing = tmp_path / "absent.ckpt"
+        assert main(["realism", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--checkpoint", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(missing) in err
+
+    def test_non_positive_window_rejected(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["realism"]["window_seconds"] = 0
+        path = write_config(tmp_path, cfg)
+        assert main(["realism", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "realism" in capsys.readouterr().err
 
     def test_tiny_input_refuses_gracefully(self, tmp_path, capsys):
         tiny = tmp_path / "tiny.csv"

@@ -1,6 +1,9 @@
 """Double-Q learner: action selection, decoupled targets, training cadence,
 and learner checkpointing."""
 
+import os
+import struct
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -19,6 +22,7 @@ from lobsim import (
     seconds,
 )
 from lobsim.agents.ddql import compute_target, select_action
+from lobsim.mlp import CheckpointError
 
 
 def flat_net(bias=None) -> MLPParams:
@@ -331,3 +335,28 @@ class TestLearnerCheckpoint:
         path.write_bytes(b"JUNK" + b"\x00" * 100)
         with pytest.raises(ValueError, match="magic"):
             LearnerState.load(path, mini_config())
+
+    @pytest.mark.parametrize("part", ["header", "weights", "buffer"])
+    def test_truncated_file_raises_checkpoint_error_naming_it(self, tmp_path, part):
+        learner = self.trained_learner()
+        path = tmp_path / "learner.ckpt"
+        learner.save(path)
+        data = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", data, 8)
+        cut = {"header": 12 + header_len // 2,  # inside the JSON header
+               "weights": 12 + header_len + 8 + 40,  # inside the first network
+               "buffer": len(data) - 60}[part]  # inside the last experience row
+        path.write_bytes(data[:cut])
+        with pytest.raises(CheckpointError, match="truncated") as excinfo:
+            LearnerState.load(path, learner.config)
+        assert str(path) in str(excinfo.value)
+
+    def test_save_replaces_the_file_and_leaves_no_temporary(self, tmp_path):
+        learner = self.trained_learner()
+        path = tmp_path / "learner.ckpt"
+        path.write_bytes(b"previous checkpoint")
+        before = os.stat(path).st_ino
+        learner.save(path)
+        assert os.stat(path).st_ino != before  # renamed over, not rewritten in place
+        assert [p.name for p in tmp_path.iterdir()] == ["learner.ckpt"]
+        assert LearnerState.load(path, learner.config).episode_index == 7

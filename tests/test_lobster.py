@@ -14,6 +14,7 @@ from lobsim import (
     generate_synthetic,
     generate_to_file,
     parse_message_file,
+    seconds,
     write_message_file,
 )
 from lobsim.lobster import parse_line, parse_time_seconds
@@ -113,7 +114,8 @@ class TestRoundTrip:
 
 
 def hour_config(**kw) -> SyntheticFlowConfig:
-    defaults = dict(arrival_rate_per_side=2.0, seed=42)
+    defaults = dict(arrival_rate_per_side=2.0, session_start_ns=0,
+                    session_end_ns=seconds(3_600), seed=42)
     defaults.update(kw)
     return SyntheticFlowConfig(**defaults)
 

@@ -27,7 +27,6 @@ from lobsim.rl import (
     PLACEMENT_SPLIT3,
     PLACEMENT_TOP,
     BufferNotReadyError,
-    experiences_to_csv,
     round_half_up,
 )
 
@@ -129,7 +128,6 @@ class TestActionSpace:
         for index in range(len(space)):
             action = space.decode(index)
             assert space.encode(action.multiplier, action.placement) == index
-            assert action.index == index
 
     def test_bad_inputs_rejected(self):
         space = ActionSpace()
@@ -312,14 +310,3 @@ class TestReplayBuffer:
         with pytest.raises(ValueError):
             ReplayBuffer(max_experience=5, min_experience=0)
 
-
-class TestExperienceExport:
-    def test_csv_shape(self, tmp_path):
-        path = tmp_path / "experiences.csv"
-        experiences_to_csv([experience(1.0), experience(2.0)], path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 3
-        header = lines[0].split(",")
-        assert len(header) == 15
-        assert header[0] == "s_time_remaining"
-        assert header[-1] == "terminal"

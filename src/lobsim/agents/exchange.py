@@ -60,15 +60,17 @@ class ExchangeAgent(Agent):
         self.quotes: list[QuoteRecord] = []
 
     def on_message(self, now: SimTime, sender_id: int, payload) -> None:
+        # queries are most of the traffic, so they are tested first; they do
+        # not move the book, so they skip quote recording
+        if isinstance(payload, MarketDataQuery):
+            self._send(sender_id, MarketDataReply(self.book.snapshot(payload.depth)))
+            return
         if isinstance(payload, LimitOrder):
             self._handle_order(now, sender_id, payload, OrderKind.LIMIT)
         elif isinstance(payload, MarketOrder):
             self._handle_order(now, sender_id, payload, OrderKind.MARKET)
         elif isinstance(payload, CancelOrder):
             self._handle_cancel(now, sender_id, payload)
-        elif isinstance(payload, MarketDataQuery):
-            self._send(sender_id, MarketDataReply(self.book.snapshot(payload.depth)))
-            return  # queries do not move the book; skip quote recording
         else:
             self._send(sender_id, OrderCancelled(-1, 0, "rejected:unsupported_payload"))
             return

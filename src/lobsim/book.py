@@ -55,8 +55,13 @@ class OrderNotFoundError(BookError):
     pass
 
 
-@dataclass
+@dataclass(eq=False)
 class Order:
+    """A resting or incoming order.  Orders compare by identity: the book
+    removes an order from its level's FIFO queue with `deque.remove`, which
+    then matches by `is` at C speed instead of comparing every field of
+    every order ahead of it."""
+
     order_id: int
     agent_id: int
     side: Side
@@ -185,8 +190,11 @@ class OrderBook:
     def snapshot(self, k: int = 3) -> BookSnapshot:
         if k < 1:
             raise ValueError("depth k must be >= 1")
-        bids = tuple((p, q) for p, q, _ in self.side_levels(Side.BID)[:k])
-        asks = tuple((p, q) for p, q, _ in self.side_levels(Side.ASK)[:k])
+        # read only the k best prices; the book may hold thousands of levels
+        levels = self._levels[Side.BID]
+        bids = tuple([(p, levels[p].total_quantity) for p in self._prices[Side.BID][:-k - 1:-1]])
+        levels = self._levels[Side.ASK]
+        asks = tuple([(p, levels[p].total_quantity) for p in self._prices[Side.ASK][:k]])
         return BookSnapshot(bids=bids, asks=asks, last_trade_price=self.last_trade_price)
 
     def depth_csv(self) -> str:

@@ -7,9 +7,10 @@ manifest back in as --config reproduces the run byte for byte.
 
 The format and its defaults are derived from the config dataclasses (see
 SCHEMA): a key is its field's name and its value is coerced to the type of
-the field's default, lists to tuples.  The few keys that differ are listed
-in SPECIAL_KEYS: `*_seconds` durations, "HH:MM:SS" clock times, buy/sell
-sides.  An unknown key at any depth is an error that names its dotted path.
+the field's default, lists to tuples, except that bool and int keys accept
+only YAML values of their own type.  The few keys that differ are listed in
+SPECIAL_KEYS: `*_seconds` durations, "HH:MM:SS" clock times, buy/sell sides.
+An unknown key at any depth is an error that names its dotted path.
 """
 
 from __future__ import annotations
@@ -98,6 +99,22 @@ SPECIAL_KEYS = {
 }
 
 
+def _coerce(kind: type):
+    """The load for a field whose default has type `kind`.  Bool and int
+    keys take only a YAML value of their own type (a bool is not an int):
+    coercing would read the string 'false' as True and truncate 2.9 to 2.
+    Other types coerce, so a float key takes an int."""
+    if kind not in (bool, int):
+        return kind
+
+    def load(value):
+        if type(value) is not kind:
+            raise TypeError(f"expected {'a boolean' if kind is bool else 'an integer'}, "
+                            f"got {value!r}")
+        return value
+    return load
+
+
 def _keys(cls, only: Optional[tuple] = None, skip: tuple = ()) -> dict:
     """YAML key -> (field, load, YAML default) for the fields of `cls`."""
     special = {field: (key, conversion) for (owner, key), (field, conversion)
@@ -109,9 +126,9 @@ def _keys(cls, only: Optional[tuple] = None, skip: tuple = ()) -> dict:
         default = f.default if f.default is not MISSING else f.default_factory()
         key, conversion = special.get(f.name, (f.name, None))
         if conversion is None and isinstance(default, tuple):
-            item = type(default[0])
+            item = _coerce(type(default[0]))
             conversion = (lambda value, item=item: tuple(item(v) for v in value), list)
-        load, dump = conversion or (type(default), lambda value: value)
+        load, dump = conversion or (_coerce(type(default)), lambda value: value)
         keys[key] = (f.name, load, dump(default))
     return keys
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Any, Optional
+from itertools import count
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
@@ -81,6 +82,12 @@ class Wakeup:
         return ""
 
 
+_WAKEUP = Wakeup()
+# LogRecord's generated __new__ is a Python-level call; the delivery loop
+# builds one record per event, so it calls the tuple constructor directly
+_tuple_new = tuple.__new__
+
+
 @dataclass
 class Message:
     """A point-to-point payload between agents.
@@ -116,8 +123,7 @@ class KernelConfig:
                 raise ValueError("latency overrides must be non-negative")
 
 
-@dataclass(frozen=True)
-class LogRecord:
+class LogRecord(NamedTuple):
     time: SimTime
     sender_id: int
     recipient_id: int
@@ -198,8 +204,9 @@ class Kernel:
         self.config = config
         self.agents: list[Agent] = []
         self.now: SimTime = config.start_time
-        self._queue: list[tuple[SimTime, int, Message]] = []
-        self._sequence = 0
+        # (deliver_at, insertion sequence, sender_id, recipient_id, payload)
+        self._queue: list[tuple] = []
+        self._sequence = count()
         self._running = False
 
     def register(self, agent: Agent) -> int:
@@ -215,52 +222,65 @@ class Kernel:
     def schedule_wakeup(self, agent_id: int, at: SimTime) -> None:
         if at < self.now:
             raise SchedulingError(f"wakeup at {at} is in the past (now={self.now})")
-        self._check_agent(agent_id)
-        self._enqueue(Message(agent_id, agent_id, Wakeup(), deliver_at=at))
-
-    def send_message(self, msg: Message) -> None:
-        self._check_agent(msg.sender_id)
-        if not 0 <= msg.recipient_id < len(self.agents):
-            raise UnknownRecipientError(f"unknown recipient {msg.recipient_id}")
-        msg.deliver_at = self.now + self.config.computation_delay_nanos + self.latency(msg.sender_id, msg.recipient_id)
-        self._enqueue(msg)
-
-    def send(self, sender_id: int, recipient_id: int, payload: Any) -> None:
-        self.send_message(Message(sender_id, recipient_id, payload))
-
-    def _check_agent(self, agent_id: int) -> None:
         if not 0 <= agent_id < len(self.agents):
             raise KernelError(f"unregistered agent {agent_id}")
+        heappush(self._queue, (at, next(self._sequence), agent_id, agent_id, _WAKEUP))
 
-    def _enqueue(self, msg: Message) -> None:
-        heappush(self._queue, (msg.deliver_at, self._sequence, msg))
-        self._sequence += 1
+    def send(self, sender_id: int, recipient_id: int, payload: Any) -> SimTime:
+        """Enqueue `payload` for delivery after the computation delay and
+        the pair's latency; returns the delivery time."""
+        n = len(self.agents)
+        if not (0 <= sender_id < n and 0 <= recipient_id < n):
+            if not 0 <= sender_id < n:
+                raise KernelError(f"unregistered agent {sender_id}")
+            raise UnknownRecipientError(f"unknown recipient {recipient_id}")
+        config = self.config
+        overrides = config.latency_overrides
+        latency = overrides.get((sender_id, recipient_id), config.latency_nanos) \
+            if overrides else config.latency_nanos
+        deliver_at = self.now + config.computation_delay_nanos + latency
+        heappush(self._queue, (deliver_at, next(self._sequence), sender_id, recipient_id, payload))
+        return deliver_at
+
+    def send_message(self, msg: Message) -> None:
+        msg.deliver_at = self.send(msg.sender_id, msg.recipient_id, msg.payload)
 
     def run(self) -> SimulationLog:
         """Deliver events in (deliver_at, insertion) order until the queue
         drains or stop_time passes; returns the full delivery log."""
         log = SimulationLog()
+        append = log.records.append
+        queue, agents, stop = self._queue, self.agents, self.config.stop_time
         self.now = self.config.start_time
         self._running = True
         try:
             for agent in self.agents:
                 self._invoke(agent, agent.on_start, self)
-            while self._queue:
-                deliver_at, _, msg = self._queue[0]
-                if deliver_at > self.config.stop_time:
+            while queue:
+                event = heappop(queue)
+                deliver_at, _, sender_id, recipient_id, payload = event
+                if deliver_at > stop:
+                    heappush(queue, event)
                     break
-                heappop(self._queue)
                 self.now = deliver_at
-                recipient = self.agents[msg.recipient_id]
-                payload = msg.payload
-                tag = getattr(payload, "tag", type(payload).__name__.lower())
-                summary = payload.summary() if hasattr(payload, "summary") else str(payload)
-                detail = payload.detail() if hasattr(payload, "detail") else None
-                log.append(LogRecord(deliver_at, msg.sender_id, msg.recipient_id, tag, summary, detail))
-                if isinstance(payload, Wakeup):
-                    self._invoke(recipient, recipient.on_wakeup, deliver_at)
-                else:
-                    self._invoke(recipient, recipient.on_message, deliver_at, msg.sender_id, payload)
+                try:
+                    tag = payload.tag
+                except AttributeError:
+                    tag = type(payload).__name__.lower()
+                append(_tuple_new(LogRecord, (
+                    deliver_at, sender_id, recipient_id, tag,
+                    payload.summary() if hasattr(payload, "summary") else str(payload),
+                    payload.detail() if hasattr(payload, "detail") else None)))
+                recipient = agents[recipient_id]
+                try:
+                    if isinstance(payload, Wakeup):
+                        recipient.on_wakeup(deliver_at)
+                    else:
+                        recipient.on_message(deliver_at, sender_id, payload)
+                except KernelError:
+                    raise
+                except Exception as exc:  # abort with the offending agent identified
+                    raise AgentFault(recipient.agent_id, recipient.name, exc) from exc
             for agent in self.agents:
                 self._invoke(agent, agent.on_stop)
                 log.final_states[agent.agent_id] = agent.state_summary()

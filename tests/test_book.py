@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lobsim.book import (
+    BookSnapshot,
     DuplicateOrderIdError,
     Order,
     OrderBook,
@@ -159,9 +160,18 @@ class TestSnapshot:
         book = OrderBook()
         for i, px in enumerate((100.00, 100.01, 100.02, 100.03)):
             book.submit(limit(i + 1, Side.ASK, px, 10))
+        for i, px in enumerate((99.97, 99.99, 99.98)):
+            book.submit(limit(i + 5, Side.BID, px, 10 * (i + 1)))
         snap = book.snapshot(2)
-        assert len(snap.asks) == 2
-        assert snap.asks[0][0] == 100_0000
+        assert snap.asks == ((100_0000, 10), (100_0100, 10))
+        assert snap.bids == ((99_9900, 20), (99_9800, 30))  # best (highest) first
+        deep = book.snapshot(10)  # k beyond the side returns every level
+        assert deep.asks == ((100_0000, 10), (100_0100, 10), (100_0200, 10), (100_0300, 10))
+        assert deep.bids == ((99_9900, 20), (99_9800, 30), (99_9700, 10))
+        for i in range(5, 8):
+            book.cancel(i)
+        assert book.snapshot(2).bids == ()
+        assert OrderBook().snapshot(1) == BookSnapshot(bids=(), asks=())
 
     def test_snapshot_does_not_mutate(self):
         book = OrderBook()

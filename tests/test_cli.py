@@ -163,6 +163,32 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "ddql.episodes" in err
 
+    @pytest.mark.parametrize("dotted, value", [("roster.include_twap", "false"),
+                                               ("roster.record_quotes", "no"),
+                                               ("ddql.act_with_target_net", 1),
+                                               ("ddql.episodes", 2.9),
+                                               ("ddql.episodes", True),
+                                               ("kernel.latency_nanos", 1.5),
+                                               ("ddql.hidden_sizes", [8.5])])
+    def test_value_of_another_yaml_type_names_its_key(self, tmp_path, capsys, dotted, value):
+        # coercing would read 'false' and 'no' as True and 2.9 as 2
+        cfg = base_config()
+        section, key = dotted.split(".")
+        cfg.setdefault(section, {})[key] = value
+        path = write_config(tmp_path, cfg)
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and dotted in err
+
+    def test_int_for_a_float_key_is_accepted(self, tmp_path):
+        cfg = resolve_config({"ddql": {"epsilon_start": 1},
+                              "data": {"synthetic": {"arrival_rate_per_side": 2}},
+                              "kernel": {"warmup_seconds": 3}}, out_dir=str(tmp_path))
+        setup = build_setup(cfg)
+        assert setup.ddql.epsilon_start == 1.0
+        assert setup.data.synthetic.arrival_rate_per_side == 2.0
+        assert setup.warmup == 3 * 10**9
+
     def test_defaults_are_the_dataclass_defaults(self, tmp_path):
         cfg = resolve_config({}, out_dir=str(tmp_path))
         assert cfg["data"]["synthetic"]["session_start"] == "09:30:00"

@@ -24,6 +24,9 @@ class Side(Enum):
     BID = "BID"
     ASK = "ASK"
 
+    # identity singletons, Enum's _name_ hash varies per process anyway, no set of Sides is iterated
+    __hash__ = object.__hash__
+
     @property
     def opposite(self) -> "Side":
         return Side.ASK if self is Side.BID else Side.BID
@@ -55,7 +58,7 @@ class OrderNotFoundError(BookError):
     pass
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Order:
     """A resting or incoming order.  Orders compare by identity: the book
     removes an order from its level's FIFO queue with `deque.remove`, which
@@ -77,7 +80,7 @@ class Order:
             raise InvalidOrderError(f"order {self.order_id}: limit order needs a positive price")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fill:
     taker_order_id: int
     maker_order_id: int
@@ -95,7 +98,7 @@ class SubmitResult(NamedTuple):
         return sum(f.quantity for f in self.fills)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BookSnapshot:
     """Top-k depth per side; bids best-first (descending price), asks
     best-first (ascending)."""
@@ -130,7 +133,7 @@ class BookSnapshot:
         return f"bid {bid} / ask {ask}"
 
 
-@dataclass
+@dataclass(slots=True)
 class PriceLevel:
     price_ticks: int
     queue: deque = field(default_factory=deque)

@@ -9,7 +9,8 @@ The format and its defaults are derived from the config dataclasses (see
 SCHEMA): a key is its field's name and its value is coerced to the type of
 the field's default, lists to tuples, except that bool and int keys accept
 only YAML values of their own type.  The few keys that differ are listed in
-SPECIAL_KEYS: `*_seconds` durations, "HH:MM:SS" clock times, buy/sell sides.
+SPECIAL_KEYS: `*_seconds` durations, "HH:MM:SS" or integer-nanosecond clock
+times, buy/sell sides.
 An unknown key at any depth is an error that names its dotted path.
 """
 
@@ -78,7 +79,8 @@ def _side(name) -> Side:
 
 # (load, dump): YAML value -> field value, field default -> YAML value
 SECONDS = (lambda value: seconds(float(value)), lambda t: t / NANOS_PER_SECOND)
-CLOCK = (lambda value: time_from_str(value) if isinstance(value, str) else int(value),
+# a clock time is "HH:MM:SS[.f]" or integer nanoseconds, never a float or bool
+CLOCK = (lambda value: time_from_str(value) if isinstance(value, str) else _coerce(int)(value),
          lambda t: time_to_str(t).removesuffix(".000000000"))
 SIDE = (_side, lambda side: "buy" if side is Side.BID else "sell")
 

@@ -42,7 +42,7 @@ class LobsterParseError(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LobsterEvent:
     time_ns: SimTime
     event_type: EventType

@@ -13,7 +13,7 @@ from typing import Optional
 from .book import BookSnapshot, Side
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LimitOrder:
     tag = "limit_order"
 
@@ -30,7 +30,7 @@ class LimitOrder:
                 "quantity": self.quantity, "price": self.price}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MarketOrder:
     tag = "market_order"
 
@@ -45,7 +45,7 @@ class MarketOrder:
         return {"order_id": self.order_id, "side": self.side.name, "quantity": self.quantity}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CancelOrder:
     """Full delete when quantity is None, otherwise reduce by `quantity`."""
 
@@ -62,7 +62,7 @@ class CancelOrder:
         return {"order_id": self.order_id, "quantity": self.quantity}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderAccepted:
     tag = "order_accepted"
 
@@ -72,7 +72,7 @@ class OrderAccepted:
         return f"#{self.order_id}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderExecuted:
     tag = "order_executed"
 
@@ -87,7 +87,7 @@ class OrderExecuted:
         return {"order_id": self.order_id, "quantity": self.quantity, "price": self.price}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderCancelled:
     """Quantity removed from the book (or rejected), with the reason.
 
@@ -105,7 +105,7 @@ class OrderCancelled:
         return f"#{self.order_id} {self.quantity} ({self.reason})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MarketDataQuery:
     tag = "market_data_query"
 
@@ -115,7 +115,7 @@ class MarketDataQuery:
         return f"depth={self.depth}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MarketDataReply:
     tag = "market_data_reply"
 

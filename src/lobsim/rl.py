@@ -29,7 +29,7 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateVector:
     time_remaining: float
     quantity_remaining: float
@@ -123,7 +123,7 @@ def featurize(
     return StateVector(t_feat, n_feat, spread, imbalance, r_one, r_total)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChildOrder:
     kind: OrderKind
     side: Side
@@ -224,7 +224,7 @@ def compute_reward(fills: Sequence, params: RewardParams) -> float:
     return (1.0 - slippage) * params.reward_scale * filled / params.parent_quantity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Experience:
     state: StateVector
     action: int

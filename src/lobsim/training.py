@@ -232,8 +232,10 @@ def train(setup: RunSetup, resume: bool = False) -> TrainOutcome:
     last_good = latest_checkpoint(out_dir) if resume else None
     for episode in range(learner.episode_index, setup.ddql.episodes):
         learner.epsilon = setup.ddql.epsilon_for_episode(episode)
-        outcome = run_episode(setup, episode, learner, executor="ddql",
-                              train_enabled=True, epsilon=learner.epsilon)
+        # keep only the result: a held outcome would keep the episode's
+        # kernel, log, book and flow alive through the next episode
+        result = run_episode(setup, episode, learner, executor="ddql",
+                             train_enabled=True, epsilon=learner.epsilon).result
         learner.episode_index = episode + 1
         path = checkpoint_path(out_dir, episode)
         try:
@@ -242,8 +244,8 @@ def train(setup: RunSetup, resume: bool = False) -> TrainOutcome:
         except OSError as exc:
             raise CheckpointWriteError(exc, last_good) from exc
         last_good = path
-        results.append(outcome.result)
-        rows.append(_curve_row(outcome.result))
+        results.append(result)
+        rows.append(_curve_row(result))
         write_learning_curve(rows, curve_path)
     return TrainOutcome(results, curve_path, last_good)
 

@@ -169,12 +169,20 @@ class TestConfigHandling:
                                                ("ddql.episodes", 2.9),
                                                ("ddql.episodes", True),
                                                ("kernel.latency_nanos", 1.5),
-                                               ("ddql.hidden_sizes", [8.5])])
+                                               ("ddql.hidden_sizes", [8.5]),
+                                               ("ddql.session_start", 120_000_000_000.5),
+                                               ("ddql.session_end", True),
+                                               ("data.synthetic.session_start", 119e9),
+                                               ("data.synthetic.session_end", False)])
     def test_value_of_another_yaml_type_names_its_key(self, tmp_path, capsys, dotted, value):
-        # coercing would read 'false' and 'no' as True and 2.9 as 2
+        # coercing would read 'false' and 'no' as True, 2.9 as 2 and a clock
+        # time of True as 1 ns
         cfg = base_config()
-        section, key = dotted.split(".")
-        cfg.setdefault(section, {})[key] = value
+        *sections, key = dotted.split(".")
+        node = cfg
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = value
         path = write_config(tmp_path, cfg)
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err

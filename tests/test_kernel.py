@@ -1,5 +1,7 @@
 """Kernel event loop: delivery order, timing arithmetic, and failure modes."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,50 @@ class TestFailureModes:
 
         with pytest.raises(KernelError, match="while running"):
             run_simulation(config(), [Sneaky()])
+
+
+class TestGarbageCollector:
+    """Kernel.run pauses the cyclic collector and restores its state."""
+
+    class Probe(Agent):
+        def __init__(self, fail=False):
+            super().__init__()
+            self.fail = fail
+            self.enabled_in_wakeup = None
+
+        def on_start(self, kernel):
+            kernel.schedule_wakeup(self.agent_id, 5)
+
+        def on_wakeup(self, now):
+            self.enabled_in_wakeup = gc.isenabled()
+            if self.fail:
+                raise ValueError("broken")
+
+    @pytest.fixture(autouse=True)
+    def collector_enabled(self):
+        gc.enable()
+        yield
+        gc.enable()
+
+    def test_paused_during_delivery_and_enabled_after(self):
+        probe = self.Probe()
+        run_simulation(config(), [probe])
+        assert probe.enabled_in_wakeup is False
+        assert gc.isenabled()
+
+    def test_enabled_again_after_an_agent_fault(self):
+        probe = self.Probe(fail=True)
+        with pytest.raises(AgentFault):
+            run_simulation(config(), [probe])
+        assert probe.enabled_in_wakeup is False
+        assert gc.isenabled()
+
+    def test_caller_that_disabled_it_finds_it_disabled(self):
+        gc.disable()
+        probe = self.Probe()
+        run_simulation(config(), [probe])
+        assert probe.enabled_in_wakeup is False
+        assert not gc.isenabled()
 
 
 class TestDeterminism:

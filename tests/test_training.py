@@ -6,15 +6,28 @@ well under a second of wall time.
 """
 
 import csv
+import gc
 import hashlib
+import weakref
 
 import pytest
 
 from lobsim.agents import DDQLConfig, ExchangeAgent, LearnerState, TWAPExecutionAgent
-from lobsim.kernel import seconds
-from lobsim.lobster import SyntheticFlowConfig
+from lobsim.book import BookSnapshot, Fill, Order, OrderKind, PriceLevel, Side
+from lobsim.kernel import Agent, seconds
+from lobsim.lobster import EventType, LobsterEvent, SyntheticFlowConfig
+from lobsim.messages import (
+    CancelOrder,
+    LimitOrder,
+    MarketDataQuery,
+    MarketDataReply,
+    MarketOrder,
+    OrderAccepted,
+    OrderCancelled,
+    OrderExecuted,
+)
 from lobsim.metrics import execution_report
-from lobsim.rl import EpisodeResult
+from lobsim.rl import ChildOrder, EpisodeResult, Experience, StateVector
 from lobsim.training import (
     FLOW_STREAM,
     KERNEL_STREAM,
@@ -301,6 +314,61 @@ class TestTrain:
         assert row[header.index("slippage")] == ""
         assert row[header.index("loss_mean")] == ""
         assert row[header.index("filled_quantity")] == "0"
+
+
+class TestMemory:
+    """Episodes free what they made: no cycles, no finished episode held."""
+
+    def test_training_episode_leaves_no_cyclic_garbage(self, tmp_path):
+        setup = make_setup(tmp_path)
+        learner = LearnerState(setup.ddql, seed=7)
+        gc.collect()
+        gc.disable()
+        try:
+            outcome = run_episode(setup, 0, learner, epsilon=0.5)
+            assert outcome.result.train_steps > 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_train_holds_no_finished_episode(self, tmp_path):
+        previous = []
+        freed = []
+
+        class Probe(Agent):
+            def on_start(self, kernel):
+                gc.collect()
+                freed.append(all(ref() is None for ref in previous))
+                previous.append(weakref.ref(self))
+
+        setup = make_setup(tmp_path / "run", ddql=small_ddql(episodes=3),
+                           extra_agent_factory=lambda episode: [Probe()])
+        train(setup)
+        assert freed == [True, True, True]
+
+    STATE = StateVector(0.5, 0.5, 1.0, 0.0, 0.0, 0.0)
+    SNAPSHOT = BookSnapshot(((99, 10),), ((101, 5),), 100)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Order(1, 0, Side.BID, 100, 5),
+        lambda: Fill(1, 2, 100, 5, 0),
+        lambda: TestMemory.SNAPSHOT,
+        lambda: PriceLevel(100),
+        lambda: LimitOrder(1, Side.BID, 5, 100),
+        lambda: MarketOrder(1, Side.ASK, 5),
+        lambda: CancelOrder(1),
+        lambda: OrderAccepted(1),
+        lambda: OrderExecuted(1, 5, 100),
+        lambda: OrderCancelled(1, 5),
+        lambda: MarketDataQuery(),
+        lambda: MarketDataReply(TestMemory.SNAPSHOT),
+        lambda: LobsterEvent(0, EventType.NEW_LIMIT, 1, 5, 100, 1),
+        lambda: TestMemory.STATE,
+        lambda: Experience(TestMemory.STATE, 0, 1.0, TestMemory.STATE, False),
+        lambda: ChildOrder(OrderKind.LIMIT, Side.BID, 5, 100),
+    ], ids=lambda make: type(make()).__name__)
+    def test_per_event_types_carry_no_dict(self, make):
+        assert not hasattr(make(), "__dict__")
 
 
 class TestLatestCheckpoint:

@@ -19,6 +19,7 @@ order whose fills fold into the final period's reward.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -34,7 +35,6 @@ from ..mlp import (
     CheckpointError,
     MLPParams,
     Mode,
-    RMSpropState,
     copy_params,
     forward,
     init_params,
@@ -44,11 +44,18 @@ from ..mlp import (
     train_step,
 )
 from ..rl import (
+    ACTION,
+    EXPERIENCE_WIDTH,
+    MULTIPLIERS,
+    NEXT_STATE,
+    REWARD,
+    STATE,
+    TERMINAL,
     ActionSpace,
+    Batch,
     EpisodeResult,
     Experience,
     FillRecord,
-    MULTIPLIERS,
     ReplayBuffer,
     RewardParams,
     StateVector,
@@ -60,7 +67,6 @@ from .base import TradingAgent
 
 CHECKPOINT_MAGIC = b"DDQC"
 CHECKPOINT_VERSION = 1
-EXPERIENCE_WIDTH = 15  # 6 state + action + reward + 6 next state + terminal
 
 
 @dataclass
@@ -102,6 +108,18 @@ class DDQLConfig:
             raise ValueError("parent_quantity and num_periods must be positive")
         if self.train_every <= 0 or self.target_sync_every <= 0:
             raise ValueError("training cadences must be positive")
+        if self.batch_size <= 0:
+            raise ValueError("batch_size must be positive")
+        if not 0 < self.min_experience <= self.max_experience:
+            raise ValueError("need 0 < min_experience <= max_experience")
+        if any(size <= 0 for size in self.hidden_sizes):
+            raise ValueError("hidden_sizes must all be positive")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError("dropout_rate must lie in [0, 1)")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
+        if not 0.0 < self.reward_scale < math.inf:
+            raise ValueError("reward_scale must be positive and finite")
         if 1.0 not in self.multipliers:
             raise ValueError("multipliers must include 1.0, the TWAP action")
 
@@ -128,17 +146,15 @@ def select_action(state: StateVector, epsilon: float, rng: np.random.Generator,
     return int(np.argmax(q_values))
 
 
-def compute_target(batch, gamma: float, eval_params: MLPParams,
+def compute_target(batch: Batch, gamma: float, eval_params: MLPParams,
                    target_params: MLPParams) -> np.ndarray:
     """Decoupled targets: the evaluation network chooses the next action,
     the target network scores it.  Terminal rows are bare rewards."""
-    rewards = np.array([e.reward for e in batch], dtype=np.float64)
-    terminal = np.array([e.terminal for e in batch], dtype=bool)
-    next_states = np.stack([e.next_state.to_array() for e in batch])
+    rows = batch.rows
+    next_states = np.ascontiguousarray(rows[:, NEXT_STATE])
     greedy = np.argmax(forward(eval_params, next_states, Mode.EVAL), axis=1)
-    rows = np.arange(len(batch))
-    next_q = forward(target_params, next_states, Mode.EVAL)[rows, greedy]
-    return rewards + gamma * next_q * ~terminal
+    next_q = forward(target_params, next_states, Mode.EVAL)[np.arange(len(rows)), greedy]
+    return rows[:, REWARD] + gamma * next_q * (rows[:, TERMINAL] == 0.0)
 
 
 class LearnerState:
@@ -160,11 +176,11 @@ class LearnerState:
         self.train_count = 0
         self.sync_count = 0
 
-    def train_once(self, batch) -> float:
+    def train_once(self, batch: Batch) -> float:
         targets = compute_target(batch, self.config.gamma, self.eval_params,
                                  self.target_params)
-        inputs = np.stack([e.state.to_array() for e in batch])
-        actions = np.array([e.action for e in batch], dtype=np.int64)
+        inputs = np.ascontiguousarray(batch.rows[:, STATE])
+        actions = batch.rows[:, ACTION].astype(np.int64)
         loss = train_step(self.eval_params, self.optstate,
                           (inputs, actions, targets), self.rng)
         self.train_count += 1
@@ -205,16 +221,9 @@ class LearnerState:
             raw = np.ascontiguousarray(array, dtype="<f8").tobytes()
             chunks.append(struct.pack("<Q", len(raw)))
             chunks.append(raw)
-        experiences = self.buffer.as_list()
-        packed = np.zeros((len(experiences), EXPERIENCE_WIDTH), dtype="<f8")
-        for i, e in enumerate(experiences):
-            packed[i, :6] = e.state.to_array()
-            packed[i, 6] = e.action
-            packed[i, 7] = e.reward
-            packed[i, 8:14] = e.next_state.to_array()
-            packed[i, 14] = float(e.terminal)
-        chunks.append(struct.pack("<Q", len(experiences)))
-        chunks.append(packed.tobytes())
+        rows = self.buffer.oldest_first()
+        chunks.append(struct.pack("<Q", len(rows)))
+        chunks.append(rows.astype("<f8", copy=False).tobytes())
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                    prefix=os.path.basename(path), suffix=".tmp")
         try:
@@ -278,17 +287,12 @@ class LearnerState:
         slots = state.optstate.square_avg_w + state.optstate.square_avg_b
         if unpack("<I", "optimizer") != len(slots):
             raise CheckpointError("optimizer state does not match the network")
-        arrays = []
         for slot in slots:
             raw_len = unpack("<Q", "optimizer")
             if raw_len != slot.size * 8:
                 raise CheckpointError("optimizer state does not match the network")
-            arrays.append(np.frombuffer(data, dtype="<f8", count=slot.size,
-                                        offset=take(raw_len, "optimizer"))
-                          .reshape(slot.shape).copy())
-        half = len(arrays) // 2
-        state.optstate.square_avg_w[:] = arrays[:half]
-        state.optstate.square_avg_b[:] = arrays[half:]
+            slot[...] = np.frombuffer(data, dtype="<f8", count=slot.size,
+                                      offset=take(raw_len, "optimizer")).reshape(slot.shape)
         n_experiences = unpack("<Q", "buffer")
         packed = np.frombuffer(
             data, dtype="<f8", count=n_experiences * EXPERIENCE_WIDTH,
@@ -296,14 +300,7 @@ class LearnerState:
         ).reshape(n_experiences, EXPERIENCE_WIDTH)
         if offset != len(data):
             raise CheckpointError("trailing bytes in checkpoint")
-        for row in packed:
-            state.buffer.push(Experience(
-                StateVector.from_array(row[:6]),
-                int(row[6]),
-                float(row[7]),
-                StateVector.from_array(row[8:14]),
-                bool(row[14]),
-            ))
+        state.buffer.restore(packed)
         (state.epsilon, state.episode_index, state.train_count, state.sync_count,
          rng_state) = counters
         state.rng = np.random.default_rng()

@@ -171,8 +171,9 @@ class Agent:
     """Base class for kernel-resident agents.
 
     The kernel assigns `agent_id` at registration and a seeded numpy
-    Generator (`rng`) before on_start.  Callbacks run on the kernel thread;
-    agents must not retain references to kernel internals across callbacks.
+    Generator (`rng`) before on_start; `kernel` is set until the run ends.
+    Callbacks run on the kernel thread; agents must not retain references to
+    kernel internals across callbacks.
     """
 
     def __init__(self, name: str = ""):
@@ -256,7 +257,8 @@ class Kernel:
         makes no cyclic garbage.  Reference counting still frees every
         acyclic object at once; a cycle an agent makes is collected after
         the run.  The collector is enabled again on every exit, an
-        AgentFault included, if it was enabled on entry."""
+        AgentFault included, if it was enabled on entry.  Every exit also
+        clears each agent's `kernel`, so no cycle keeps a finished run alive."""
         log = SimulationLog()
         append = log.records.append
         queue, agents, stop = self._queue, self.agents, self.config.stop_time
@@ -297,6 +299,8 @@ class Kernel:
                 log.final_states[agent.agent_id] = agent.state_summary()
         finally:
             self._running = False
+            for agent in agents:
+                agent.kernel = None
             if gc_was_enabled:
                 gc.enable()
         return log

@@ -170,6 +170,11 @@ def compute_gradients(
 
 @dataclass
 class RMSpropState:
+    """Running squared-gradient averages in one flat vector, laid out as
+    every layer's weights then every layer's biases; square_avg_w and
+    square_avg_b are per-layer views into it."""
+
+    square_avg: np.ndarray
     square_avg_w: list
     square_avg_b: list
     learning_rate: float = 0.01
@@ -183,13 +188,20 @@ def init_rmsprop(
     decay: float = 0.9,
     epsilon: float = 1e-8,
 ) -> RMSpropState:
-    return RMSpropState(
-        [np.zeros_like(w) for w in params.weights],
-        [np.zeros_like(b) for b in params.biases],
-        learning_rate,
-        decay,
-        epsilon,
-    )
+    tensors = params.weights + params.biases
+    square_avg = np.zeros(sum(t.size for t in tensors))
+    views = _views_like(square_avg, tensors)
+    half = len(params.weights)
+    return RMSpropState(square_avg, views[:half], views[half:], learning_rate, decay, epsilon)
+
+
+def _views_like(flat: np.ndarray, tensors: list) -> list:
+    """Consecutive views of `flat` shaped like `tensors`."""
+    views, offset = [], 0
+    for tensor in tensors:
+        views.append(flat[offset:offset + tensor.size].reshape(tensor.shape))
+        offset += tensor.size
+    return views
 
 
 def train_step(
@@ -199,21 +211,21 @@ def train_step(
     rng: Optional[np.random.Generator] = None,
 ) -> float:
     """One RMSprop update in place from a (inputs, actions, targets) batch;
-    returns the pre-update loss."""
+    returns the pre-update loss.  Per element: s = rho * s + (1 - rho) * g**2,
+    then p -= lr * g / (sqrt(s) + eps)."""
     inputs, actions, targets = batch
     if len(np.atleast_1d(actions)) == 0:
         raise ValueError("batch must be non-empty")
     loss, grad_w, grad_b = compute_gradients(params, inputs, actions, targets, Mode.TRAIN, rng)
+    tensors = params.weights + params.biases
+    grad = np.concatenate([g.ravel() for g in grad_w + grad_b])
     rho = optstate.decay
-    for i in range(len(params.weights)):
-        optstate.square_avg_w[i] = rho * optstate.square_avg_w[i] + (1 - rho) * grad_w[i] ** 2
-        optstate.square_avg_b[i] = rho * optstate.square_avg_b[i] + (1 - rho) * grad_b[i] ** 2
-        params.weights[i] -= (
-            optstate.learning_rate * grad_w[i] / (np.sqrt(optstate.square_avg_w[i]) + optstate.epsilon)
-        )
-        params.biases[i] -= (
-            optstate.learning_rate * grad_b[i] / (np.sqrt(optstate.square_avg_b[i]) + optstate.epsilon)
-        )
+    square_avg = optstate.square_avg
+    square_avg *= rho
+    square_avg += (1 - rho) * grad**2
+    step = optstate.learning_rate * grad / (np.sqrt(square_avg) + optstate.epsilon)
+    for tensor, delta in zip(tensors, _views_like(step, tensors)):
+        tensor -= delta
     return loss
 
 

@@ -9,7 +9,8 @@ that divide prices are dimensionless, so tick scaling cancels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -44,12 +45,6 @@ class StateVector:
              self.volume_imbalance, self.return_1, self.return_t],
             dtype=np.float64,
         )
-
-    @staticmethod
-    def from_array(values: Sequence[float]) -> "StateVector":
-        if len(values) != 6:
-            raise ValueError("state vector has six features")
-        return StateVector(*(float(v) for v in values))
 
 
 @dataclass(frozen=True)
@@ -233,50 +228,116 @@ class Experience:
     terminal: bool
 
 
+# One experience as a float64 row, the replay buffer's and the checkpoint's
+# layout: 6 state features, action, reward, 6 next-state features, terminal.
+EXPERIENCE_WIDTH = 15
+STATE = slice(0, 6)
+ACTION = 6
+REWARD = 7
+NEXT_STATE = slice(8, 14)
+TERMINAL = 14
+
+_features = attrgetter(*(f.name for f in fields(StateVector)))
+
+
+def _experience(row) -> Experience:
+    v = row.tolist()
+    return Experience(StateVector(*v[STATE]), int(v[ACTION]), v[REWARD],
+                      StateVector(*v[NEXT_STATE]), bool(v[TERMINAL]))
+
+
+class Batch:
+    """Experience rows, shape (n, EXPERIENCE_WIDTH).  The learner reads
+    their columns; indexing or iterating yields Experience values."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index: int) -> Experience:
+        return _experience(self.rows[index])
+
+    def __iter__(self):
+        return map(_experience, self.rows)
+
+
 class BufferNotReadyError(Exception):
     pass
 
 
 class ReplayBuffer:
     """FIFO experience store: oldest evicted first, uniform sampling
-    without replacement once min_experience entries have accumulated."""
+    without replacement once min_experience entries have accumulated.
+
+    Rows live in a ring array: slots fill in order, then each push
+    overwrites the oldest slot.  Sampling draws slot numbers, so the rows
+    it returns depend on which slot holds which row.  The array grows by
+    doubling while it fills, so memory follows the rows stored, not
+    max_experience."""
 
     def __init__(self, max_experience: int = 10_000, min_experience: int = 200):
         if min_experience <= 0 or max_experience < min_experience:
             raise ValueError("need 0 < min_experience <= max_experience")
         self.max_experience = max_experience
         self.min_experience = min_experience
-        self._storage: list[Experience] = []
-        self._start = 0  # ring-buffer head once full
+        self.rows = np.zeros((min(max_experience, 1024), EXPERIENCE_WIDTH))
+        self._size = 0
+        self._next = 0  # slot of the next push; the oldest row once full
 
     def __len__(self) -> int:
-        return len(self._storage)
+        return self._size
 
     @property
     def ready(self) -> bool:
-        return len(self._storage) >= self.min_experience
+        return self._size >= self.min_experience
 
     def push(self, experience: Experience) -> None:
-        if len(self._storage) < self.max_experience:
-            self._storage.append(experience)
-        else:
-            self._storage[self._start] = experience
-            self._start = (self._start + 1) % self.max_experience
+        if self._next == len(self.rows):
+            self._reserve(self._next + 1)
+        self.rows[self._next] = (*_features(experience.state), experience.action,
+                                 experience.reward, *_features(experience.next_state),
+                                 experience.terminal)
+        self._next = (self._next + 1) % self.max_experience
+        self._size = min(self._size + 1, self.max_experience)
 
-    def as_list(self) -> list:
-        """Contents oldest-first."""
-        return self._storage[self._start:] + self._storage[:self._start]
+    def oldest_first(self) -> np.ndarray:
+        """The stored rows in push order, as a new array."""
+        return np.concatenate((self.rows[self._next:self._size], self.rows[:self._next]))
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> list:
+    def restore(self, rows: np.ndarray) -> None:
+        """Empties the buffer, then stores `rows` (oldest first) in the
+        slots that pushing them one by one would have used."""
+        n = len(rows)
+        kept = min(n, self.max_experience)
+        self._size = 0
+        self._reserve(kept)
+        self.rows[:kept] = np.roll(rows[n - kept:], n - kept, axis=0)
+        self._size = kept
+        self._next = n % self.max_experience
+
+    def _reserve(self, count: int) -> None:
+        """Room for `count` rows: at least doubles the array, up to
+        max_experience, keeping the stored rows in their slots."""
+        if count > len(self.rows):
+            capacity = min(max(count, 2 * len(self.rows)), self.max_experience)
+            grown = np.zeros((capacity, EXPERIENCE_WIDTH))
+            grown[:self._size] = self.rows[:self._size]
+            self.rows = grown
+
+    def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:
         """Uniform sample without replacement; batch sizes beyond the current
         fill are clamped to it."""
         if not self.ready:
             raise BufferNotReadyError(
                 f"buffer holds {len(self)} < min_experience {self.min_experience}"
             )
-        size = min(batch_size, len(self._storage))
-        picks = rng.choice(len(self._storage), size=size, replace=False)
-        return [self._storage[i] for i in picks]
+        size = min(batch_size, self._size)
+        picks = rng.choice(self._size, size=size, replace=False)
+        return Batch(self.rows[picks])
 
 
 @dataclass

@@ -188,6 +188,23 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and dotted in err
 
+    @pytest.mark.parametrize("key, value", [("batch_size", 0),
+                                            ("batch_size", -3),
+                                            ("dropout_rate", 1.0),
+                                            ("max_experience", 3),
+                                            ("reward_scale", 0.0),
+                                            ("hidden_sizes", [0]),
+                                            ("learning_rate", -1.0)])
+    def test_invalid_learner_setting_names_its_key(self, tmp_path, capsys, key, value):
+        # each used to end mid-run in a traceback, or (learning_rate) to
+        # train silently; max_experience 3 is below min_experience 4
+        cfg = base_config()
+        cfg["ddql"][key] = value
+        path = write_config(tmp_path, cfg)
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and key in err
+
     def test_int_for_a_float_key_is_accepted(self, tmp_path):
         cfg = resolve_config({"ddql": {"epsilon_start": 1},
                               "data": {"synthetic": {"arrival_rate_per_side": 2}},

@@ -191,6 +191,32 @@ class TestTrainStep:
         losses = [train_step(params, opt, batch) for _ in range(20)]
         assert losses[-1] < losses[0]
 
+    def test_flat_pass_is_bitwise_the_per_layer_formula(self):
+        # The reference keeps one square average per tensor and updates
+        # tensor by tensor, as the optimizer did before its state was flat.
+        params = random_net((6, 16, 8, 24), dropout=0.3, seed=11)
+        reference = copy_params(params)
+        opt = init_rmsprop(params, learning_rate=0.02)
+        ref_sq_w = [np.zeros_like(w) for w in reference.weights]
+        ref_sq_b = [np.zeros_like(b) for b in reference.biases]
+        rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
+        data = np.random.default_rng(13)
+        for _ in range(6):
+            batch = (data.normal(size=(32, 6)), data.integers(0, 24, size=32),
+                     data.normal(size=32))
+            loss = train_step(params, opt, batch, rng)
+            ref_loss, grad_w, grad_b = compute_gradients(reference, *batch, Mode.TRAIN, ref_rng)
+            for i in range(len(reference.weights)):
+                ref_sq_w[i] = 0.9 * ref_sq_w[i] + (1 - 0.9) * grad_w[i] ** 2
+                ref_sq_b[i] = 0.9 * ref_sq_b[i] + (1 - 0.9) * grad_b[i] ** 2
+                reference.weights[i] -= 0.02 * grad_w[i] / (np.sqrt(ref_sq_w[i]) + 1e-8)
+                reference.biases[i] -= 0.02 * grad_b[i] / (np.sqrt(ref_sq_b[i]) + 1e-8)
+            assert loss == ref_loss
+            for got, want in zip(params.weights + params.biases + opt.square_avg_w
+                                 + opt.square_avg_b,
+                                 reference.weights + reference.biases + ref_sq_w + ref_sq_b):
+                assert got.tobytes() == want.tobytes()
+
     def test_empty_batch_rejected(self):
         params = random_net()
         opt = init_rmsprop(params)

@@ -26,9 +26,12 @@ from lobsim.rl import (
     PLACEMENT_SPLIT2,
     PLACEMENT_SPLIT3,
     PLACEMENT_TOP,
+    REWARD,
     BufferNotReadyError,
     round_half_up,
 )
+
+from replay_reference import ListReplayBuffer, pack
 
 
 def snap(bids=(), asks=()):
@@ -105,12 +108,6 @@ class TestFeaturize:
         assert -1.0 <= state.time_remaining <= 1.0
         assert -1.0 <= state.quantity_remaining <= 1.0
         assert -1.0 <= state.volume_imbalance <= 1.0
-
-    def test_state_array_round_trip(self):
-        state = featurize(3, 10, 120, 600, TWO_SIDED, [10_000.0])
-        assert StateVector.from_array(state.to_array()) == state
-        with pytest.raises(ValueError):
-            StateVector.from_array([1.0, 2.0])
 
 
 class TestActionSpace:
@@ -266,7 +263,7 @@ class TestReplayBuffer:
         buffer = ReplayBuffer(max_experience=3, min_experience=1)
         for tag in (1.0, 2.0, 3.0, 4.0):
             buffer.push(experience(tag))
-        assert [e.reward for e in buffer.as_list()] == [2.0, 3.0, 4.0]
+        assert buffer.oldest_first()[:, REWARD].tolist() == [2.0, 3.0, 4.0]
         assert len(buffer) == 3
 
     def test_not_ready_below_minimum(self):
@@ -302,11 +299,81 @@ class TestReplayBuffer:
         buffer = ReplayBuffer(max_experience=4, min_experience=1)
         for tag in range(11):
             buffer.push(experience(float(tag)))
-        assert [e.reward for e in buffer.as_list()] == [7.0, 8.0, 9.0, 10.0]
+        assert buffer.oldest_first()[:, REWARD].tolist() == [7.0, 8.0, 9.0, 10.0]
 
     def test_invalid_limits_rejected(self):
         with pytest.raises(ValueError):
             ReplayBuffer(max_experience=5, min_experience=10)
         with pytest.raises(ValueError):
             ReplayBuffer(max_experience=5, min_experience=0)
+
+
+def random_experience(rng) -> Experience:
+    return Experience(StateVector(*rng.normal(size=6).tolist()), int(rng.integers(24)),
+                      float(rng.normal()), StateVector(*rng.normal(size=6).tolist()),
+                      bool(rng.random() < 0.2))
+
+
+class TestRingAgainstListReference:
+    """The ring array against `replay_reference.ListReplayBuffer`, bit for bit."""
+
+    def test_pushes_past_wraparound_and_seeded_samples(self):
+        data = np.random.default_rng(21)
+        ring = ReplayBuffer(max_experience=7, min_experience=1)
+        reference = ListReplayBuffer(7)
+        for step in range(40):  # wraps the ring five times
+            e = random_experience(data)
+            ring.push(e)
+            reference.push(e)
+            assert len(ring) == len(reference.storage)
+            assert ring.oldest_first().tobytes() == pack(reference.as_list()).tobytes()
+            size = int(data.integers(1, 10))
+            batch = ring.sample(size, np.random.default_rng(step))
+            expected = reference.sample(size, np.random.default_rng(step))
+            assert batch.rows.tobytes() == pack(expected).tobytes()
+            assert list(batch) == expected
+            assert batch[len(batch) - 1] == expected[-1]
+
+    def test_growth_keeps_every_row_in_its_slot(self):
+        # 5,000 slots start as a smaller array that doubles as it fills
+        data = np.random.default_rng(22)
+        ring = ReplayBuffer(max_experience=5_000, min_experience=1)
+        reference = ListReplayBuffer(5_000)
+        for step in range(12_000):
+            e = random_experience(data)
+            ring.push(e)
+            reference.push(e)
+            if step % 1_500 == 0 or step in (1_023, 1_024, 4_999, 5_000):
+                assert ring.oldest_first().tobytes() == pack(reference.as_list()).tobytes()
+                batch = ring.sample(32, np.random.default_rng(step))
+                expected = reference.sample(32, np.random.default_rng(step))
+                assert batch.rows.tobytes() == pack(expected).tobytes()
+        assert len(ring.rows) == 5_000
+
+    def test_large_capacity_costs_only_the_rows_stored(self):
+        buffer = ReplayBuffer(max_experience=10**9, min_experience=2)
+        data = np.random.default_rng(23)
+        for _ in range(3):
+            buffer.push(random_experience(data))
+        assert len(buffer.sample(2, np.random.default_rng(0))) == 2
+        assert buffer.rows.nbytes < 1 << 20
+        buffer.restore(pack([random_experience(data) for _ in range(2_000)]))
+        assert len(buffer) == 2_000 and buffer.rows.nbytes < 1 << 20
+
+    @pytest.mark.parametrize("rows", [0, 5, 7, 12, 21])
+    def test_restore_uses_the_slots_of_one_push_per_row(self, rows):
+        data = np.random.default_rng(rows)
+        experiences = [random_experience(data) for _ in range(rows)]
+        pushed = ReplayBuffer(max_experience=7, min_experience=1)
+        for e in experiences:
+            pushed.push(e)
+        restored = ReplayBuffer(max_experience=7, min_experience=1)
+        restored.push(random_experience(data))  # restore replaces what was there
+        restored.restore(pack(experiences))
+        assert len(restored) == len(pushed)
+        assert restored.rows[:len(pushed)].tobytes() == pushed.rows[:len(pushed)].tobytes()
+        e = random_experience(data)
+        pushed.push(e)
+        restored.push(e)
+        assert restored.oldest_first().tobytes() == pushed.oldest_first().tobytes()
 

@@ -331,6 +331,19 @@ class TestMemory:
         finally:
             gc.enable()
 
+    def test_dropped_episode_is_freed_by_reference_counting(self, tmp_path):
+        setup = make_setup(tmp_path)
+        learner = LearnerState(setup.ddql, seed=7)
+        gc.collect()
+        gc.disable()
+        try:
+            outcome = run_episode(setup, 0, learner, epsilon=0.5)
+            exchange = weakref.ref(outcome.exchange)
+            del outcome
+            assert exchange() is None
+        finally:
+            gc.enable()
+
     def test_train_holds_no_finished_episode(self, tmp_path):
         previous = []
         freed = []

@@ -32,6 +32,7 @@ from ..book import OrderKind, Side
 from ..kernel import SimTime, seconds, time_from_str
 from ..messages import MarketDataReply, OrderAccepted, OrderCancelled, OrderExecuted
 from ..mlp import (
+    ByteReader,
     CheckpointError,
     MLPParams,
     Mode,
@@ -251,55 +252,34 @@ class LearnerState:
     def _from_bytes(cls, data: bytes, config: DDQLConfig, seed: int) -> "LearnerState":
         if data[:4] != CHECKPOINT_MAGIC:
             raise CheckpointError(f"bad checkpoint magic {data[:4]!r}")
-        offset = 4
-
-        def take(size: int, part: str) -> int:
-            """Start of the next `size` bytes, which must all be there."""
-            nonlocal offset
-            if offset + size > len(data):
-                raise CheckpointError(f"truncated checkpoint ({part})")
-            start, offset = offset, offset + size
-            return start
-
-        def unpack(fmt: str, part: str) -> int:
-            return struct.unpack_from(fmt, data, take(struct.calcsize(fmt), part))[0]
-
-        version = unpack("<I", "header")
+        reader = ByteReader(data)
+        reader.take(4, "header")
+        (version,) = reader.unpack("<I", "header")
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        header_len = unpack("<I", "header")
-        start = take(header_len, "header")
+        (header_len,) = reader.unpack("<I", "header")
         try:
-            header = json.loads(data[start:offset])
+            header = json.loads(reader.blob(header_len, "header"))
             counters = [header[k] for k in ("epsilon", "episode_index", "train_count",
                                              "sync_count", "rng_state")]
         except (ValueError, KeyError, TypeError) as exc:
             raise CheckpointError(f"bad checkpoint header ({exc})") from None
         state = cls(config, seed)
-        blobs = []
-        for _ in range(2):
-            blob_len = unpack("<Q", "weights")
-            start = take(blob_len, "weights")
-            blobs.append(data[start:offset])
+        blobs = [reader.blob(reader.unpack("<Q", "weights")[0], "weights") for _ in range(2)]
         state.eval_params = params_from_bytes(blobs[0], config.layer_sizes)
         state.target_params = params_from_bytes(blobs[1], config.layer_sizes)
         state.optstate = init_rmsprop(state.eval_params, config.learning_rate)
         slots = state.optstate.square_avg_w + state.optstate.square_avg_b
-        if unpack("<I", "optimizer") != len(slots):
+        if reader.unpack("<I", "optimizer")[0] != len(slots):
             raise CheckpointError("optimizer state does not match the network")
         for slot in slots:
-            raw_len = unpack("<Q", "optimizer")
-            if raw_len != slot.size * 8:
+            if reader.unpack("<Q", "optimizer")[0] != slot.size * 8:
                 raise CheckpointError("optimizer state does not match the network")
-            slot[...] = np.frombuffer(data, dtype="<f8", count=slot.size,
-                                      offset=take(raw_len, "optimizer")).reshape(slot.shape)
-        n_experiences = unpack("<Q", "buffer")
-        packed = np.frombuffer(
-            data, dtype="<f8", count=n_experiences * EXPERIENCE_WIDTH,
-            offset=take(n_experiences * EXPERIENCE_WIDTH * 8, "buffer"),
-        ).reshape(n_experiences, EXPERIENCE_WIDTH)
-        if offset != len(data):
-            raise CheckpointError("trailing bytes in checkpoint")
+            slot[...] = reader.floats(slot.size, "optimizer").reshape(slot.shape)
+        (n_experiences,) = reader.unpack("<Q", "buffer")
+        packed = reader.floats(n_experiences * EXPERIENCE_WIDTH, "buffer") \
+            .reshape(n_experiences, EXPERIENCE_WIDTH)
+        reader.finish()
         state.buffer.restore(packed)
         (state.epsilon, state.episode_index, state.train_count, state.sync_count,
          rng_state) = counters

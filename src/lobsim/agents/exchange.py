@@ -12,10 +12,7 @@ Notification protocol, in emission order per inbound message:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
-from ..book import BookError, Order, OrderBook, OrderKind, Side
+from ..book import BookError, Order, OrderBook, OrderKind
 from ..kernel import Agent, SimTime
 from ..messages import (
     CancelOrder,
@@ -29,39 +26,14 @@ from ..messages import (
 )
 
 
-@dataclass(frozen=True)
-class FlowRecord:
-    """One accepted inbound order action, for stylized-fact analysis."""
-
-    time: SimTime
-    kind: str  # "limit", "market", "cancel", "reduce"
-    size: int
-    side: Optional[Side]
-    price_ticks: Optional[int]
-    agent_id: int
-
-
-@dataclass(frozen=True)
-class QuoteRecord:
-    time: SimTime
-    best_bid: Optional[int]
-    best_ask: Optional[int]
-    last_trade_price: Optional[int]
-
-
 class ExchangeAgent(Agent):
-    def __init__(self, allow_self_trade: bool = True, record_quotes: bool = False,
-                 name: str = "exchange"):
+    def __init__(self, allow_self_trade: bool = True, name: str = "exchange"):
         super().__init__(name)
         self.book = OrderBook(allow_self_trade=allow_self_trade)
-        self.record_quotes = record_quotes
         self.owners: dict[int, int] = {}
-        self.flow: list[FlowRecord] = []
-        self.quotes: list[QuoteRecord] = []
 
     def on_message(self, now: SimTime, sender_id: int, payload) -> None:
-        # queries are most of the traffic, so they are tested first; they do
-        # not move the book, so they skip quote recording
+        # queries are most of the traffic, so they are tested first
         if isinstance(payload, MarketDataQuery):
             self._send(sender_id, MarketDataReply(self.book.snapshot(payload.depth)))
             return
@@ -70,13 +42,9 @@ class ExchangeAgent(Agent):
         elif isinstance(payload, MarketOrder):
             self._handle_order(now, sender_id, payload, OrderKind.MARKET)
         elif isinstance(payload, CancelOrder):
-            self._handle_cancel(now, sender_id, payload)
+            self._handle_cancel(sender_id, payload)
         else:
             self._send(sender_id, OrderCancelled(-1, 0, "rejected:unsupported_payload"))
-            return
-        if self.record_quotes:
-            self.quotes.append(QuoteRecord(now, self.book.best_bid(), self.book.best_ask(),
-                                           self.book.last_trade_price))
 
     def _handle_order(self, now: SimTime, sender_id: int, payload, kind: OrderKind) -> None:
         price = payload.price if kind is OrderKind.LIMIT else 0
@@ -89,9 +57,6 @@ class ExchangeAgent(Agent):
                                                  f"rejected:{exc}"))
             return
         self.owners[payload.order_id] = sender_id
-        self.flow.append(FlowRecord(now, kind.name.lower(), payload.quantity,
-                                    payload.side, price if kind is OrderKind.LIMIT else None,
-                                    sender_id))
         for cancelled in self.book.self_trade_cancels:
             self._send(self.owners.get(cancelled.order_id, sender_id),
                        OrderCancelled(cancelled.order_id, cancelled.quantity,
@@ -113,7 +78,7 @@ class ExchangeAgent(Agent):
                 self._send(maker_owner,
                            OrderExecuted(fill.maker_order_id, fill.quantity, fill.price_ticks))
 
-    def _handle_cancel(self, now: SimTime, sender_id: int, payload: CancelOrder) -> None:
+    def _handle_cancel(self, sender_id: int, payload: CancelOrder) -> None:
         owner = self.owners.get(payload.order_id)
         if owner is not None and owner != sender_id:
             self._send(sender_id, OrderCancelled(payload.order_id, 0, "rejected:not_owner"))
@@ -121,8 +86,6 @@ class ExchangeAgent(Agent):
         if payload.quantity is None:
             removed = self.book.cancel(payload.order_id)
             reason = "cancelled" if removed > 0 else "not_found"
-            if removed > 0:
-                self.flow.append(FlowRecord(now, "cancel", removed, None, None, sender_id))
             self._send(sender_id, OrderCancelled(payload.order_id, removed, reason))
         else:
             order = self.book.order(payload.order_id)
@@ -135,9 +98,8 @@ class ExchangeAgent(Agent):
             except BookError as exc:
                 self._send(sender_id, OrderCancelled(payload.order_id, 0, f"rejected:{exc}"))
                 return
-            removed = before - remaining
-            self.flow.append(FlowRecord(now, "reduce", removed, None, None, sender_id))
-            self._send(sender_id, OrderCancelled(payload.order_id, removed, "reduced"))
+            self._send(sender_id, OrderCancelled(payload.order_id, before - remaining,
+                                                 "reduced"))
 
     def _send(self, recipient_id: int, payload) -> None:
         self.kernel.send(self.agent_id, recipient_id, payload)

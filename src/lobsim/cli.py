@@ -135,18 +135,33 @@ def _keys(cls, only: Optional[tuple] = None, skip: tuple = ()) -> dict:
     return keys
 
 
+def _non_negative(keys: dict) -> dict:
+    """`keys` with every load refusing a value below zero, which would fail
+    mid-run, cut the episode short or be read as zero."""
+    def checked(load):
+        def check(value):
+            loaded = load(value)
+            if loaded < 0:
+                raise ValueError(f"must not be negative, got {value!r}")
+            return loaded
+        return check
+    return {key: (name, checked(load), default) for key, (name, load, default) in keys.items()}
+
+
 # The config tree: each mapping holds the keys of one dataclass; RunSetup's
 # own fields are split over the top level, `kernel` and `roster`.
 SCHEMA = {
-    **_keys(RunSetup, only=("seed", "out_dir")),
+    **_non_negative(_keys(RunSetup, only=("seed",))),
+    **_keys(RunSetup, only=("out_dir",)),
     "data": {
         **_keys(DataSource, only=("kind", "paths")),
         "synthetic": _keys(SyntheticFlowConfig, skip=("seed",)),  # the run seed
     },
-    "kernel": _keys(RunSetup, only=("latency_nanos", "computation_delay_nanos",
-                                    "warmup", "post_margin")),
+    "kernel": _non_negative(_keys(RunSetup, only=("latency_nanos", "computation_delay_nanos",
+                                                  "warmup", "post_margin"))),
     "roster": {
-        **_keys(RunSetup, only=("momentum_count", "include_twap_twin", "record_quotes")),
+        **_non_negative(_keys(RunSetup, only=("momentum_count",))),
+        **_keys(RunSetup, only=("include_twap_twin",)),
         "momentum": _keys(MomentumConfig),
     },
     "ddql": _keys(DDQLConfig),
@@ -278,7 +293,7 @@ def cmd_gen_data(cfg: dict, args: argparse.Namespace, out_dir: Path) -> int:
 def cmd_replay(cfg: dict, args: argparse.Namespace, out_dir: Path) -> int:
     setup = build_setup(cfg)
     setup.momentum_count = 0
-    outcome = run_episode(setup, 0, executor="none", include_twap_twin=False)
+    outcome = run_episode(setup, 0, executor="none")
     outcome.log.to_jsonl(out_dir / "replay_log.jsonl")
     with open(out_dir / "book_final.csv", "w") as fh:
         fh.write(outcome.exchange.book.depth_csv())
@@ -372,9 +387,8 @@ def cmd_realism(cfg: dict, args: argparse.Namespace, out_dir: Path) -> int:
         learner = LearnerState(setup.ddql, setup.seed)
         epsilon = setup.ddql.epsilon_start
     with_agent = run_episode(setup, 0, learner, executor="ddql",
-                             train_enabled=False, epsilon=epsilon,
-                             include_twap_twin=False)
-    without_agent = run_episode(setup, 0, executor="none", include_twap_twin=False)
+                             train_enabled=False, epsilon=epsilon)
+    without_agent = run_episode(setup, 0, executor="none")
     session = (setup.ddql.session_start, setup.ddql.session_end)
     flow_with = FlowSeries.from_log(with_agent.log, session=session)
     flow_without = FlowSeries.from_log(without_agent.log, session=session)

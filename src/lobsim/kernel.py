@@ -90,21 +90,6 @@ _tuple_new = tuple.__new__
 
 
 @dataclass
-class Message:
-    """A point-to-point payload between agents.
-
-    deliver_at is assigned by the kernel when the message is enqueued
-    (send time + computation delay + pairwise latency); callers leave it
-    at the default.
-    """
-
-    sender_id: int
-    recipient_id: int
-    payload: Any
-    deliver_at: SimTime = -1
-
-
-@dataclass
 class KernelConfig:
     start_time: SimTime
     stop_time: SimTime
@@ -218,9 +203,6 @@ class Kernel:
         self.agents.append(agent)
         return agent.agent_id
 
-    def latency(self, sender_id: int, recipient_id: int) -> int:
-        return self.config.latency_overrides.get((sender_id, recipient_id), self.config.latency_nanos)
-
     def schedule_wakeup(self, agent_id: int, at: SimTime) -> None:
         if at < self.now:
             raise SchedulingError(f"wakeup at {at} is in the past (now={self.now})")
@@ -243,9 +225,6 @@ class Kernel:
         deliver_at = self.now + config.computation_delay_nanos + latency
         heappush(self._queue, (deliver_at, next(self._sequence), sender_id, recipient_id, payload))
         return deliver_at
-
-    def send_message(self, msg: Message) -> None:
-        msg.deliver_at = self.send(msg.sender_id, msg.recipient_id, msg.payload)
 
     def run(self) -> SimulationLog:
         """Deliver events in (deliver_at, insertion) order until the queue

@@ -114,12 +114,17 @@ def parse_line(line: str, line_number: int) -> LobsterEvent:
 
 
 def parse_message_file(path) -> Iterator[LobsterEvent]:
-    """Yield events in file order.  Malformed rows raise LobsterParseError
-    with the path and the 1-based line number; a time going backwards only
-    warns."""
+    """Yield events in file order.  Malformed rows, and bytes that are not
+    UTF-8, raise LobsterParseError with the path and the 1-based line
+    number; a time going backwards only warns."""
     last_time = None
-    with open(path) as fh:
-        for line_number, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for line_number, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode()
+            except UnicodeDecodeError as exc:
+                raise LobsterParseError(line_number, f"not UTF-8 text (byte {exc.start + 1})",
+                                        path) from None
             if not line.strip():
                 continue
             try:

@@ -245,51 +245,59 @@ def params_to_bytes(params: MLPParams) -> bytes:
     return b"".join(chunks)
 
 
-def save_params(params: MLPParams, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(params_to_bytes(params))
+class ByteReader:
+    """Reads a checkpoint front to back; a read past the end raises
+    CheckpointError naming the part being read."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.offset = 0
+
+    def take(self, size: int, part: str) -> int:
+        """Start of the next `size` bytes, which must all be there."""
+        if self.offset + size > len(self.data):
+            raise CheckpointError(f"truncated checkpoint ({part})")
+        start = self.offset
+        self.offset += size
+        return start
+
+    def unpack(self, fmt: str, part: str) -> tuple:
+        return struct.unpack_from(fmt, self.data, self.take(struct.calcsize(fmt), part))
+
+    def blob(self, size: int, part: str) -> bytes:
+        start = self.take(size, part)
+        return self.data[start:self.offset]
+
+    def floats(self, count: int, part: str) -> np.ndarray:
+        """The next `count` little-endian f64 values, as a read-only view."""
+        return np.frombuffer(self.data, dtype="<f8", count=count,
+                             offset=self.take(count * 8, part))
+
+    def finish(self) -> None:
+        if self.offset != len(self.data):
+            raise CheckpointError("trailing bytes in checkpoint")
 
 
 def params_from_bytes(data: bytes, expected_sizes: Optional[Sequence[int]] = None) -> MLPParams:
     if data[:4] != MAGIC:
         raise CheckpointError(f"bad magic {data[:4]!r}")
-    offset = 4
-    (version,) = struct.unpack_from("<I", data, offset)
-    offset += 4
+    reader = ByteReader(data)
+    reader.take(4, "header")
+    (version,) = reader.unpack("<I", "header")
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported format version {version}")
-    (dropout_rate,) = struct.unpack_from("<d", data, offset)
-    offset += 8
-    (n_layers,) = struct.unpack_from("<I", data, offset)
-    offset += 4
-    sizes = list(struct.unpack_from(f"<{n_layers + 1}I", data, offset))
-    offset += 4 * (n_layers + 1)
+    dropout_rate, n_layers = reader.unpack("<dI", "header")
+    sizes = list(reader.unpack(f"<{n_layers + 1}I", "layer sizes"))
     if expected_sizes is not None and list(expected_sizes) != sizes:
         raise CheckpointError(f"layer sizes {sizes} do not match expected {list(expected_sizes)}")
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        need = fan_in * fan_out * 8
-        if offset + need > len(data):
-            raise CheckpointError("truncated checkpoint (weights)")
-        weights.append(
-            np.frombuffer(data, dtype="<f8", count=fan_in * fan_out, offset=offset)
-            .reshape(fan_in, fan_out)
-            .copy()
-        )
-        offset += need
-        need = fan_out * 8
-        if offset + need > len(data):
-            raise CheckpointError("truncated checkpoint (biases)")
-        biases.append(np.frombuffer(data, dtype="<f8", count=fan_out, offset=offset).copy())
-        offset += need
-    if offset != len(data):
-        raise CheckpointError("trailing bytes in checkpoint")
+        weights.append(reader.floats(fan_in * fan_out, "weights").reshape(fan_in, fan_out).copy())
+        biases.append(reader.floats(fan_out, "biases").copy())
+    reader.finish()
     params = MLPParams(weights, biases, dropout_rate)
-    params.validate()
+    try:
+        params.validate()
+    except ValueError as exc:
+        raise CheckpointError(f"bad network ({exc})") from None
     return params
-
-
-def load_params(path, expected_sizes: Optional[Sequence[int]] = None) -> MLPParams:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return params_from_bytes(data, expected_sizes)

@@ -29,7 +29,7 @@ from .agents import (
     TWAPExecutionAgent,
 )
 from .kernel import Agent, KernelConfig, SimTime, SimulationLog, build_kernel, seconds
-from .lobster import LobsterEvent, SyntheticFlowConfig, generate_synthetic, parse_message_file
+from .lobster import SyntheticFlowConfig, generate_synthetic, parse_message_file
 from .metrics import ExecutionComparison, execution_report
 from .rl import ActionSpace, EpisodeResult
 
@@ -84,7 +84,6 @@ class RunSetup:
     momentum_count: int = 6
     momentum: MomentumConfig = field(default_factory=MomentumConfig)
     include_twap_twin: bool = True
-    record_quotes: bool = False
     # test hook: build additional kernel agents per episode (e.g. scripted
     # liquidity); not reachable from the CLI config format
     extra_agent_factory: Optional[Callable[[int], list]] = None
@@ -126,16 +125,18 @@ def run_episode(
     executor: str = "ddql",
     train_enabled: bool = True,
     epsilon: Optional[float] = None,
-    include_twap_twin: Optional[bool] = None,
 ) -> EpisodeOutcome:
     """One full kernel session with the configured roster.
 
     executor "ddql" needs a learner; "twap" swaps the learning agent for the
     benchmark in the same roster slot so paired runs stay seed-aligned;
-    "none" runs only the background roster.
+    "none" runs only the background roster.  A TWAP twin trades beside the
+    learner exactly when the executor is "ddql", train_enabled is set and
+    setup.include_twap_twin is set: training episodes carry it, greedy
+    evaluation and paired realism runs do not.
     """
     events = setup.data.events_for_episode(episode, setup.seed)
-    agents: list[Agent] = [ExchangeAgent(record_quotes=setup.record_quotes)]
+    agents: list[Agent] = [ExchangeAgent()]
     if events:
         agents.append(MarketReplayAgent(events))
     stagger = setup.momentum.poll_interval // max(1, setup.momentum_count)
@@ -145,9 +146,7 @@ def run_episode(
     if setup.extra_agent_factory is not None:
         agents.extend(setup.extra_agent_factory(episode))
     twin = None
-    if include_twap_twin is None:
-        include_twap_twin = setup.include_twap_twin and executor == "ddql"
-    if include_twap_twin:
+    if executor == "ddql" and train_enabled and setup.include_twap_twin:
         twin = TWAPExecutionAgent(setup.twap_config(), name="twap-benchmark")
         agents.append(twin)
     if executor == "ddql":
@@ -276,10 +275,8 @@ def evaluate(setup: RunSetup, checkpoint: Path,
     learner = LearnerState.load(checkpoint, setup.ddql, setup.seed)
     index = learner.episode_index if episode is None else episode
     candidate = run_episode(setup, index, learner, executor="ddql",
-                            train_enabled=False, epsilon=0.0,
-                            include_twap_twin=False)
-    baseline = run_episode(setup, index, None, executor="twap",
-                           include_twap_twin=False)
+                            train_enabled=False, epsilon=0.0)
+    baseline = run_episode(setup, index, None, executor="twap")
     comparison = execution_report(candidate.result, baseline.result,
                                   ActionSpace(setup.ddql.multipliers))
     return EvaluationOutcome(comparison, candidate, baseline)

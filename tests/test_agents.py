@@ -19,6 +19,7 @@ from lobsim import (
 )
 from lobsim.book import BookSnapshot, Order, OrderKind
 from lobsim.lobster import EventType, LobsterEvent
+from lobsim.metrics import FlowSeries
 from lobsim.messages import (
     CancelOrder,
     LimitOrder,
@@ -142,23 +143,19 @@ class TestExchangeProtocol:
         assert reject.reason == "rejected:unsupported_payload"
 
     def test_flow_records_track_accepted_actions(self):
-        exchange, _ = make_exchange()
+        # the acks carry what each accepted action did to the book
+        exchange, kernel = make_exchange()
         exchange.on_message(10, 1, LimitOrder(100, Side.BID, 50, 9_990))
         exchange.on_message(11, 2, MarketOrder(200, Side.ASK, 10))
         exchange.on_message(12, 1, CancelOrder(100, 5))
         exchange.on_message(13, 1, CancelOrder(100))
-        assert [(r.kind, r.size) for r in exchange.flow] == [
-            ("limit", 50), ("market", 10), ("reduce", 5), ("cancel", 35),
+        assert kernel.to(1) == [
+            OrderAccepted(100),
+            OrderExecuted(100, 10, 9_990),
+            OrderCancelled(100, 5, "reduced"),
+            OrderCancelled(100, 35, "cancelled"),
         ]
-
-    def test_quotes_recorded_per_mutating_message_only(self):
-        exchange, _ = make_exchange(record_quotes=True)
-        exchange.on_message(10, 1, LimitOrder(100, Side.BID, 50, 9_990))
-        exchange.on_message(11, 2, MarketDataQuery())
-        exchange.on_message(12, 1, LimitOrder(101, Side.ASK, 50, 10_010))
-        assert [(q.time, q.best_bid, q.best_ask) for q in exchange.quotes] == [
-            (10, 9_990, None), (12, 9_990, 10_010),
-        ]
+        assert kernel.to(2) == [OrderExecuted(200, 10, 9_990)]
 
     def test_self_trade_prevention_notifies_cancelled_maker(self):
         exchange, kernel = make_exchange(allow_self_trade=False)
@@ -170,10 +167,23 @@ class TestExchangeProtocol:
         assert OrderExecuted(200, 30, 1_000_000) in kernel.to(2)
 
 
-def replay_setup(events, latency=0, stop=None):
+class TopOfBookExchange(ExchangeAgent):
+    """Records (best bid, best ask) after each order, cancel or reduce."""
+
+    def __init__(self):
+        super().__init__()
+        self.tops = []
+
+    def on_message(self, now, sender_id, payload):
+        super().on_message(now, sender_id, payload)
+        if not isinstance(payload, MarketDataQuery):
+            self.tops.append((self.book.best_bid(), self.book.best_ask()))
+
+
+def replay_setup(events, latency=0, stop=None, exchange=None):
     stop = stop if stop is not None else (events[-1].time_ns if events else 0) + seconds(1)
     config = KernelConfig(start_time=0, stop_time=stop, latency_nanos=latency)
-    exchange = ExchangeAgent(record_quotes=True)
+    exchange = exchange or ExchangeAgent()
     replay = MarketReplayAgent(events, exchange_id=0)
     log = run_simulation(config, [exchange, replay])
     return exchange, replay, log
@@ -186,22 +196,25 @@ class TestMarketReplay:
             LobsterEvent(200, EventType.PARTIAL_CANCEL, 1, 20, 1_000_000, 1),
             LobsterEvent(300, EventType.DELETE, 1, 30, 1_000_000, 1),
         ]
-        exchange, replay, _ = replay_setup(events)
+        exchange, replay, log = replay_setup(events)
         assert replay.submitted == 3
         assert exchange.book.resting_quantity() == 0
-        assert [r.kind for r in exchange.flow] == ["limit", "reduce", "cancel"]
+        flow = FlowSeries.from_log(log).records
+        assert [(r.time, r.kind, r.size, r.side) for r in flow] == [
+            (100, "limit", 50, Side.BID), (200, "reduce", 20, None), (300, "cancel", 0, None),
+        ]
 
     def test_visible_execution_becomes_opposite_market_order(self):
         events = [
             LobsterEvent(100, EventType.NEW_LIMIT, 1, 21, 1_000_100, -1),
             LobsterEvent(200, EventType.EXECUTE_VISIBLE, 1, 21, 1_000_100, -1),
         ]
-        exchange, replay, _ = replay_setup(events)
+        exchange, replay, log = replay_setup(events)
         assert replay.type4_market_orders == 1
         assert exchange.book.resting_quantity() == 0
         assert exchange.book.last_trade_price == 1_000_100
-        assert exchange.flow[-1].kind == "market"
-        assert exchange.flow[-1].side is Side.BID
+        last = FlowSeries.from_log(log).records[-1]
+        assert (last.time, last.kind, last.size, last.side) == (200, "market", 21, Side.BID)
 
     def test_hidden_and_halt_skipped_with_counters(self):
         events = [
@@ -220,11 +233,14 @@ class TestMarketReplay:
             LobsterEvent(900, EventType.NEW_LIMIT, 2, 10, 999_000, 1),
             LobsterEvent(1_500, EventType.NEW_LIMIT, 3, 10, 998_000, 1),
         ]
-        exchange = ExchangeAgent()
         replay = MarketReplayAgent(events, exchange_id=0)
-        run_simulation(config, [exchange, replay])
-        assert [r.time for r in exchange.flow] == [1_000, 1_000, 1_500]
-        assert [r.price_ticks for r in exchange.flow] == [1_000_000, 999_000, 998_000]
+        log = run_simulation(config, [ExchangeAgent(), replay])
+        flow = FlowSeries.from_log(log).records
+        assert [(r.time, r.kind, r.size) for r in flow] == [
+            (1_000, "limit", 10), (1_000, "limit", 10), (1_500, "limit", 10),
+        ]
+        assert [r.detail["price"] for r in log.records if r.tag == "limit_order"] == \
+            [1_000_000, 999_000, 998_000]
 
     def test_events_past_stop_not_submitted(self):
         events = [
@@ -242,15 +258,15 @@ class TestMarketReplay:
             seed=17,
         )
         events = list(generate_synthetic(flow))
-        exchange, replay, _ = replay_setup(events, latency=1_000_000)
+        exchange, replay, _ = replay_setup(events, latency=1_000_000,
+                                           exchange=TopOfBookExchange())
         assert replay.submitted == len(events)
-        assert len(exchange.quotes) == len(events)
+        assert len(exchange.tops) == len(events)
         oracle = OracleBook()
-        for event, quote in zip(events, exchange.quotes):
+        for event, top in zip(events, exchange.tops):
             oracle.apply(event)
             if event.event_type in (EventType.NEW_LIMIT, EventType.PARTIAL_CANCEL, EventType.DELETE):
-                assert quote.best_bid == oracle.best_bid()
-                assert quote.best_ask == oracle.best_ask()
+                assert top == (oracle.best_bid(), oracle.best_ask())
 
 
 class TestMomentumDecide:

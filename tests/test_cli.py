@@ -13,6 +13,7 @@ import sys
 import pytest
 import yaml
 
+from checkpoint_bytes import corrupt_first_network
 from lobsim import DDQLConfig, MomentumConfig, SyntheticFlowConfig
 from lobsim.cli import (
     build_data_source,
@@ -164,7 +165,6 @@ class TestConfigHandling:
         assert err.count("\n") == 1 and "ddql.episodes" in err
 
     @pytest.mark.parametrize("dotted, value", [("roster.include_twap", "false"),
-                                               ("roster.record_quotes", "no"),
                                                ("ddql.act_with_target_net", 1),
                                                ("ddql.episodes", 2.9),
                                                ("ddql.episodes", True),
@@ -204,6 +204,41 @@ class TestConfigHandling:
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error:") and key in err
+
+    @pytest.mark.parametrize("mode, dotted, value", [
+        ("train", "seed", -1),
+        ("replay", "seed", -1),
+        ("gen-data", "seed", -1),
+        ("train", "kernel.latency_nanos", -1),
+        ("paired-realism", "kernel.latency_nanos", -1),
+        ("train", "kernel.computation_delay_nanos", -1),
+        ("paired-realism", "kernel.computation_delay_nanos", -1),
+        ("train", "kernel.warmup_seconds", -10),
+        ("train", "kernel.post_margin_seconds", -10),
+        ("train", "roster.momentum_count", -1),
+    ])
+    def test_negative_run_setting_names_its_key(self, tmp_path, capsys, mode, dotted, value):
+        # each used to end in a traceback, or (post_margin_seconds,
+        # momentum_count) to exit 0 with a cut episode or no traders
+        cfg = base_config()
+        if mode == "paired-realism":
+            mode, cfg["realism"]["paired"] = "realism", True
+        *sections, key = dotted.split(".")
+        node = cfg
+        for section in sections:
+            node = node[section]
+        node[key] = value
+        path = write_config(tmp_path, cfg)
+        assert main([mode, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and dotted in err
+
+    def test_negative_seed_flag_is_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config())
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "seed" in err
 
     def test_int_for_a_float_key_is_accepted(self, tmp_path):
         cfg = resolve_config({"ddql": {"epsilon_start": 1},
@@ -302,6 +337,17 @@ class TestDataErrors:
         cfg["data"] = {"kind": "lobster", "paths": [str(bad)]}
         path = write_config(tmp_path, cfg)
         assert main(["replay", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(bad) in err and "line 2" in err
+
+    @pytest.mark.parametrize("mode", ["replay", "realism", "train"])
+    def test_lobster_file_that_is_not_utf8_is_one_line(self, tmp_path, capsys, mode):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"60.000000000,1,1,10,1000000,1\n61.0,1,2,\xff\xfe,1000100,-1\n")
+        cfg = base_config()
+        cfg["data"] = {"kind": "lobster", "paths": [str(bad)]}
+        path = write_config(tmp_path, cfg)
+        assert main([mode, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(bad) in err and "line 2" in err
 
@@ -423,6 +469,18 @@ class TestEvaluate:
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(cut) in err
+
+    @pytest.mark.parametrize("how", ["header_cut", "huge_layer_count"])
+    def test_corrupt_network_blob_is_one_line(self, tmp_path, capsys, how):
+        path, out = self.train_once(tmp_path)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(corrupt_first_network((out / "checkpoints/latest.ckpt").read_bytes(),
+                                              how))
+        code = main(["evaluate", "--config", str(path), "--out", str(tmp_path / "eval"),
+                     "--checkpoint", str(bad)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(bad) in err
 
     def test_truncated_checkpoint_on_resume_is_one_line(self, tmp_path, capsys):
         path, out = self.train_once(tmp_path)

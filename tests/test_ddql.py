@@ -25,6 +25,7 @@ from lobsim.agents.ddql import compute_target, select_action
 from lobsim.mlp import CheckpointError
 from lobsim.rl import TERMINAL, Batch, ReplayBuffer
 
+from checkpoint_bytes import corrupt_first_network
 from replay_reference import ListReplayBuffer, pack
 
 
@@ -405,6 +406,16 @@ class TestLearnerCheckpoint:
                "weights": 12 + header_len + 8 + 40,  # inside the first network
                "buffer": len(data) - 60}[part]  # inside the last experience row
         path.write_bytes(data[:cut])
+        with pytest.raises(CheckpointError, match="truncated") as excinfo:
+            LearnerState.load(path, learner.config)
+        assert str(path) in str(excinfo.value)
+
+    @pytest.mark.parametrize("how", ["header_cut", "huge_layer_count"])
+    def test_corrupt_network_blob_raises_checkpoint_error_naming_it(self, tmp_path, how):
+        learner = self.trained_learner()
+        path = tmp_path / "learner.ckpt"
+        learner.save(path)
+        path.write_bytes(corrupt_first_network(path.read_bytes(), how))
         with pytest.raises(CheckpointError, match="truncated") as excinfo:
             LearnerState.load(path, learner.config)
         assert str(path) in str(excinfo.value)

@@ -64,6 +64,15 @@ class TestParsing:
             parse_text(tmp_path, text)
         assert excinfo.value.line_number == 2
 
+    def test_bytes_that_are_not_utf8_carry_path_and_line_number(self, tmp_path):
+        path = tmp_path / "messages.csv"
+        rows = "".join(f"{100 + i}.0,1,{i},10,1000000,1\n" for i in range(5000))
+        path.write_bytes(rows.encode() + b"99999.0,1,1,1\xe90,1000000,1\n")
+        with pytest.raises(LobsterParseError, match="not UTF-8") as excinfo:
+            list(parse_message_file(path))
+        assert excinfo.value.line_number == 5001
+        assert str(path) in str(excinfo.value)
+
     @pytest.mark.parametrize(
         "row,reason",
         [

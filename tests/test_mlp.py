@@ -1,9 +1,11 @@
 """Dense Q-network: forward pass, hand-derived gradients, RMSprop, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from lobsim import MLPParams, forward, init_params, load_params, save_params, train_step
+from lobsim import MLPParams, forward, init_params, train_step
 from lobsim.mlp import (
     CheckpointError,
     Mode,
@@ -247,11 +249,9 @@ class TestCopyParams:
 
 
 class TestCheckpoints:
-    def test_round_trip_bit_exact(self, tmp_path):
+    def test_round_trip_bit_exact(self):
         params = random_net(seed=14, dropout=0.2)
-        path = tmp_path / "net.ckpt"
-        save_params(params, path)
-        loaded = load_params(path)
+        loaded = params_from_bytes(params_to_bytes(params))
         assert loaded.dropout_rate == params.dropout_rate
         assert loaded.layer_sizes == params.layer_sizes
         for a, b in zip(params.weights, loaded.weights):
@@ -259,18 +259,14 @@ class TestCheckpoints:
         x = np.random.default_rng(15).normal(size=6)
         assert np.array_equal(forward(loaded, x), forward(params, x))
 
-    def test_save_twice_identical_bytes(self, tmp_path):
+    def test_save_twice_identical_bytes(self):
         params = random_net(seed=16)
-        a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_params(params, a)
-        save_params(params, b)
-        assert a.read_bytes() == b.read_bytes()
+        assert params_to_bytes(params) == params_to_bytes(params)
 
-    def test_expected_sizes_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "net.ckpt"
-        save_params(random_net(sizes=(6, 8, 24)), path)
+    def test_expected_sizes_mismatch_rejected(self):
+        data = params_to_bytes(random_net(sizes=(6, 8, 24)))
         with pytest.raises(CheckpointError, match="layer sizes"):
-            load_params(path, expected_sizes=[6, 64, 24])
+            params_from_bytes(data, expected_sizes=[6, 64, 24])
 
     def test_bad_magic_rejected(self):
         with pytest.raises(CheckpointError, match="magic"):
@@ -285,6 +281,27 @@ class TestCheckpoints:
         data = params_to_bytes(random_net())
         with pytest.raises(CheckpointError, match="trailing"):
             params_from_bytes(data + b"\x00")
+
+    @pytest.mark.parametrize("cut", [6, 10, 18, 22])
+    def test_blob_cut_inside_the_header_rejected(self, cut):
+        # inside the version, the dropout rate, the layer count, the sizes
+        data = params_to_bytes(random_net())
+        with pytest.raises(CheckpointError, match="truncated"):
+            params_from_bytes(data[:cut])
+
+    def test_huge_layer_count_rejected(self):
+        data = bytearray(params_to_bytes(random_net()))
+        struct.pack_into("<I", data, 16, 10**6)
+        with pytest.raises(CheckpointError, match="truncated"):
+            params_from_bytes(bytes(data))
+
+    @pytest.mark.parametrize("offset, value", [(8, 1.5), (40, float("nan"))])
+    def test_invalid_network_rejected(self, offset, value):
+        # a dropout rate outside [0, 1), or a NaN weight after the 32-byte header
+        data = bytearray(params_to_bytes(random_net()))
+        struct.pack_into("<d", data, offset, value)
+        with pytest.raises(CheckpointError, match="bad network"):
+            params_from_bytes(bytes(data))
 
 
 class TestInit:

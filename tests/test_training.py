@@ -192,8 +192,14 @@ class TestRunEpisode:
     def test_twin_can_be_disabled(self, tmp_path):
         setup = make_setup(tmp_path)
         learner = LearnerState(setup.ddql, seed=7)
-        outcome = run_episode(setup, 0, learner, epsilon=0.0,
-                              include_twap_twin=False)
+        setup.include_twap_twin = False
+        outcome = run_episode(setup, 0, learner, epsilon=0.0)
+        assert outcome.twap_twin is None
+
+    def test_only_a_training_episode_carries_the_twin(self, tmp_path):
+        setup = make_setup(tmp_path)
+        learner = LearnerState(setup.ddql, seed=7)
+        outcome = run_episode(setup, 0, learner, epsilon=0.0, train_enabled=False)
         assert outcome.twap_twin is None
 
     def test_extra_agent_factory_sees_episode_index(self, tmp_path):

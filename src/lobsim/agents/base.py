@@ -18,6 +18,7 @@ class TradingAgent(Agent):
         super().__init__(name)
         self.exchange_id = exchange_id
         self._order_seq = 0
+        self._queries: dict[int, MarketDataQuery] = {}  # one frozen query per depth
 
     def next_order_id(self) -> int:
         self._order_seq += 1
@@ -39,4 +40,7 @@ class TradingAgent(Agent):
         self.kernel.send(self.agent_id, self.exchange_id, CancelOrder(order_id, quantity))
 
     def query_market_data(self, depth: int = 3) -> None:
-        self.kernel.send(self.agent_id, self.exchange_id, MarketDataQuery(depth))
+        query = self._queries.get(depth)
+        if query is None:
+            query = self._queries[depth] = MarketDataQuery(depth)
+        self.kernel.send(self.agent_id, self.exchange_id, query)

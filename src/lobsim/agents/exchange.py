@@ -7,10 +7,13 @@ Notification protocol, in emission order per inbound message:
   * CancelOrder -> OrderCancelled ack with the removed quantity
     (reason "not_found" with quantity 0 when the id is unknown)
   * malformed or duplicate orders -> OrderCancelled(reason "rejected:...")
-  * MarketDataQuery -> MarketDataReply with a depth-k snapshot
+  * MarketDataQuery -> MarketDataReply with a depth-k snapshot; while the
+    book is unchanged every query of that depth gets the same reply object
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 from ..book import BookError, Order, OrderBook, OrderKind
 from ..kernel import Agent, SimTime
@@ -31,11 +34,17 @@ class ExchangeAgent(Agent):
         super().__init__(name)
         self.book = OrderBook(allow_self_trade=allow_self_trade)
         self.owners: dict[int, int] = {}
+        # the last reply sent; resent while the book returns the same snapshot
+        self._reply: Optional[MarketDataReply] = None
 
     def on_message(self, now: SimTime, sender_id: int, payload) -> None:
         # queries are most of the traffic, so they are tested first
         if isinstance(payload, MarketDataQuery):
-            self._send(sender_id, MarketDataReply(self.book.snapshot(payload.depth)))
+            snapshot = self.book.snapshot(payload.depth)
+            reply = self._reply
+            if reply is None or reply.snapshot is not snapshot:
+                reply = self._reply = MarketDataReply(snapshot)
+            self.kernel.send(self.agent_id, sender_id, reply)
             return
         if isinstance(payload, LimitOrder):
             self._handle_order(now, sender_id, payload, OrderKind.LIMIT)

@@ -6,7 +6,8 @@ walks best price first and fills at maker prices.  Unfilled market-order
 remainders are cancelled, never converted to limit orders.
 
 Single-owner mutable structure: all access is serialized through the
-exchange agent on the kernel thread.  Snapshots are immutable value copies.
+exchange agent on the kernel thread.  Snapshots are immutable value copies;
+the book hands out the same one until it changes.
 """
 
 from __future__ import annotations
@@ -60,10 +61,8 @@ class OrderNotFoundError(BookError):
 
 @dataclass(eq=False, slots=True)
 class Order:
-    """A resting or incoming order.  Orders compare by identity: the book
-    removes an order from its level's FIFO queue with `deque.remove`, which
-    then matches by `is` at C speed instead of comparing every field of
-    every order ahead of it."""
+    """A resting or incoming order.  Orders compare by identity: a queue
+    entry is live only while the book's id map holds that very object."""
 
     order_id: int
     agent_id: int
@@ -92,10 +91,6 @@ class Fill:
 class SubmitResult(NamedTuple):
     fills: list
     resting: Optional[Order]
-
-    @property
-    def filled_quantity(self) -> int:
-        return sum(f.quantity for f in self.fills)
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,9 +130,15 @@ class BookSnapshot:
 
 @dataclass(slots=True)
 class PriceLevel:
+    """One price's FIFO queue.  Removing an order from the middle only takes
+    it off `total_quantity` and `count`; its entry stays in `queue`, dead,
+    until matching pops it from the head or the book compacts the level.
+    `count` is the number of live orders."""
+
     price_ticks: int
     queue: deque = field(default_factory=deque)
     total_quantity: int = 0
+    count: int = 0
 
     def insert(self, order: Order) -> None:
         # Keep the queue ordered by (placed_at, order_id).  Arrivals come in
@@ -154,6 +155,7 @@ class PriceLevel:
         else:
             self.queue.insert(pos, order)
         self.total_quantity += order.quantity
+        self.count += 1
 
 
 class OrderBook:
@@ -166,6 +168,8 @@ class OrderBook:
         # resting orders cancelled by self-trade prevention during the most
         # recent submit; only populated when allow_self_trade is False
         self.self_trade_cancels: list[Order] = []
+        # the last snapshot per depth; every change to the book clears it
+        self._snapshots: dict[int, BookSnapshot] = {}
 
     # -- queries ------------------------------------------------------------
 
@@ -185,12 +189,25 @@ class OrderBook:
         prices = self._prices[side]
         ordered = reversed(prices) if side is Side.BID else iter(prices)
         levels = self._levels[side]
-        return [(p, levels[p].total_quantity, len(levels[p].queue)) for p in ordered]
+        return [(p, levels[p].total_quantity, levels[p].count) for p in ordered]
+
+    def level_orders(self, side: Side, price: int) -> list:
+        """The live orders resting at `price`, in time priority."""
+        level = self._levels[side].get(price)
+        if level is None:
+            return []
+        orders = self._orders
+        return [o for o in level.queue if orders.get(o.order_id) is o]
 
     def resting_quantity(self) -> int:
         return sum(level.total_quantity for side in self._levels.values() for level in side.values())
 
     def snapshot(self, k: int = 3) -> BookSnapshot:
+        """Top-k depth.  While the book is unchanged every call with the same
+        k returns the same (immutable) object."""
+        snapshot = self._snapshots.get(k)
+        if snapshot is not None:
+            return snapshot
         if k < 1:
             raise ValueError("depth k must be >= 1")
         # read only the k best prices; the book may hold thousands of levels
@@ -198,7 +215,8 @@ class OrderBook:
         bids = tuple([(p, levels[p].total_quantity) for p in self._prices[Side.BID][:-k - 1:-1]])
         levels = self._levels[Side.ASK]
         asks = tuple([(p, levels[p].total_quantity) for p in self._prices[Side.ASK][:k]])
-        return BookSnapshot(bids=bids, asks=asks, last_trade_price=self.last_trade_price)
+        snapshot = self._snapshots[k] = BookSnapshot(bids, asks, self.last_trade_price)
+        return snapshot
 
     def depth_csv(self) -> str:
         lines = ["side,price_ticks,total_quantity,order_count"]
@@ -213,12 +231,14 @@ class OrderBook:
         order.validate()
         if order.order_id in self._orders:
             raise DuplicateOrderIdError(f"order id {order.order_id} is already resting")
+        self._snapshots.clear()
         self.self_trade_cancels = []
         fills: list[Fill] = []
         remaining = order.quantity
         opposite = order.side.opposite
         prices = self._prices[opposite]
         levels = self._levels[opposite]
+        orders = self._orders
         while remaining > 0 and prices:
             best = prices[-1] if opposite is Side.BID else prices[0]
             if order.kind is OrderKind.LIMIT:
@@ -226,12 +246,17 @@ class OrderBook:
                 if not crosses:
                     break
             level = levels[best]
-            while remaining > 0 and level.queue:
-                maker = level.queue[0]
+            queue = level.queue
+            while remaining > 0 and level.count:
+                maker = queue[0]
+                if orders.get(maker.order_id) is not maker:  # removed earlier
+                    queue.popleft()
+                    continue
                 if not self.allow_self_trade and maker.agent_id == order.agent_id:
-                    level.queue.popleft()
+                    queue.popleft()
                     level.total_quantity -= maker.quantity
-                    del self._orders[maker.order_id]
+                    level.count -= 1
+                    del orders[maker.order_id]
                     self.self_trade_cancels.append(maker)
                     continue
                 take = min(remaining, maker.quantity)
@@ -240,9 +265,10 @@ class OrderBook:
                 level.total_quantity -= take
                 remaining -= take
                 if maker.quantity == 0:
-                    level.queue.popleft()
-                    del self._orders[maker.order_id]
-            if not level.queue:
+                    queue.popleft()
+                    level.count -= 1
+                    del orders[maker.order_id]
+            if not level.count:
                 del levels[best]
                 prices.pop(-1 if opposite is Side.BID else 0)
         if fills:
@@ -262,6 +288,7 @@ class OrderBook:
         order = self._orders.pop(order_id, None)
         if order is None:
             return 0
+        self._snapshots.clear()
         self._unlink(order)
         return order.quantity
 
@@ -273,6 +300,7 @@ class OrderBook:
         order = self._orders.get(order_id)
         if order is None:
             raise OrderNotFoundError(f"order {order_id} is not resting")
+        self._snapshots.clear()
         removed = min(by, order.quantity)
         order.quantity -= removed
         self._levels[order.side][order.price_ticks].total_quantity -= removed
@@ -291,9 +319,15 @@ class OrderBook:
         self._orders[order.order_id] = order
 
     def _unlink(self, order: Order) -> None:
-        level = self._levels[order.side][order.price_ticks]
-        level.queue.remove(order)
+        """Take `order`, already dropped from `_orders`, off its level in
+        O(1).  A level whose queue holds more than twice its live orders is
+        rebuilt from them, so the queues stay O(resting orders)."""
+        levels = self._levels[order.side]
+        level = levels[order.price_ticks]
         level.total_quantity -= order.quantity
-        if not level.queue:
-            del self._levels[order.side][order.price_ticks]
+        level.count -= 1
+        if not level.count:
+            del levels[order.price_ticks]
             self._prices[order.side].remove(order.price_ticks)
+        elif len(level.queue) > 2 * level.count:
+            level.queue = deque(self.level_orders(order.side, order.price_ticks))

@@ -251,10 +251,23 @@ def build_data_source(cfg: dict) -> DataSource:
     return source
 
 
+# Message hops after session_end before an episode is settled: the terminal
+# snapshot query, its reply, the closing market order, then its fills and the
+# last reply.  Each hop takes one latency plus one computation delay.
+CLOSING_HOPS = 4
+
+
 def build_setup(cfg: dict) -> RunSetup:
-    return RunSetup(ddql=_build(DDQLConfig, cfg, "ddql"), data=build_data_source(cfg),
-                    momentum=_build(MomentumConfig, cfg, "roster.momentum"),
-                    **_fields(cfg), **_fields(cfg, "kernel"), **_fields(cfg, "roster"))
+    setup = RunSetup(ddql=_build(DDQLConfig, cfg, "ddql"), data=build_data_source(cfg),
+                     momentum=_build(MomentumConfig, cfg, "roster.momentum"),
+                     **_fields(cfg), **_fields(cfg, "kernel"), **_fields(cfg, "roster"))
+    least = CLOSING_HOPS * (setup.latency_nanos + setup.computation_delay_nanos)
+    if setup.post_margin < least:
+        # the kernel would stop before the closing order fills
+        raise ConfigError(f"kernel.post_margin_seconds: must be at least "
+                          f"{least / NANOS_PER_SECOND:g} ({CLOSING_HOPS} x (latency + "
+                          f"computation delay)), got {setup.post_margin / NANOS_PER_SECOND:g}")
+    return setup
 
 
 # -- manifest ----------------------------------------------------------------

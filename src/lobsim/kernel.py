@@ -5,6 +5,9 @@ Time is an integer count of nanoseconds since midnight of the simulated
 trading day.  Delivery order is a total order: events pop sorted by
 (deliver_at, insertion sequence), so ties at equal timestamps resolve FIFO
 by insertion.  Runs with identical configuration and seed are bit-identical.
+
+The log keeps each delivery's payload object and formats nothing while the
+loop runs, so payloads must be immutable values (see LogRecord).
 """
 
 from __future__ import annotations
@@ -110,12 +113,27 @@ class KernelConfig:
 
 
 class LogRecord(NamedTuple):
+    """One delivery: when, from whom, to whom, the payload's tag and the
+    payload itself.  The record holds the payload object, not a copy, and a
+    sender may send one object many times, so payloads must be immutable
+    values (frozen dataclasses, tuples, strings).  `summary` and `detail`
+    are formatted from the payload when they are read."""
+
     time: SimTime
     sender_id: int
     recipient_id: int
     tag: str
-    summary: str
-    detail: Optional[dict] = None
+    payload: Any
+
+    @property
+    def summary(self) -> str:
+        payload = self.payload
+        return payload.summary() if hasattr(payload, "summary") else str(payload)
+
+    @property
+    def detail(self) -> Optional[dict]:
+        payload = self.payload
+        return payload.detail() if hasattr(payload, "detail") else None
 
     def to_json(self) -> str:
         body = {
@@ -125,13 +143,15 @@ class LogRecord(NamedTuple):
             "tag": self.tag,
             "summary": self.summary,
         }
-        if self.detail is not None:
-            body["detail"] = self.detail
+        detail = self.detail
+        if detail is not None:
+            body["detail"] = detail
         return json.dumps(body, sort_keys=True)
 
 
 class SimulationLog:
-    """Record of every delivered message plus final agent states."""
+    """Record of every delivered message (with its payload) plus final
+    agent states."""
 
     def __init__(self) -> None:
         self.records: list[LogRecord] = []
@@ -259,10 +279,7 @@ class Kernel:
                     tag = payload.tag
                 except AttributeError:
                     tag = type(payload).__name__.lower()
-                append(_tuple_new(LogRecord, (
-                    deliver_at, sender_id, recipient_id, tag,
-                    payload.summary() if hasattr(payload, "summary") else str(payload),
-                    payload.detail() if hasattr(payload, "detail") else None)))
+                append(_tuple_new(LogRecord, (deliver_at, sender_id, recipient_id, tag, payload)))
                 recipient = agents[recipient_id]
                 try:
                     if isinstance(payload, Wakeup):

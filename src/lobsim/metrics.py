@@ -20,6 +20,7 @@ from scipy import special, stats
 from .book import Side
 from .kernel import NANOS_PER_SECOND, SimulationLog, SimTime
 from .lobster import EventType, LobsterEvent
+from .messages import CancelOrder, LimitOrder, MarketOrder
 from .rl import ActionSpace, EpisodeResult
 
 
@@ -81,16 +82,15 @@ class FlowSeries:
         """Inbound order traffic to the exchange, read off the kernel log."""
         records = []
         for rec in log.records:
-            if rec.recipient_id != exchange_id or rec.detail is None:
+            if rec.recipient_id != exchange_id:
                 continue
-            if rec.tag == "limit_order":
-                records.append(FlowPoint(rec.time, "limit", rec.detail["quantity"],
-                                         Side[rec.detail["side"]]))
-            elif rec.tag == "market_order":
-                records.append(FlowPoint(rec.time, "market", rec.detail["quantity"],
-                                         Side[rec.detail["side"]]))
-            elif rec.tag == "cancel_order":
-                quantity = rec.detail["quantity"]
+            payload = rec.payload
+            if isinstance(payload, LimitOrder):
+                records.append(FlowPoint(rec.time, "limit", payload.quantity, payload.side))
+            elif isinstance(payload, MarketOrder):
+                records.append(FlowPoint(rec.time, "market", payload.quantity, payload.side))
+            elif isinstance(payload, CancelOrder):
+                quantity = payload.quantity
                 kind = "cancel" if quantity is None else "reduce"
                 records.append(FlowPoint(rec.time, kind, quantity or 0, None))
         return cls(records, session)

@@ -53,7 +53,7 @@ def apply_to_real(ops, book: OrderBook):
                                        OrderKind.MARKET, now))
             fills.extend((f.taker_order_id, f.maker_order_id, f.price_ticks, f.quantity)
                          for f in result.fills)
-            cancelled += quantity - result.filled_quantity
+            cancelled += quantity - sum(f.quantity for f in result.fills)
         elif kind == "cancel":
             cancelled += book.cancel(order_id)
         else:
@@ -87,7 +87,7 @@ def real_state(book: OrderBook) -> dict:
     for name, side in ((BID, Side.BID), (ASK, Side.ASK)):
         levels = []
         for price, _total, _count in book.side_levels(side):
-            queue = book._levels[side][price].queue
+            queue = book.level_orders(side, price)
             levels.append((price, [(o.order_id, o.quantity) for o in queue]))
         out[name] = levels
     return out

@@ -85,6 +85,22 @@ class TestExchangeProtocol:
         assert isinstance(reply, MarketDataReply)
         assert [p for p, _ in reply.snapshot.bids] == [9_990, 9_980, 9_970]
 
+    def test_unchanged_book_resends_the_same_reply(self):
+        exchange, kernel = make_exchange()
+        exchange.on_message(10, 1, LimitOrder(100, Side.BID, 10, 9_990))
+        kernel.sent.clear()
+        exchange.on_message(11, 2, MarketDataQuery(depth=1))
+        exchange.on_message(11, 3, MarketDataQuery(depth=1))
+        (first,), (second,) = kernel.to(2), kernel.to(3)
+        assert second is first
+        exchange.on_message(12, 1, LimitOrder(101, Side.BID, 5, 9_995))
+        exchange.on_message(13, 2, MarketDataQuery(depth=1))
+        third = kernel.to(2)[-1]
+        assert third is not first and third.snapshot.bids == ((9_995, 5),)
+        exchange.on_message(14, 2, MarketDataQuery(depth=3))
+        deeper = kernel.to(2)[-1]
+        assert deeper is not third and deeper.snapshot.bids == ((9_995, 5), (9_990, 10))
+
     def test_unfilled_market_remainder_cancelled(self):
         exchange, kernel = make_exchange()
         exchange.on_message(10, 1, LimitOrder(100, Side.ASK, 30, 1_000_000))
@@ -326,6 +342,15 @@ class TestMomentumAgent:
         limits = [p for _, p in kernel.sent if isinstance(p, LimitOrder)]
         assert len(limits) == 2
         assert [c.order_id for c in cancels] == [limits[0].order_id]
+
+    def test_one_query_object_per_depth(self):
+        agent, kernel = make_momentum()
+        for depth in (1, 1, 3, 1, 3):
+            agent.query_market_data(depth)
+        queries = [p for _, p in kernel.sent]
+        assert queries == [MarketDataQuery(d) for d in (1, 1, 3, 1, 3)]
+        assert queries[0] is queries[1] is queries[3]
+        assert queries[2] is queries[4] and queries[2] is not queries[0]
 
     def test_fill_attribution_via_live_orders(self):
         agent, _ = make_momentum(short_window=2, long_window=4)

@@ -186,7 +186,7 @@ class TestSelfTrade:
         book = OrderBook()
         book.submit(limit(1, Side.ASK, 100.00, 10, agent_id=5))
         result = book.submit(market(2, Side.BID, 10, agent_id=5))
-        assert result.filled_quantity == 10
+        assert sum(f.quantity for f in result.fills) == 10
         assert book.self_trade_cancels == []
 
     def test_prevention_cancels_resting(self):
@@ -231,3 +231,117 @@ class TestRandomizedOracle:
             bid, ask = book.best_bid(), book.best_ask()
             if bid is not None and ask is not None:
                 assert bid < ask
+
+
+def fresh_snapshot(book, k):
+    """The snapshot recomputed from the full side levels, without the cache."""
+    bids = tuple((p, q) for p, q, _ in book.side_levels(Side.BID)[:k])
+    asks = tuple((p, q) for p, q, _ in book.side_levels(Side.ASK)[:k])
+    return BookSnapshot(bids, asks, book.last_trade_price)
+
+
+class TestSnapshotReuse:
+    def two_sided(self, **kw):
+        book = OrderBook(**kw)
+        book.submit(limit(1, Side.BID, 99.99, 10, agent_id=1))
+        book.submit(limit(2, Side.ASK, 100.01, 10, agent_id=2))
+        book.submit(limit(3, Side.ASK, 100.02, 30, agent_id=5))
+        return book
+
+    def assert_renewed(self, book, before):
+        after = book.snapshot(2)
+        assert after is not before
+        assert after == fresh_snapshot(book, 2)
+        assert book.snapshot(2) is after
+        return after
+
+    def test_same_object_until_a_change(self):
+        book = self.two_sided()
+        snap = book.snapshot(2)
+        assert book.snapshot(2) is snap
+        assert book.snapshot(1) is not snap and book.snapshot(1) is book.snapshot(1)
+        assert book.order(1) is not None and book.best_bid() == 99_9900
+        assert book.snapshot(2) is snap
+
+    def test_resting_submit_renews(self):
+        book = self.two_sided()
+        snap = book.snapshot(2)
+        book.submit(limit(4, Side.BID, 100.00, 7))
+        assert self.assert_renewed(book, snap).bids == ((100_0000, 7), (99_9900, 10))
+
+    def test_crossing_submit_renews_last_trade(self):
+        book = self.two_sided()
+        snap = book.snapshot(2)
+        book.submit(market(4, Side.BID, 15))
+        after = self.assert_renewed(book, snap)
+        assert after.last_trade_price == 100_0200
+        assert after.asks == ((100_0200, 25),)
+
+    def test_self_trade_prevented_cancel_renews(self):
+        book = OrderBook(allow_self_trade=False)
+        book.submit(limit(1, Side.BID, 99.99, 10, agent_id=1))
+        book.submit(limit(2, Side.ASK, 100.01, 10, agent_id=5))
+        snap = book.snapshot(2)
+        # the only effect of this order is the cancel of agent 5's own ask
+        result = book.submit(market(3, Side.BID, 10, agent_id=5))
+        assert result == ([], None) and [o.order_id for o in book.self_trade_cancels] == [2]
+        assert self.assert_renewed(book, snap).asks == ()
+
+    def test_cancel_and_reduce_renew(self):
+        book = self.two_sided()
+        snap = book.snapshot(2)
+        book.reduce(3, 5)
+        snap = self.assert_renewed(book, snap)
+        assert snap.asks == ((100_0100, 10), (100_0200, 25))
+        book.cancel(2)
+        assert self.assert_renewed(book, snap).asks == ((100_0200, 25),)
+
+    def test_cancel_of_unknown_id_keeps_the_snapshot(self):
+        book = self.two_sided()
+        snap = book.snapshot(2)
+        assert book.cancel(99) == 0
+        with pytest.raises(OrderNotFoundError):
+            book.reduce(99, 1)
+        assert book.snapshot(2) is snap
+
+
+class TestLazyRemoval:
+    PRICE = 100_0000
+
+    def deep_level(self, n):
+        book = OrderBook()
+        for i in range(1, n + 1):
+            book.submit(Order(i, 0, Side.ASK, self.PRICE, 10, OrderKind.LIMIT, i))
+        return book
+
+    def test_submit_cancel_churn_keeps_the_queue_bounded(self):
+        book = self.deep_level(100)
+        longest = 0
+        for i in range(101, 10_101):
+            book.submit(Order(i, 0, Side.ASK, self.PRICE, 10, OrderKind.LIMIT, i))
+            assert book.cancel(i) == 10
+            longest = max(longest, len(book._levels[Side.ASK][self.PRICE].queue))
+        assert longest <= 2 * 101
+        assert book.side_levels(Side.ASK) == [(self.PRICE, 1_000, 100)]
+        assert [o.order_id for o in book.level_orders(Side.ASK, self.PRICE)] == \
+            list(range(1, 101))
+
+    def test_matching_skips_removed_orders_at_the_head(self):
+        book = self.deep_level(10)
+        for order_id in (1, 2, 4):
+            book.cancel(order_id)
+        book.reduce(3, 10)  # reduced to nothing: removed as well
+        result = book.submit(market(50, Side.BID, 15, placed_at=20))
+        assert [(f.maker_order_id, f.quantity) for f in result.fills] == [(5, 10), (6, 5)]
+        assert [(o.order_id, o.quantity) for o in book.level_orders(Side.ASK, self.PRICE)] == \
+            [(6, 5), (7, 10), (8, 10), (9, 10), (10, 10)]
+        assert book.side_levels(Side.ASK) == [(self.PRICE, 45, 5)]
+
+    def test_a_reused_id_is_not_mistaken_for_the_removed_order(self):
+        book = self.deep_level(3)
+        book.cancel(1)
+        book.submit(Order(1, 0, Side.ASK, self.PRICE, 4, OrderKind.LIMIT, 9))
+        result = book.submit(market(50, Side.BID, 30, placed_at=10))
+        assert [(f.maker_order_id, f.quantity) for f in result.fills] == [(2, 10), (3, 10), (1, 4)]
+        assert book.side_levels(Side.ASK) == []
+        assert book.level_orders(Side.ASK, self.PRICE) == []

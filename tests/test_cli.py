@@ -233,6 +233,30 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and dotted in err
 
+    @pytest.mark.parametrize("delay, margin, least", [(0, 0.0039, "0.004"),
+                                                      (1_000_000, 0.0079, "0.008")])
+    def test_post_margin_shorter_than_the_closing_round_trip(self, tmp_path, capsys,
+                                                              delay, margin, least):
+        # with 1 ms latency this used to exit 0 with the parent order unfilled
+        cfg = base_config()
+        cfg["kernel"].update(computation_delay_nanos=delay, post_margin_seconds=margin)
+        path = write_config(tmp_path, cfg)
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "kernel.post_margin_seconds" in err
+        assert f"at least {least} " in err
+
+    def test_post_margin_at_the_minimum_fills_the_parent_order(self, tmp_path):
+        cfg = base_config()
+        cfg["kernel"].update(computation_delay_nanos=1_000_000, post_margin_seconds=0.008)
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 0
+        header, *rows = [line.split(",") for line in
+                         (out / "learning_curve.csv").read_text().splitlines()]
+        column = header.index("filled_quantity")
+        assert [row[column] for row in rows] == ["50", "50"]
+
     def test_negative_seed_flag_is_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "out"),

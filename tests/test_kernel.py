@@ -1,6 +1,7 @@
 """Kernel event loop: delivery order, timing arithmetic, and failure modes."""
 
 import gc
+import json
 
 import numpy as np
 import pytest
@@ -17,6 +18,19 @@ from lobsim import (
     seconds,
     time_from_str,
     time_to_str,
+)
+
+from lobsim.book import BookSnapshot, Side
+from lobsim.kernel import LogRecord, Wakeup
+from lobsim.messages import (
+    CancelOrder,
+    LimitOrder,
+    MarketDataQuery,
+    MarketDataReply,
+    MarketOrder,
+    OrderAccepted,
+    OrderCancelled,
+    OrderExecuted,
 )
 
 from kernel_script import Ping, ScriptAgent, check_schedule, expected_log, observed_log, random_scripts, run_scripts
@@ -264,3 +278,44 @@ class TestScriptedOracle:
         assert observed_log(log) == expected_log(scripts, cfg)
         markers = [int(r.summary) for r in log.records if r.tag == "ping"]
         assert markers == [1, 2, 3, 4]
+
+
+class TestLogRecord:
+    """A record keeps the payload; its text fields are formatted on reading."""
+
+    PAYLOADS = [
+        LimitOrder(1, Side.BID, 10, 9_990), MarketOrder(2, Side.ASK, 5), CancelOrder(3),
+        CancelOrder(3, 4), OrderAccepted(1), OrderExecuted(1, 10, 9_990),
+        OrderCancelled(3, 4, "reduced"), MarketDataQuery(1),
+        MarketDataReply(BookSnapshot(((9_990, 10),), (), 9_990)), Wakeup(), Ping(7),
+        "plain text",
+    ]
+
+    @pytest.mark.parametrize("payload", PAYLOADS, ids=lambda p: type(p).__name__)
+    def test_fields_are_the_payloads_own_formatting(self, payload):
+        tag = getattr(payload, "tag", "str")
+        record = LogRecord(5, 1, 2, tag, payload)
+        summary = payload.summary() if hasattr(payload, "summary") else str(payload)
+        detail = payload.detail() if hasattr(payload, "detail") else None
+        assert record.summary == summary
+        assert record.detail == detail
+        body = {"time": 5, "sender": 1, "recipient": 2, "tag": tag, "summary": summary}
+        if detail is not None:
+            body["detail"] = detail
+        assert record.to_json() == json.dumps(body, sort_keys=True)
+
+    def test_formatted_text(self):
+        record = LogRecord(5, 1, 0, "limit_order", LimitOrder(1, Side.BID, 10, 9_990))
+        assert record.to_json() == (
+            '{"detail": {"order_id": 1, "price": 9990, "quantity": 10, "side": "BID"}, '
+            '"recipient": 0, "sender": 1, "summary": "#1 BID 10@9990", '
+            '"tag": "limit_order", "time": 5}')
+        reply = LogRecord(6, 0, 1, "market_data_reply",
+                          MarketDataReply(BookSnapshot(((9_990, 10),), ())))
+        assert (reply.summary, reply.detail) == ("bid 10x9990 / ask -", None)
+
+    def test_kernel_logs_the_payload_it_delivered(self):
+        log, _ = run_scripts([[(5, [(0, 1)])]], config(latency_nanos=10))
+        wakeup, ping = log.records
+        assert isinstance(wakeup.payload, Wakeup) and wakeup.summary == ""
+        assert ping.payload == Ping(1) and (ping.tag, ping.summary) == ("ping", "1")

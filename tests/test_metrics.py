@@ -15,6 +15,13 @@ from scipy import stats
 from lobsim.book import Side
 from lobsim.kernel import NANOS_PER_SECOND, LogRecord, SimulationLog
 from lobsim.lobster import EventType, LobsterEvent
+from lobsim.messages import (
+    CancelOrder,
+    LimitOrder,
+    MarketDataQuery,
+    MarketOrder,
+    OrderAccepted,
+)
 from lobsim.metrics import (
     FitRefusal,
     FitReport,
@@ -99,29 +106,30 @@ class TestFlowSeries:
 
     def test_from_log_reads_exchange_inbound_traffic(self):
         log = SimulationLog()
-        log.append(LogRecord(seconds(1), 3, 0, "limit_order", "limit",
-                             {"quantity": 50, "side": "BID"}))
-        log.append(LogRecord(seconds(2), 3, 0, "market_order", "market",
-                             {"quantity": 10, "side": "ASK"}))
-        log.append(LogRecord(seconds(3), 3, 0, "cancel_order", "cancel",
-                             {"order_id": 7, "quantity": None}))
-        log.append(LogRecord(seconds(4), 3, 0, "cancel_order", "reduce",
-                             {"order_id": 8, "quantity": 20}))
-        # Not exchange-inbound, or carrying no detail: all ignored.
-        log.append(LogRecord(seconds(5), 0, 3, "order_accepted", "ack",
-                             {"order_id": 9}))
-        log.append(LogRecord(seconds(6), 3, 0, "book_query", "query", None))
+        for at, sender, recipient, payload in [
+            (1, 3, 0, LimitOrder(1, Side.BID, 50, 10_000)),
+            (2, 3, 0, MarketOrder(2, Side.ASK, 10)),
+            (3, 3, 0, CancelOrder(7)),
+            (4, 3, 0, CancelOrder(8, 20)),
+            # not exchange-inbound, or not order flow: all ignored
+            (5, 0, 3, LimitOrder(9, Side.ASK, 5, 10_001)),
+            (6, 0, 3, OrderAccepted(9)),
+            (7, 3, 0, MarketDataQuery(1)),
+        ]:
+            log.append(LogRecord(seconds(at), sender, recipient, payload.tag, payload))
         flow = FlowSeries.from_log(log, exchange_id=0)
-        assert [(r.kind, r.size) for r in flow.records] == [
-            ("limit", 50), ("market", 10), ("cancel", 0), ("reduce", 20),
+        assert [(r.time, r.kind, r.size) for r in flow.records] == [
+            (seconds(1), "limit", 50), (seconds(2), "market", 10),
+            (seconds(3), "cancel", 0), (seconds(4), "reduce", 20),
         ]
         assert flow.records[0].side is Side.BID
+        assert flow.records[1].side is Side.ASK
         assert flow.records[2].side is None
 
     def test_from_log_respects_session_argument(self):
         log = SimulationLog()
-        log.append(LogRecord(seconds(1), 3, 0, "limit_order", "limit",
-                             {"quantity": 50, "side": "BID"}))
+        payload = LimitOrder(1, Side.BID, 50, 10_000)
+        log.append(LogRecord(seconds(1), 3, 0, payload.tag, payload))
         flow = FlowSeries.from_log(log, session=(0, seconds(60)))
         assert flow.session == (0, seconds(60))
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Sequence
 
 from ..book import Side
@@ -34,11 +35,11 @@ def momentum_decide(mid_history: Sequence[float], short_window: int = 20,
     """BID when the short-window mean exceeds the long-window mean, ASK when
     below, None on a tie or insufficient history.  Only the trailing
     long_window observations matter."""
-    if len(mid_history) < long_window:
+    n = len(mid_history)
+    if n < long_window:
         return None
-    recent = list(mid_history)[-long_window:]
-    short_mean = sum(recent[-short_window:]) / short_window
-    long_mean = sum(recent) / long_window
+    short_mean = sum(islice(mid_history, n - short_window, None)) / short_window
+    long_mean = sum(islice(mid_history, n - long_window, None)) / long_window
     if short_mean > long_mean:
         return Side.BID
     if short_mean < long_mean:

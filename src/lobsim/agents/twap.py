@@ -8,40 +8,16 @@ comparisons see identical timing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from ..book import Side
-from ..kernel import SimTime, seconds
+from ..kernel import SimTime
 from ..messages import MarketDataReply, OrderExecuted
-from ..rl import MULTIPLIERS, ActionSpace, EpisodeResult, PLACEMENT_MARKET
+from ..rl import ActionSpace, EpisodeResult, PLACEMENT_MARKET
 from .base import TradingAgent
+from .ddql import DDQLConfig
 
 
-@dataclass
-class TWAPConfig:
-    parent_quantity: int
-    side: Side
-    session_start: SimTime
-    session_end: SimTime
-    period: SimTime = seconds(30)
-    multipliers: tuple = MULTIPLIERS  # the action grid the trace is recorded in
-
-    def validate(self) -> None:
-        if self.parent_quantity <= 0:
-            raise ValueError("parent_quantity must be positive")
-        if self.session_start >= self.session_end:
-            raise ValueError("session start must precede end")
-        length = self.session_end - self.session_start
-        if self.period <= 0 or length % self.period != 0:
-            raise ValueError("session length must be a whole number of periods")
-
-    @property
-    def num_periods(self) -> int:
-        return (self.session_end - self.session_start) // self.period
-
-
-def twap_schedule(config: TWAPConfig) -> list:
+def twap_schedule(config: DDQLConfig) -> list:
     """(time, quantity) per period boundary; quantities sum to the parent
     quantity, remainder shares going to the earliest periods."""
     config.validate()
@@ -54,8 +30,10 @@ def twap_schedule(config: TWAPConfig) -> list:
 
 
 class TWAPExecutionAgent(TradingAgent):
-    def __init__(self, config: TWAPConfig, exchange_id: int = 0, name: str = "twap"):
-        config.validate()
+    """Trades the parent order of a DDQLConfig, reading only its side,
+    quantity, session start, period, period count and action grid."""
+
+    def __init__(self, config: DDQLConfig, exchange_id: int = 0, name: str = "twap"):
         super().__init__(exchange_id, name)
         self.config = config
         self.schedule = twap_schedule(config)

@@ -35,6 +35,7 @@ from .metrics import (
     FitRefusal,
     FlowSeries,
     InsufficientDataError,
+    UnorderedFlowError,
     fit_deltas,
     interarrival_fit,
     intraday_profile,
@@ -377,7 +378,10 @@ def cmd_realism(cfg: dict, args: argparse.Namespace, out_dir: Path) -> int:
         if not events:
             print("no events to analyze", file=sys.stderr)
             return 2
-        flow = FlowSeries.from_events(events)
+        try:
+            flow = FlowSeries.from_events(events)
+        except UnorderedFlowError as exc:
+            raise ConfigError(f"{source.paths[0]}: {exc}") from None
         sections, _ = _fit_sections(flow, realism)
         report_to_json(sections, out_dir / "realism.json")
         volume = sections["windowed_volume"]

@@ -3,8 +3,9 @@
 Three flow facts are measured: windowed order volume (gamma and log-normal
 fits), limit-order interarrival times (exponential and Weibull), and the
 intraday volume profile (quadratic U-shape test).  Fits are maximum
-likelihood, computed here; scipy supplies only special functions and CDFs.
-Every fit is deterministic in the sample.
+likelihood, computed here; scipy supplies only the special functions that
+the fits and their CDFs are written in.  Every fit is deterministic in the
+sample.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
-from .book import Side
-from .kernel import NANOS_PER_SECOND, SimulationLog, SimTime
+from .kernel import NANOS_PER_SECOND, SimulationLog
 from .lobster import EventType, LobsterEvent
 from .messages import CancelOrder, LimitOrder, MarketOrder
 from .rl import ActionSpace, EpisodeResult
@@ -28,72 +28,60 @@ class InsufficientDataError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class FlowPoint:
-    time: SimTime
-    kind: str  # "limit", "market", "cancel", "reduce", "execution", "hidden"
-    size: int
-    side: Optional[Side] = None
+class UnorderedFlowError(ValueError):
+    pass
 
 
 class FlowSeries:
-    """Time-ordered order-flow records; the raw material for all fits."""
+    """The limit orders of an order flow as int64 time and size arrays: the
+    one sample every fit reads.  `records_read` counts every flow record
+    read, limit or not, and `session` defaults to their span."""
 
-    def __init__(self, records: Sequence[FlowPoint],
-                 session: Optional[tuple] = None):
-        self.records = list(records)
-        for earlier, later in zip(self.records, self.records[1:]):
-            if later.time < earlier.time:
-                raise ValueError("flow records must be time-ordered")
-        if session is not None:
-            self.session = session
-        elif self.records:
-            self.session = (self.records[0].time, self.records[-1].time)
-        else:
-            self.session = (0, 0)
+    def __init__(self, times, sizes, session: Optional[tuple] = None,
+                 records_read: Optional[int] = None):
+        self.times = np.asarray(times, dtype=np.int64)
+        self.sizes = np.asarray(sizes, dtype=np.int64)
+        if np.any(self.times[1:] < self.times[:-1]):
+            raise UnorderedFlowError("limit orders must be time-ordered")
+        self.records_read = len(self.times) if records_read is None else records_read
+        if session is None:
+            session = (int(self.times[0]), int(self.times[-1])) if len(self.times) else (0, 0)
+        self.session = session
 
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def limit_orders(self) -> list:
-        return [r for r in self.records if r.kind == "limit"]
-
-    _EVENT_KIND = {
-        EventType.NEW_LIMIT: "limit",
-        EventType.PARTIAL_CANCEL: "reduce",
-        EventType.DELETE: "cancel",
-        EventType.EXECUTE_VISIBLE: "execution",
-        EventType.EXECUTE_HIDDEN: "hidden",
-    }
+    @classmethod
+    def _sample(cls, read_times: list, limit_times: list, limit_sizes: list,
+                session: Optional[tuple]) -> "FlowSeries":
+        if session is None and read_times:
+            session = (min(read_times), max(read_times))
+        return cls(limit_times, limit_sizes, session, len(read_times))
 
     @classmethod
     def from_events(cls, events: Iterable[LobsterEvent],
                     session: Optional[tuple] = None) -> "FlowSeries":
-        records = [
-            FlowPoint(e.time_ns, cls._EVENT_KIND[e.event_type], e.size, e.side)
-            for e in events
-            if e.event_type in cls._EVENT_KIND
-        ]
-        return cls(records, session)
+        """Every replayable LOBSTER event is read; NEW_LIMIT events form the
+        sample."""
+        read = [e for e in events if e.event_type is not EventType.HALT]
+        limits = [e for e in read if e.event_type is EventType.NEW_LIMIT]
+        return cls._sample([e.time_ns for e in read], [e.time_ns for e in limits],
+                           [e.size for e in limits], session)
 
     @classmethod
     def from_log(cls, log: SimulationLog, exchange_id: int = 0,
                  session: Optional[tuple] = None) -> "FlowSeries":
-        """Inbound order traffic to the exchange, read off the kernel log."""
-        records = []
+        """Inbound order traffic to the exchange, read off the kernel log;
+        its limit orders form the sample."""
+        read, times, sizes = [], [], []
         for rec in log.records:
             if rec.recipient_id != exchange_id:
                 continue
             payload = rec.payload
             if isinstance(payload, LimitOrder):
-                records.append(FlowPoint(rec.time, "limit", payload.quantity, payload.side))
-            elif isinstance(payload, MarketOrder):
-                records.append(FlowPoint(rec.time, "market", payload.quantity, payload.side))
-            elif isinstance(payload, CancelOrder):
-                quantity = payload.quantity
-                kind = "cancel" if quantity is None else "reduce"
-                records.append(FlowPoint(rec.time, kind, quantity or 0, None))
-        return cls(records, session)
+                times.append(rec.time)
+                sizes.append(payload.quantity)
+            elif not isinstance(payload, (MarketOrder, CancelOrder)):
+                continue
+            read.append(rec.time)
+        return cls._sample(read, times, sizes, session)
 
 
 @dataclass(frozen=True)
@@ -165,7 +153,7 @@ def fit_gamma(samples: Sequence[float]) -> FitOutcome:
             break
         shape = updated
     scale = mean / shape
-    distance = ks_distance(x, stats.gamma(a=shape, scale=scale).cdf)
+    distance = ks_distance(x, lambda v: special.gammainc(shape, v / scale))
     return FitReport("gamma", {"shape": float(shape), "scale": float(scale)},
                      distance, len(x))
 
@@ -181,7 +169,8 @@ def fit_lognormal(samples: Sequence[float]) -> FitOutcome:
     logs = np.log(x)
     mu = float(logs.mean())
     sigma = float(logs.std())
-    distance = ks_distance(x, stats.lognorm(s=sigma, scale=math.exp(mu)).cdf)
+    scale = math.exp(mu)
+    distance = ks_distance(x, lambda v: special.ndtr(np.log(v / scale) / sigma))
     return FitReport("lognormal", {"mu": mu, "sigma": sigma}, distance, len(x))
 
 
@@ -193,7 +182,7 @@ def fit_exponential(samples: Sequence[float]) -> FitOutcome:
     if mean <= 0:
         raise InsufficientDataError("exponential fit needs a positive mean gap")
     rate = 1.0 / mean
-    distance = ks_distance(x, stats.expon(scale=mean).cdf)
+    distance = ks_distance(x, lambda v: -special.expm1(-v / mean))
     return FitReport("exponential", {"rate": float(rate)}, distance, len(x))
 
 
@@ -226,7 +215,7 @@ def fit_weibull(samples: Sequence[float]) -> FitOutcome:
             break
         shape = updated
     scale = float((x**shape).mean() ** (1.0 / shape))
-    distance = ks_distance(x, stats.weibull_min(c=shape, scale=scale).cdf)
+    distance = ks_distance(x, lambda v: -special.expm1(-(v / scale) ** shape))
     return FitReport("weibull", {"shape": float(shape), "scale": scale},
                      distance, len(x))
 
@@ -252,26 +241,31 @@ class WindowedVolumeResult:
 MIN_NONZERO_WINDOWS = 30
 
 
+def _binned_volume(flow: FlowSeries, width_ns: int) -> list:
+    """Limit volume per bin of width_ns from the session start, as ints.
+    Orders outside the session are dropped and the end boundary falls in
+    the last bin; there is at least one bin."""
+    start, end = flow.session
+    n_bins = max(1, -((start - end) // width_ns))  # ceil over the session
+    inside = (flow.times >= start) & (flow.times <= end)
+    index = np.minimum((flow.times[inside] - start) // width_ns, n_bins - 1)
+    # float64 sums of int sizes are exact below 2**53
+    volumes = np.bincount(index, weights=flow.sizes[inside], minlength=n_bins)
+    return volumes.astype(np.int64).tolist()
+
+
 def windowed_volume(flow: FlowSeries, window_seconds: float = 60.0) -> WindowedVolumeResult:
     """Limit-order volume per non-overlapping window across the session.
     Zero-volume windows are excluded from both fits and counted; fewer than
     30 nonzero windows refuses the fits with a sample-size reason."""
-    if len(flow) == 0:
+    if flow.records_read == 0:
         raise InsufficientDataError("empty flow")
-    limits = flow.limit_orders()
-    if not limits:
+    if len(flow.times) == 0:
         raise InsufficientDataError("flow has no limit orders")
-    start, end = flow.session
     window_ns = int(round(window_seconds * NANOS_PER_SECOND))
     if window_ns <= 0:
         raise ValueError("window must be positive")
-    n_windows = max(1, -((start - end) // window_ns))  # ceil over the session
-    volumes = [0] * n_windows
-    for record in limits:
-        if not start <= record.time <= end:
-            continue
-        index = min((record.time - start) // window_ns, n_windows - 1)
-        volumes[index] += record.size
+    volumes = _binned_volume(flow, window_ns)
     nonzero = [v for v in volumes if v > 0]
     zero_windows = len(volumes) - len(nonzero)
     if len(nonzero) < MIN_NONZERO_WINDOWS:
@@ -303,11 +297,9 @@ def interarrival_fit(flow: FlowSeries) -> InterarrivalResult:
     """Consecutive limit-order gap fits.  The exponential rate is 1/mean over
     all gaps; zero gaps fall outside the Weibull support and are excluded
     from that fit with a count."""
-    limits = flow.limit_orders()
-    if len(limits) < 2:
+    if len(flow.times) < 2:
         raise InsufficientDataError("need at least two limit orders")
-    times = np.array([r.time for r in limits], dtype=np.int64)
-    gaps = np.diff(times) / NANOS_PER_SECOND
+    gaps = np.diff(flow.times) / NANOS_PER_SECOND
     if gaps.sum() == 0:
         raise InsufficientDataError("all interarrival gaps are zero")
     positive = gaps[gaps > 0]
@@ -342,20 +334,13 @@ def intraday_profile(flow: FlowSeries, bucket_minutes: float = 15.0) -> Intraday
     """Least-squares quadratic over per-bucket limit volume.  U-shaped means
     the curvature is positive, significant (|a| > 2 SE), and the vertex sits
     strictly inside the session."""
-    if len(flow) == 0:
+    if flow.records_read == 0:
         raise InsufficientDataError("empty flow")
-    start, end = flow.session
     bucket_ns = int(round(bucket_minutes * 60 * NANOS_PER_SECOND))
-    span = end - start
-    n_buckets = max(1, -((-span) // bucket_ns)) if span > 0 else 1
+    volumes = _binned_volume(flow, bucket_ns)
+    n_buckets = len(volumes)
     if n_buckets < 3:
         raise InsufficientDataError(f"flow spans {n_buckets} buckets; need >= 3")
-    volumes = [0] * n_buckets
-    for record in flow.limit_orders():
-        if not start <= record.time <= end:
-            continue
-        index = min((record.time - start) // bucket_ns, n_buckets - 1)
-        volumes[index] += record.size
     midpoints = [((i + 0.5) * bucket_ns) / NANOS_PER_SECOND for i in range(n_buckets)]
     x = np.asarray(midpoints)
     y = np.asarray(volumes, dtype=np.float64)
@@ -371,7 +356,8 @@ def intraday_profile(flow: FlowSeries, bucket_minutes: float = 15.0) -> Intraday
     else:
         stderr_a = 0.0
     vertex = -b / (2 * a) if a != 0 else None
-    session_seconds = span / NANOS_PER_SECOND
+    start, end = flow.session
+    session_seconds = (end - start) / NANOS_PER_SECOND
     u_shape = (
         a > 0
         and abs(a) > 2 * stderr_a

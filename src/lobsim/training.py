@@ -25,7 +25,6 @@ from .agents import (
     MarketReplayAgent,
     MomentumAgent,
     MomentumConfig,
-    TWAPConfig,
     TWAPExecutionAgent,
 )
 from .kernel import Agent, KernelConfig, SimTime, SimulationLog, build_kernel, seconds
@@ -97,16 +96,6 @@ class RunSetup:
             rng_seed=derive_seed(self.seed, KERNEL_STREAM, episode),
         )
 
-    def twap_config(self) -> TWAPConfig:
-        return TWAPConfig(
-            parent_quantity=self.ddql.parent_quantity,
-            side=self.ddql.side,
-            session_start=self.ddql.session_start,
-            session_end=self.ddql.session_end,
-            period=self.ddql.period,
-            multipliers=self.ddql.multipliers,
-        )
-
 
 @dataclass
 class EpisodeOutcome:
@@ -147,7 +136,7 @@ def run_episode(
         agents.extend(setup.extra_agent_factory(episode))
     twin = None
     if executor == "ddql" and train_enabled and setup.include_twap_twin:
-        twin = TWAPExecutionAgent(setup.twap_config(), name="twap-benchmark")
+        twin = TWAPExecutionAgent(setup.ddql, name="twap-benchmark")
         agents.append(twin)
     if executor == "ddql":
         if learner is None:
@@ -155,7 +144,7 @@ def run_episode(
         agent = DDQLExecutionAgent(setup.ddql, learner, epsilon=epsilon,
                                    train_enabled=train_enabled)
     elif executor == "twap":
-        agent = TWAPExecutionAgent(setup.twap_config())
+        agent = TWAPExecutionAgent(setup.ddql)
     elif executor == "none":
         agent = None
     else:

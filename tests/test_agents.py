@@ -1,9 +1,13 @@
 """Exchange protocol, market replay, momentum, and TWAP benchmark agents."""
 
+from collections import deque
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from lobsim import (
+    DDQLConfig,
     ExchangeAgent,
     KernelConfig,
     MarketReplayAgent,
@@ -11,7 +15,6 @@ from lobsim import (
     MomentumConfig,
     Side,
     SyntheticFlowConfig,
-    TWAPConfig,
     TWAPExecutionAgent,
     generate_synthetic,
     run_simulation,
@@ -19,7 +22,6 @@ from lobsim import (
 )
 from lobsim.book import BookSnapshot, Order, OrderKind
 from lobsim.lobster import EventType, LobsterEvent
-from lobsim.metrics import FlowSeries
 from lobsim.messages import (
     CancelOrder,
     LimitOrder,
@@ -205,6 +207,11 @@ def replay_setup(events, latency=0, stop=None, exchange=None):
     return exchange, replay, log
 
 
+def inbound(log, exchange_id=0):
+    """(time, payload) of every message the exchange received."""
+    return [(r.time, r.payload) for r in log.records if r.recipient_id == exchange_id]
+
+
 class TestMarketReplay:
     def test_limit_cancel_delete_mapping(self):
         events = [
@@ -215,9 +222,10 @@ class TestMarketReplay:
         exchange, replay, log = replay_setup(events)
         assert replay.submitted == 3
         assert exchange.book.resting_quantity() == 0
-        flow = FlowSeries.from_log(log).records
-        assert [(r.time, r.kind, r.size, r.side) for r in flow] == [
-            (100, "limit", 50, Side.BID), (200, "reduce", 20, None), (300, "cancel", 0, None),
+        assert inbound(log) == [
+            (100, LimitOrder(1, Side.BID, 50, 1_000_000)),
+            (200, CancelOrder(1, 20)),
+            (300, CancelOrder(1)),
         ]
 
     def test_visible_execution_becomes_opposite_market_order(self):
@@ -229,8 +237,8 @@ class TestMarketReplay:
         assert replay.type4_market_orders == 1
         assert exchange.book.resting_quantity() == 0
         assert exchange.book.last_trade_price == 1_000_100
-        last = FlowSeries.from_log(log).records[-1]
-        assert (last.time, last.kind, last.size, last.side) == (200, "market", 21, Side.BID)
+        time, last = inbound(log)[-1]
+        assert (time, type(last), last.quantity, last.side) == (200, MarketOrder, 21, Side.BID)
 
     def test_hidden_and_halt_skipped_with_counters(self):
         events = [
@@ -251,9 +259,8 @@ class TestMarketReplay:
         ]
         replay = MarketReplayAgent(events, exchange_id=0)
         log = run_simulation(config, [ExchangeAgent(), replay])
-        flow = FlowSeries.from_log(log).records
-        assert [(r.time, r.kind, r.size) for r in flow] == [
-            (1_000, "limit", 10), (1_000, "limit", 10), (1_500, "limit", 10),
+        assert [(time, type(p), p.quantity) for time, p in inbound(log)] == [
+            (1_000, LimitOrder, 10), (1_000, LimitOrder, 10), (1_500, LimitOrder, 10),
         ]
         assert [r.detail["price"] for r in log.records if r.tag == "limit_order"] == \
             [1_000_000, 999_000, 998_000]
@@ -303,6 +310,13 @@ class TestMomentumDecide:
     def test_only_trailing_window_matters(self):
         tail = [100.0] * 30 + [99.0] * 20
         assert momentum_decide([5.0] * 500 + tail) is momentum_decide(tail)
+
+    def test_full_deque_decides_as_its_list(self):
+        mids = np.random.default_rng(0).normal(100.0, 0.5, size=120).tolist()
+        history = deque(maxlen=50)
+        for mid in mids:
+            history.append(mid)
+            assert momentum_decide(history) is momentum_decide(list(history))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -377,37 +391,39 @@ class TestMomentumAgent:
         assert kernel.sent == []
 
 
+def parent_order(parent, periods, start=0, **fields) -> DDQLConfig:
+    """A bid parent order over `periods` 30 s periods from `start`."""
+    return DDQLConfig(parent_quantity=parent, num_periods=periods, session_start=start,
+                      session_end=start + periods * seconds(30), **fields)
+
+
 class TestTWAPSchedule:
     def test_paper_scale_schedule(self):
-        config = TWAPConfig(6_600, Side.BID, 0, seconds(5.5 * 3_600))
-        schedule = twap_schedule(config)
+        schedule = twap_schedule(DDQLConfig())
         assert len(schedule) == 660
         assert all(quantity == 10 for _, quantity in schedule)
         assert schedule[1][0] - schedule[0][0] == seconds(30)
 
     def test_remainder_to_earliest_periods(self):
-        config = TWAPConfig(7, Side.BID, 0, seconds(90))
-        assert [q for _, q in twap_schedule(config)] == [3, 2, 2]
+        assert [q for _, q in twap_schedule(parent_order(7, 3))] == [3, 2, 2]
 
     def test_zero_parent_rejected(self):
         with pytest.raises(ValueError):
-            TWAPConfig(0, Side.BID, 0, seconds(90)).validate()
+            parent_order(0, 3).validate()
 
     def test_indivisible_session_rejected(self):
         with pytest.raises(ValueError):
-            TWAPConfig(10, Side.BID, 0, seconds(100)).validate()
+            replace(parent_order(10, 3), session_end=seconds(100)).validate()
 
     def test_tiny_parent_spreads_zeros_and_ones(self):
-        config = TWAPConfig(2, Side.BID, 0, seconds(120))
-        assert [q for _, q in twap_schedule(config)] == [1, 1, 0, 0]
+        assert [q for _, q in twap_schedule(parent_order(2, 4))] == [1, 1, 0, 0]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_sums_to_parent(self, seed):
         rng = np.random.default_rng(seed)
         periods = int(rng.integers(1, 40))
         parent = int(rng.integers(1, 5_000))
-        config = TWAPConfig(parent, Side.BID, 0, periods * seconds(30))
-        schedule = twap_schedule(config)
+        schedule = twap_schedule(parent_order(parent, periods))
         assert sum(q for _, q in schedule) == parent
         base = parent // periods
         assert all(base <= q <= base + 1 for _, q in schedule)
@@ -420,11 +436,8 @@ class TestTWAPAgent:
         # deep resting liquidity so every child fills at one price
         exchange.book.submit(Order(1, -1, Side.ASK, wall_price, 10_000, OrderKind.LIMIT, 0))
         exchange.book.submit(Order(2, -1, Side.BID, 9_990, 10_000, OrderKind.LIMIT, 0))
-        twap = TWAPExecutionAgent(
-            TWAPConfig(parent, Side.BID, seconds(10), seconds(10) + periods * seconds(30),
-                       **grid),
-            exchange_id=0,
-        )
+        twap = TWAPExecutionAgent(parent_order(parent, periods, start=seconds(10), **grid),
+                                  exchange_id=0)
         run_simulation(config, [exchange, twap])
         return twap
 

@@ -607,6 +607,43 @@ class TestRealism:
         assert (out / "manifest.json").is_file()
 
 
+    def test_limit_orders_out_of_time_order_are_one_line(self, tmp_path, capsys):
+        bad = tmp_path / "backwards.csv"
+        bad.write_text(
+            "60.000000000,1,1,10,1000000,1\n"
+            "62.000000000,1,2,10,1000100,-1\n"
+            "61.000000000,1,3,10,1000000,1\n"
+            "63.000000000,1,4,10,1000100,-1\n"
+        )
+        cfg = base_config()
+        cfg["data"] = {"kind": "lobster", "paths": [str(bad)]}
+        path = write_config(tmp_path, cfg)
+        with pytest.warns(UserWarning, match="backwards"):
+            code = main(["realism", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert str(bad) in err and "time-ordered" in err
+
+    def test_out_of_order_delete_is_analyzed(self, tmp_path):
+        day = tmp_path / "late_delete.csv"
+        day.write_text(
+            "60.000000000,1,1,10,1000000,1\n"
+            "61.000000000,1,2,10,1000100,-1\n"
+            "62.000000000,1,3,10,1000000,1\n"
+            "61.500000000,3,1,10,1000000,1\n"
+        )
+        cfg = base_config()
+        cfg["data"] = {"kind": "lobster", "paths": [str(day)]}
+        cfg["realism"] = {"window_seconds": 60.0, "bucket_minutes": 15.0}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="backwards"):
+            assert main(["realism", "--config", str(path), "--out", str(out)]) == 0
+        body = json.loads((out / "realism.json").read_text())
+        assert body["interarrival"]["exponential"]["params"]["rate"] == 1.0
+
+
 class TestModuleEntryPoint:
     def test_runs_as_module(self, tmp_path):
         path = write_config(tmp_path, base_config())

@@ -1,8 +1,8 @@
 """Tests for order-flow stylized-fact fits and execution comparisons.
 
-The distribution fits are checked against scipy's fitters as independent
-oracles; the implementations under test only borrow scipy's special
-functions and CDFs, never its estimation code.
+The distribution fits are checked against scipy's fitters and
+distributions as independent oracles; the implementations under test only
+borrow scipy's special functions, never its estimation code.
 """
 
 import json
@@ -25,9 +25,9 @@ from lobsim.messages import (
 from lobsim.metrics import (
     FitRefusal,
     FitReport,
-    FlowPoint,
     FlowSeries,
     InsufficientDataError,
+    UnorderedFlowError,
     execution_report,
     fit_deltas,
     fit_exponential,
@@ -52,41 +52,69 @@ def seconds(value: float) -> int:
 def limit_flow(times_seconds, sizes=None, session=None) -> FlowSeries:
     if sizes is None:
         sizes = [100] * len(times_seconds)
-    records = [
-        FlowPoint(seconds(t), "limit", int(s))
-        for t, s in zip(times_seconds, sizes)
-    ]
-    return FlowSeries(records, session=session)
+    return FlowSeries([seconds(t) for t in times_seconds], sizes, session=session)
+
+
+def event(at_seconds, event_type, size=10, direction=1) -> LobsterEvent:
+    return LobsterEvent(seconds(at_seconds), event_type, 1, size, 100_000, direction)
 
 
 class TestFlowSeries:
     def test_records_must_be_time_ordered(self):
-        points = [FlowPoint(seconds(10), "limit", 5), FlowPoint(seconds(5), "limit", 5)]
-        with pytest.raises(ValueError, match="time-ordered"):
-            FlowSeries(points)
+        with pytest.raises(UnorderedFlowError, match="time-ordered"):
+            FlowSeries([seconds(10), seconds(5)], [5, 5])
+        events = [event(10, EventType.NEW_LIMIT), event(5, EventType.NEW_LIMIT)]
+        with pytest.raises(UnorderedFlowError, match="time-ordered"):
+            FlowSeries.from_events(events)
+
+    def test_only_the_limit_sample_must_be_ordered(self):
+        events = [
+            event(1, EventType.NEW_LIMIT, 10),
+            event(3, EventType.NEW_LIMIT, 20),
+            event(2, EventType.DELETE),  # out of order, read but not sampled
+        ]
+        flow = FlowSeries.from_events(events)
+        assert flow.times.tolist() == [seconds(1), seconds(3)]
+        assert flow.records_read == 3
+        assert flow.session == (seconds(1), seconds(3))
 
     def test_session_defaults_to_record_span(self):
         flow = limit_flow([1.0, 4.0, 9.0])
         assert flow.session == (seconds(1), seconds(9))
+        # from a flow: every record read counts, limit or not; a halt is not read
+        events = [
+            event(0.5, EventType.DELETE),
+            event(1, EventType.NEW_LIMIT),
+            event(12, EventType.EXECUTE_VISIBLE),
+            event(20, EventType.HALT),
+        ]
+        assert FlowSeries.from_events(events).session == (seconds(0.5), seconds(12))
 
     def test_explicit_session_wins(self):
         flow = limit_flow([1.0, 4.0], session=(0, seconds(60)))
         assert flow.session == (0, seconds(60))
+        events = [event(1, EventType.NEW_LIMIT), event(2, EventType.DELETE)]
+        flow = FlowSeries.from_events(events, session=(0, seconds(60)))
+        assert flow.session == (0, seconds(60))
 
     def test_empty_flow(self):
-        flow = FlowSeries([])
-        assert len(flow) == 0
-        assert flow.session == (0, 0)
+        for flow in (FlowSeries([], []), FlowSeries.from_events([]),
+                     FlowSeries.from_log(SimulationLog())):
+            assert flow.records_read == 0
+            assert len(flow.times) == 0
+            assert flow.session == (0, 0)
 
     def test_limit_orders_filter(self):
-        records = [
-            FlowPoint(seconds(1), "limit", 10),
-            FlowPoint(seconds(2), "market", 20),
-            FlowPoint(seconds(3), "cancel", 0),
-            FlowPoint(seconds(4), "limit", 30),
+        events = [
+            event(1, EventType.NEW_LIMIT, 10),
+            event(2, EventType.EXECUTE_VISIBLE, 20),
+            event(3, EventType.DELETE, 5),
+            event(4, EventType.NEW_LIMIT, 30),
         ]
-        flow = FlowSeries(records)
-        assert [r.size for r in flow.limit_orders()] == [10, 30]
+        flow = FlowSeries.from_events(events)
+        assert flow.times.tolist() == [seconds(1), seconds(4)]
+        assert flow.sizes.tolist() == [10, 30]
+        assert flow.times.dtype == flow.sizes.dtype == np.int64
 
     def test_from_events_maps_every_replayable_type(self):
         events = [
@@ -98,11 +126,10 @@ class TestFlowSeries:
             LobsterEvent(seconds(6), EventType.HALT, 0, 0, 0, -1),
         ]
         flow = FlowSeries.from_events(events)
-        assert [r.kind for r in flow.records] == [
-            "limit", "reduce", "cancel", "execution", "hidden",
-        ]
-        assert flow.records[0].side is Side.BID
-        assert flow.records[3].side is Side.ASK
+        assert flow.records_read == 5
+        assert flow.session == (seconds(1), seconds(5))
+        assert flow.times.tolist() == [seconds(1)]
+        assert flow.sizes.tolist() == [50]
 
     def test_from_log_reads_exchange_inbound_traffic(self):
         log = SimulationLog()
@@ -110,21 +137,19 @@ class TestFlowSeries:
             (1, 3, 0, LimitOrder(1, Side.BID, 50, 10_000)),
             (2, 3, 0, MarketOrder(2, Side.ASK, 10)),
             (3, 3, 0, CancelOrder(7)),
-            (4, 3, 0, CancelOrder(8, 20)),
+            (4, 3, 0, LimitOrder(3, Side.ASK, 15, 10_002)),
+            (5, 3, 0, CancelOrder(8, 20)),
             # not exchange-inbound, or not order flow: all ignored
-            (5, 0, 3, LimitOrder(9, Side.ASK, 5, 10_001)),
-            (6, 0, 3, OrderAccepted(9)),
-            (7, 3, 0, MarketDataQuery(1)),
+            (6, 0, 3, LimitOrder(9, Side.ASK, 5, 10_001)),
+            (7, 0, 3, OrderAccepted(9)),
+            (8, 3, 0, MarketDataQuery(1)),
         ]:
             log.append(LogRecord(seconds(at), sender, recipient, payload.tag, payload))
         flow = FlowSeries.from_log(log, exchange_id=0)
-        assert [(r.time, r.kind, r.size) for r in flow.records] == [
-            (seconds(1), "limit", 50), (seconds(2), "market", 10),
-            (seconds(3), "cancel", 0), (seconds(4), "reduce", 20),
-        ]
-        assert flow.records[0].side is Side.BID
-        assert flow.records[1].side is Side.ASK
-        assert flow.records[2].side is None
+        assert flow.times.tolist() == [seconds(1), seconds(4)]
+        assert flow.sizes.tolist() == [50, 15]
+        assert flow.records_read == 5
+        assert flow.session == (seconds(1), seconds(5))
 
     def test_from_log_respects_session_argument(self):
         log = SimulationLog()
@@ -164,6 +189,26 @@ class TestKsDistance:
             samples = rng.exponential(scale=scale, size=100)
             distance = ks_distance(samples, stats.expon(scale=1.0).cdf)
             assert 0.0 <= distance <= 1.0
+
+
+class TestFittedCdfs:
+    def test_ks_distances_equal_scipy_stats_bit_for_bit(self):
+        # The fits write their CDFs with special functions; realism reports
+        # stay byte-identical only while these equal the frozen distributions.
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            x = rng.gamma(rng.uniform(0.5, 4.0), rng.uniform(0.5, 20.0), size=300)
+            gamma, lognormal = fit_gamma(x), fit_lognormal(x)
+            exponential, weibull = fit_exponential(x), fit_weibull(x)
+            assert gamma.ks_distance == ks_distance(
+                x, stats.gamma(a=gamma.params["shape"], scale=gamma.params["scale"]).cdf)
+            assert lognormal.ks_distance == ks_distance(
+                x, stats.lognorm(s=lognormal.params["sigma"],
+                                 scale=math.exp(lognormal.params["mu"])).cdf)
+            assert exponential.ks_distance == ks_distance(x, stats.expon(scale=x.mean()).cdf)
+            assert weibull.ks_distance == ks_distance(
+                x, stats.weibull_min(c=weibull.params["shape"],
+                                     scale=weibull.params["scale"]).cdf)
 
 
 class TestGammaFit:
@@ -294,18 +339,19 @@ class TestWindowedVolume:
     def test_window_sums_match_manual_partition(self):
         # Session pinned to five 60 s windows; far too few for a fit.
         session = (0, seconds(300))
-        flow = FlowSeries(
+        flow = FlowSeries.from_events(
             [
-                FlowPoint(seconds(10), "limit", 15),
-                FlowPoint(seconds(59), "market", 999),  # not a limit order
-                FlowPoint(seconds(130), "limit", 7),
-                FlowPoint(seconds(250), "limit", 22),
-                FlowPoint(seconds(300), "limit", 5),  # end boundary, last window
+                event(10, EventType.NEW_LIMIT, 15),
+                event(59, EventType.EXECUTE_VISIBLE, 999),  # not a limit order
+                event(130, EventType.NEW_LIMIT, 7),
+                event(250, EventType.NEW_LIMIT, 22),
+                event(300, EventType.NEW_LIMIT, 5),  # end boundary, last window
             ],
             session=session,
         )
         result = windowed_volume(flow)
         assert result.samples == [15, 0, 7, 0, 27]
+        assert all(type(v) is int for v in result.samples)  # written as JSON and CSV
         assert result.zero_windows == 2
         assert isinstance(result.gamma, FitRefusal)
         assert isinstance(result.lognormal, FitRefusal)
@@ -319,10 +365,7 @@ class TestWindowedVolume:
         times = np.cumsum(rng.exponential(scale=0.5, size=9000))
         times = times[times < horizon]
         sizes = np.maximum(1, np.round(rng.gamma(2.0, 3.0, size=len(times)))).astype(int)
-        flow = FlowSeries(
-            [FlowPoint(seconds(t), "limit", int(s)) for t, s in zip(times, sizes)],
-            session=(0, seconds(horizon)),
-        )
+        flow = FlowSeries([seconds(t) for t in times], sizes, session=(0, seconds(horizon)))
         result = windowed_volume(flow)
         nonzero = [v for v in result.samples if v > 0]
         assert len(nonzero) >= 30
@@ -344,23 +387,18 @@ class TestWindowedVolume:
         assert isinstance(result.lognormal, FitRefusal)
 
     def test_records_outside_session_ignored(self):
-        flow = FlowSeries(
-            [
-                FlowPoint(seconds(50), "limit", 100),
-                FlowPoint(seconds(150), "limit", 40),
-                FlowPoint(seconds(250), "limit", 100),
-            ],
-            session=(seconds(100), seconds(200)),
-        )
-        result = windowed_volume(flow)
-        assert sum(result.samples) == 40
+        flow = limit_flow([50.0, 150.0, 250.0], sizes=[100, 40, 100],
+                          session=(seconds(100), seconds(200)))
+        assert sum(windowed_volume(flow).samples) == 40
+        profile = intraday_profile(flow, bucket_minutes=0.5)
+        assert profile.volumes == [0, 40, 0, 0]
 
     def test_empty_flow_rejected(self):
         with pytest.raises(InsufficientDataError, match="empty"):
-            windowed_volume(FlowSeries([]))
+            windowed_volume(FlowSeries.from_events([]))
 
     def test_flow_without_limits_rejected(self):
-        flow = FlowSeries([FlowPoint(seconds(1), "market", 10)])
+        flow = FlowSeries.from_events([event(1, EventType.EXECUTE_VISIBLE)])
         with pytest.raises(InsufficientDataError, match="no limit orders"):
             windowed_volume(flow)
 
@@ -385,7 +423,7 @@ class TestInterarrivalFit:
         rng = np.random.default_rng(71)
         gaps = rng.exponential(scale=0.5, size=10_000)
         times = np.cumsum(gaps)
-        flow = FlowSeries([FlowPoint(seconds(t), "limit", 10) for t in times])
+        flow = FlowSeries([seconds(t) for t in times], [10] * len(times))
         result = interarrival_fit(flow)
         assert 1.9 <= result.exponential.params["rate"] <= 2.1
         # Exponential data is Weibull with shape 1.
@@ -407,17 +445,18 @@ class TestInterarrivalFit:
         assert result.weibull.sample_count == 2
 
     def test_non_limit_events_do_not_contribute(self):
-        records = [
-            FlowPoint(seconds(0), "limit", 10),
-            FlowPoint(seconds(1), "market", 50),
-            FlowPoint(seconds(2), "cancel", 0),
-            FlowPoint(seconds(4), "limit", 10),
+        events = [
+            event(0, EventType.NEW_LIMIT),
+            event(1, EventType.EXECUTE_VISIBLE, 50),
+            event(2, EventType.DELETE),
+            event(4, EventType.NEW_LIMIT),
         ]
-        result = interarrival_fit(FlowSeries(records))
+        result = interarrival_fit(FlowSeries.from_events(events))
         assert result.exponential.params["rate"] == pytest.approx(0.25)
 
     def test_fewer_than_two_limits_rejected(self):
-        flow = FlowSeries([FlowPoint(seconds(1), "limit", 10)])
+        flow = FlowSeries.from_events([event(1, EventType.NEW_LIMIT),
+                                       event(2, EventType.DELETE)])
         with pytest.raises(InsufficientDataError, match="two limit orders"):
             interarrival_fit(flow)
 
@@ -431,12 +470,9 @@ def bucketed_flow(volume_for_midpoint, session_seconds=21_600.0,
                   bucket_seconds=900.0) -> FlowSeries:
     """One limit order per 15-minute bucket, sized by the given profile."""
     n_buckets = int(session_seconds / bucket_seconds)
-    records = []
-    for i in range(n_buckets):
-        midpoint = (i + 0.5) * bucket_seconds
-        records.append(FlowPoint(seconds(midpoint), "limit",
-                                 int(volume_for_midpoint(midpoint))))
-    return FlowSeries(records, session=(0, seconds(session_seconds)))
+    midpoints = [(i + 0.5) * bucket_seconds for i in range(n_buckets)]
+    return limit_flow(midpoints, [int(volume_for_midpoint(m)) for m in midpoints],
+                      session=(0, seconds(session_seconds)))
 
 
 class TestIntradayProfile:
@@ -466,17 +502,19 @@ class TestIntradayProfile:
         assert profile.vertex_seconds < 0
 
     def test_bucket_volumes_partition_the_session(self):
-        flow = FlowSeries(
+        flow = FlowSeries.from_events(
             [
-                FlowPoint(seconds(100), "limit", 5),
-                FlowPoint(seconds(1000), "limit", 7),
-                FlowPoint(seconds(2600), "limit", 9),
-                FlowPoint(seconds(2700), "limit", 1),  # end boundary
+                event(100, EventType.NEW_LIMIT, 5),
+                event(200, EventType.PARTIAL_CANCEL, 50),  # not a limit order
+                event(1000, EventType.NEW_LIMIT, 7),
+                event(2600, EventType.NEW_LIMIT, 9),
+                event(2700, EventType.NEW_LIMIT, 1),  # end boundary
             ],
             session=(0, seconds(2700)),
         )
         profile = intraday_profile(flow)
         assert profile.volumes == [5, 7, 10]
+        assert all(type(v) is int for v in profile.volumes)
 
     def test_too_few_buckets_rejected(self):
         flow = limit_flow([0.0, 600.0, 1200.0], session=(0, seconds(1200)))
@@ -485,7 +523,7 @@ class TestIntradayProfile:
 
     def test_empty_flow_rejected(self):
         with pytest.raises(InsufficientDataError):
-            intraday_profile(FlowSeries([]))
+            intraday_profile(FlowSeries.from_events([]))
 
     def test_to_dict_round_trips_through_json(self):
         flow = bucketed_flow(lambda m: round((m - 10_800.0) ** 2 / 5000.0) + 50)
@@ -598,22 +636,19 @@ class TestSingleAgentImpact:
         times = np.cumsum(rng.exponential(scale=0.5, size=9000))
         times = times[times < horizon]
         sizes = np.maximum(1, np.round(rng.gamma(2.0, 40.0, size=len(times)))).astype(int)
-        base_records = [
-            FlowPoint(seconds(t), "limit", int(s)) for t, s in zip(times, sizes)
-        ]
+        base_times = np.array([seconds(t) for t in times], dtype=np.int64)
         base_volume = int(sizes.sum())
 
         child_size = 100
-        agent_records = [
-            FlowPoint(seconds(30.0 + 60.0 * i), "limit", child_size)
-            for i in range(60)
-        ]
-        assert base_volume >= 50 * child_size * len(agent_records)
+        agent_times = np.array([seconds(30.0 + 60.0 * i) for i in range(60)], dtype=np.int64)
+        assert base_volume >= 50 * child_size * len(agent_times)
 
         session = (0, seconds(horizon))
-        merged = sorted(base_records + agent_records, key=lambda r: r.time)
-        before_flow = FlowSeries(base_records, session=session)
-        after_flow = FlowSeries(merged, session=session)
+        merged_times = np.concatenate([base_times, agent_times])
+        merged_sizes = np.concatenate([sizes, np.full(len(agent_times), child_size)])
+        order = np.argsort(merged_times, kind="stable")
+        before_flow = FlowSeries(base_times, sizes, session=session)
+        after_flow = FlowSeries(merged_times[order], merged_sizes[order], session=session)
 
         def fits(flow):
             volume = windowed_volume(flow)

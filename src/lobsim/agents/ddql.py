@@ -3,7 +3,8 @@
 One observation per period boundary: the agent cancels its stale child
 orders, requests a snapshot, and acts on the reply.  Message FIFO ordering
 guarantees the cancel acknowledgements and any racing fills arrive before
-that reply, so inventory accounting inside the step is exact.
+that reply, so no child order is open when the step sizes the next ones and
+inventory accounting inside the step is exact.
 
 Two networks: the evaluation network is trained every train_every periods
 and (by default) also picks greedy actions; the target network only scores
@@ -30,7 +31,7 @@ import numpy as np
 
 from ..book import OrderKind, Side
 from ..kernel import SimTime, seconds, time_from_str
-from ..messages import MarketDataReply, OrderAccepted, OrderCancelled, OrderExecuted
+from ..messages import MarketDataReply, OrderCancelled, OrderExecuted
 from ..mlp import (
     ByteReader,
     CheckpointError,
@@ -123,6 +124,8 @@ class DDQLConfig:
             raise ValueError("reward_scale must be positive and finite")
         if 1.0 not in self.multipliers:
             raise ValueError("multipliers must include 1.0, the TWAP action")
+        if not all(math.isfinite(m) for m in self.multipliers):
+            raise ValueError("multipliers must be finite")
 
     @property
     def twap_child_quantity(self) -> float:
@@ -307,10 +310,9 @@ class DDQLExecutionAgent(TradingAgent):
         self.train_enabled = train_enabled
         self._phase = self._PERIOD
         self._period = 0
-        self._filled = 0
         self._open_orders: dict[int, int] = {}
         self._period_fills: list[FillRecord] = []
-        self._all_fills: list[FillRecord] = []
+        self._notional = 0  # sum of quantity * price over every fill, in ticks
         self._mids: list[float] = []
         self._prev_state: Optional[StateVector] = None
         self._prev_action: Optional[int] = None
@@ -332,10 +334,9 @@ class DDQLExecutionAgent(TradingAgent):
 
     def on_message(self, now: SimTime, sender_id: int, payload) -> None:
         if isinstance(payload, OrderExecuted):
-            fill = FillRecord(payload.quantity, payload.price)
-            self._filled += payload.quantity
-            self._period_fills.append(fill)
-            self._all_fills.append(fill)
+            self.result.filled_quantity += payload.quantity
+            self._notional += payload.quantity * payload.price
+            self._period_fills.append(FillRecord(payload.quantity, payload.price))
             remaining = self._open_orders.get(payload.order_id)
             if remaining is not None:
                 remaining -= payload.quantity
@@ -345,8 +346,6 @@ class DDQLExecutionAgent(TradingAgent):
                     del self._open_orders[payload.order_id]
         elif isinstance(payload, OrderCancelled):
             self._open_orders.pop(payload.order_id, None)
-        elif isinstance(payload, OrderAccepted):
-            pass  # open quantity was tracked at send time
         elif isinstance(payload, MarketDataReply):
             self._step(payload.snapshot)
 
@@ -356,7 +355,7 @@ class DDQLExecutionAgent(TradingAgent):
         if self._phase == self._PERIOD:
             self._period_step(snapshot)
         elif self._phase == self._TERMINAL_SNAPSHOT:
-            residual = self.config.parent_quantity - self._filled
+            residual = self.config.parent_quantity - self.result.filled_quantity
             if residual > 0:
                 self.send_market(self.config.side, residual)
                 self.query_market_data(depth=3)
@@ -370,7 +369,7 @@ class DDQLExecutionAgent(TradingAgent):
         config = self.config
         learner = self.learner
         i = self._period
-        state = featurize(i, config.num_periods, self._filled,
+        state = featurize(i, config.num_periods, self.result.filled_quantity,
                           config.parent_quantity, snapshot, self._mids)
         if i == 0:
             mid = snapshot.mid_price
@@ -388,8 +387,7 @@ class DDQLExecutionAgent(TradingAgent):
         acting = learner.target_params if config.act_with_target_net else learner.eval_params
         action_index = select_action(state, self.epsilon, learner.rng, acting,
                                      len(learner.action_space))
-        open_quantity = sum(self._open_orders.values())
-        remaining = config.parent_quantity - self._filled - open_quantity
+        remaining = config.parent_quantity - self.result.filled_quantity
         children = schedule_orders(learner.action_space.decode(action_index), remaining,
                                    config.twap_child_quantity, snapshot, config.side)
         for child in children:
@@ -423,22 +421,18 @@ class DDQLExecutionAgent(TradingAgent):
 
     def _finish(self, snapshot) -> None:
         config = self.config
-        terminal_state = featurize(config.num_periods, config.num_periods, self._filled,
-                                   config.parent_quantity, snapshot, self._mids)
+        terminal_state = featurize(config.num_periods, config.num_periods,
+                                   self.result.filled_quantity, config.parent_quantity,
+                                   snapshot, self._mids)
         if self._prev_state is not None:
             self._store_reward(terminal_state, terminal=True)
         self._phase = self._DONE
         self.result.partial = False
 
     def on_stop(self) -> None:
-        self.result.filled_quantity = self._filled
-        self.result.final_epsilon = self.epsilon
         self.result.target_syncs = self.learner.sync_count - self._syncs_at_start
-        total = sum(f.quantity for f in self._all_fills)
-        if total > 0:
-            self.result.fill_vwap = (
-                sum(f.quantity * f.price_ticks for f in self._all_fills) / total
-            )
+        if self.result.filled_quantity > 0:
+            self.result.fill_vwap = self._notional / self.result.filled_quantity
 
     def state_summary(self) -> dict:
         return {

@@ -1,11 +1,16 @@
 """The exchange: owns the book, matches orders, answers market-data queries.
 
+Every order the exchange rests carries its sender's id as `agent_id`, so
+every resting order's owner is a registered agent.  That field is the one
+record of ownership: fills, cancels and self-trade notices are routed by it.
+
 Notification protocol, in emission order per inbound message:
-  * each fill -> OrderExecuted to the taker's owner and to each maker's owner
+  * each fill -> OrderExecuted to the taker's owner and to the maker's owner
   * a resting remainder -> OrderAccepted to the sender
   * an unfilled market remainder -> OrderCancelled(reason "unfilled")
   * CancelOrder -> OrderCancelled ack with the removed quantity
-    (reason "not_found" with quantity 0 when the id is unknown)
+    (reason "not_found" with quantity 0 when the id is not resting;
+    "rejected:not_owner" when another agent's order rests under the id)
   * malformed or duplicate orders -> OrderCancelled(reason "rejected:...")
   * MarketDataQuery -> MarketDataReply with a depth-k snapshot; while the
     book is unchanged every query of that depth gets the same reply object
@@ -33,7 +38,6 @@ class ExchangeAgent(Agent):
     def __init__(self, allow_self_trade: bool = True, name: str = "exchange"):
         super().__init__(name)
         self.book = OrderBook(allow_self_trade=allow_self_trade)
-        self.owners: dict[int, int] = {}
         # the last reply sent; resent while the book returns the same snapshot
         self._reply: Optional[MarketDataReply] = None
 
@@ -65,9 +69,8 @@ class ExchangeAgent(Agent):
             self._send(sender_id, OrderCancelled(payload.order_id, payload.quantity,
                                                  f"rejected:{exc}"))
             return
-        self.owners[payload.order_id] = sender_id
         for cancelled in self.book.self_trade_cancels:
-            self._send(self.owners.get(cancelled.order_id, sender_id),
+            self._send(cancelled.agent_id,
                        OrderCancelled(cancelled.order_id, cancelled.quantity,
                                       "self_trade_prevented"))
         self._notify_fills(sender_id, fills)
@@ -82,25 +85,19 @@ class ExchangeAgent(Agent):
         for fill in fills:
             self._send(taker_owner,
                        OrderExecuted(fill.taker_order_id, fill.quantity, fill.price_ticks))
-            maker_owner = self.owners.get(fill.maker_order_id)
-            if maker_owner is not None:
-                self._send(maker_owner,
-                           OrderExecuted(fill.maker_order_id, fill.quantity, fill.price_ticks))
+            self._send(fill.maker_agent_id,
+                       OrderExecuted(fill.maker_order_id, fill.quantity, fill.price_ticks))
 
     def _handle_cancel(self, sender_id: int, payload: CancelOrder) -> None:
-        owner = self.owners.get(payload.order_id)
-        if owner is not None and owner != sender_id:
+        order = self.book.order(payload.order_id)
+        if order is None:
+            self._send(sender_id, OrderCancelled(payload.order_id, 0, "not_found"))
+        elif order.agent_id != sender_id:
             self._send(sender_id, OrderCancelled(payload.order_id, 0, "rejected:not_owner"))
-            return
-        if payload.quantity is None:
+        elif payload.quantity is None:
             removed = self.book.cancel(payload.order_id)
-            reason = "cancelled" if removed > 0 else "not_found"
-            self._send(sender_id, OrderCancelled(payload.order_id, removed, reason))
+            self._send(sender_id, OrderCancelled(payload.order_id, removed, "cancelled"))
         else:
-            order = self.book.order(payload.order_id)
-            if order is None:
-                self._send(sender_id, OrderCancelled(payload.order_id, 0, "not_found"))
-                return
             before = order.quantity
             try:
                 remaining = self.book.reduce(payload.order_id, payload.quantity)

@@ -59,7 +59,6 @@ class MomentumAgent(TradingAgent):
         self.poll_offset = poll_offset
         self.mids: deque = deque(maxlen=config.long_window)
         self.open_order_id: Optional[int] = None
-        self.live_orders: set = set()
         self.orders_placed = 0
         self.filled_quantity = 0
 
@@ -76,10 +75,10 @@ class MomentumAgent(TradingAgent):
         if isinstance(payload, MarketDataReply):
             self._on_quote(payload)
         elif isinstance(payload, OrderExecuted):
-            if payload.order_id in self.live_orders:
-                self.filled_quantity += payload.quantity
+            # the exchange sends an agent only its own executions, those
+            # racing a cancel included
+            self.filled_quantity += payload.quantity
         elif isinstance(payload, OrderCancelled):
-            self.live_orders.discard(payload.order_id)
             if payload.order_id == self.open_order_id:
                 self.open_order_id = None
 
@@ -96,10 +95,8 @@ class MomentumAgent(TradingAgent):
         if touch is None:
             return
         if self.open_order_id is not None:
-            # fills racing this cancel are still attributed via live_orders
             self.send_cancel(self.open_order_id)
         self.open_order_id = self.send_limit(side, self.config.order_size, touch[0])
-        self.live_orders.add(self.open_order_id)
         self.orders_placed += 1
 
     def state_summary(self) -> dict:

@@ -8,8 +8,6 @@ comparisons see identical timing.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..kernel import SimTime
 from ..messages import MarketDataReply, OrderExecuted
 from ..rl import ActionSpace, EpisodeResult, PLACEMENT_MARKET
@@ -40,47 +38,38 @@ class TWAPExecutionAgent(TradingAgent):
         # every period is the same action: the TWAP child at multiplier 1.0
         self.action = ActionSpace(config.multipliers).encode(1.0, PLACEMENT_MARKET)
         self._period = 0
-        self._pending_quantity: Optional[int] = None
-        self._order_period: dict = {}
-        self.fills: list = []  # (period, quantity, price_ticks)
+        self._notional = 0  # sum of quantity * price over every fill, in ticks
         self.result = EpisodeResult(episode=0, parent_quantity=config.parent_quantity)
 
     def on_start(self, kernel) -> None:
         self.kernel.schedule_wakeup(self.agent_id, self.schedule[0][0])
 
     def on_wakeup(self, now: SimTime) -> None:
-        self._pending_quantity = self.schedule[self._period][1]
+        # one query per period, and so one reply, which acts
         self.query_market_data(depth=1)
 
     def on_message(self, now: SimTime, sender_id: int, payload) -> None:
         if isinstance(payload, MarketDataReply):
             self._act(payload)
         elif isinstance(payload, OrderExecuted):
-            period = self._order_period.get(payload.order_id, self._period)
-            self.fills.append((period, payload.quantity, payload.price))
+            self._notional += payload.quantity * payload.price
             self.result.filled_quantity += payload.quantity
 
     def _act(self, payload: MarketDataReply) -> None:
-        if self._pending_quantity is None:
-            return
         mid = payload.snapshot.mid_price
         if self.result.arrival_price is None and mid is not None:
             self.result.arrival_price = mid
-        quantity = self._pending_quantity
-        self._pending_quantity = None
+        quantity = self.schedule[self._period][1]
         if quantity > 0:
-            order_id = self.send_market(self.config.side, quantity)
-            self._order_period[order_id] = self._period
+            self.send_market(self.config.side, quantity)
         self.result.action_trace.append(self.action)
         self._period += 1
         if self._period < len(self.schedule):
             self.kernel.schedule_wakeup(self.agent_id, self.schedule[self._period][0])
 
     def on_stop(self) -> None:
-        total = sum(q for _, q, _ in self.fills)
-        if total > 0:
-            notional = sum(q * p for _, q, p in self.fills)
-            self.result.fill_vwap = notional / total
+        if self.result.filled_quantity > 0:
+            self.result.fill_vwap = self._notional / self.result.filled_quantity
 
     def state_summary(self) -> dict:
         return {

@@ -85,7 +85,7 @@ class Fill:
     maker_order_id: int
     price_ticks: int
     quantity: int
-    at: SimTime
+    maker_agent_id: int
 
 
 class SubmitResult(NamedTuple):
@@ -135,7 +135,6 @@ class PriceLevel:
     until matching pops it from the head or the book compacts the level.
     `count` is the number of live orders."""
 
-    price_ticks: int
     queue: deque = field(default_factory=deque)
     total_quantity: int = 0
     count: int = 0
@@ -228,6 +227,8 @@ class OrderBook:
     # -- mutations ----------------------------------------------------------
 
     def submit(self, order: Order) -> SubmitResult:
+        """Match `order`; a limit remainder rests as `order` itself, its
+        quantity cut to the remainder, and the book owns it from then on."""
         order.validate()
         if order.order_id in self._orders:
             raise DuplicateOrderIdError(f"order id {order.order_id} is already resting")
@@ -260,7 +261,7 @@ class OrderBook:
                     self.self_trade_cancels.append(maker)
                     continue
                 take = min(remaining, maker.quantity)
-                fills.append(Fill(order.order_id, maker.order_id, best, take, order.placed_at))
+                fills.append(Fill(order.order_id, maker.order_id, best, take, maker.agent_id))
                 maker.quantity -= take
                 level.total_quantity -= take
                 remaining -= take
@@ -273,14 +274,11 @@ class OrderBook:
                 prices.pop(-1 if opposite is Side.BID else 0)
         if fills:
             self.last_trade_price = fills[-1].price_ticks
-        resting: Optional[Order] = None
         if remaining > 0 and order.kind is OrderKind.LIMIT:
-            resting = Order(
-                order.order_id, order.agent_id, order.side, order.price_ticks,
-                remaining, OrderKind.LIMIT, order.placed_at,
-            )
-            self._rest(resting)
-        return SubmitResult(fills, resting)
+            order.quantity = remaining
+            self._rest(order)
+            return SubmitResult(fills, order)
+        return SubmitResult(fills, None)
 
     def cancel(self, order_id: int) -> int:
         """Remove a resting order entirely; returns the quantity removed,
@@ -313,7 +311,7 @@ class OrderBook:
         levels = self._levels[order.side]
         level = levels.get(order.price_ticks)
         if level is None:
-            level = levels[order.price_ticks] = PriceLevel(order.price_ticks)
+            level = levels[order.price_ticks] = PriceLevel()
             insort(self._prices[order.side], order.price_ticks)
         level.insert(order)
         self._orders[order.order_id] = order

@@ -20,6 +20,7 @@ import argparse
 import copy
 import hashlib
 import json
+import math
 import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -68,8 +69,13 @@ class RealismConfig:
     paired: bool = False
 
     def validate(self) -> None:
-        if self.window_seconds <= 0 or self.bucket_minutes <= 0:
-            raise ValueError("window_seconds and bucket_minutes must be positive")
+        # the fits bin on whole nanoseconds, so each width must be finite and
+        # round to at least one; nan fails every comparison
+        for key, nanos in (("window_seconds", self.window_seconds * NANOS_PER_SECOND),
+                           ("bucket_minutes", self.bucket_minutes * 60 * NANOS_PER_SECOND)):
+            if not 0.5 < nanos < math.inf:
+                raise ValueError(f"{key} must be finite and at least 1 ns, "
+                                 f"got {getattr(self, key)!r}")
 
 
 def _side(name) -> Side:
@@ -223,7 +229,7 @@ def _fields(cfg: dict, path: str = "") -> dict:
         if not isinstance(node, dict):
             try:
                 loaded[node[0]] = node[1](values[name])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:  # inf seconds overflow int
                 raise ConfigError(f"{path}.{name}: {exc}".lstrip(".")) from None
     return loaded
 
@@ -435,9 +441,11 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="YAML config or a manifest.json")
         cmd.add_argument("--seed", type=int, default=None, help="override config seed")
         cmd.add_argument("--out", default=None, help="override output directory")
-        cmd.add_argument("--resume", action="store_true",
-                         help="continue training from the latest checkpoint")
-        cmd.add_argument("--checkpoint", default=None, help="checkpoint to load")
+        if name == "train":
+            cmd.add_argument("--resume", action="store_true",
+                             help="continue training from the latest checkpoint")
+        if name in ("evaluate", "realism"):
+            cmd.add_argument("--checkpoint", default=None, help="checkpoint to load")
     return parser
 
 

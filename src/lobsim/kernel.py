@@ -80,8 +80,6 @@ class AgentFault(KernelError):
 class Wakeup:
     """Kernel-generated payload delivered by schedule_wakeup."""
 
-    tag = "wakeup"
-
     def summary(self) -> str:
         return ""
 
@@ -113,17 +111,22 @@ class KernelConfig:
 
 
 class LogRecord(NamedTuple):
-    """One delivery: when, from whom, to whom, the payload's tag and the
-    payload itself.  The record holds the payload object, not a copy, and a
-    sender may send one object many times, so payloads must be immutable
-    values (frozen dataclasses, tuples, strings).  `summary` and `detail`
-    are formatted from the payload when they are read."""
+    """One delivery: when, from whom, to whom, and the payload itself.  The
+    record holds the payload object, not a copy, and a sender may send one
+    object many times, so payloads must be immutable values (frozen
+    dataclasses, tuples, strings).  `tag`, `summary` and `detail` are
+    derived from the payload when they are read."""
 
     time: SimTime
     sender_id: int
     recipient_id: int
-    tag: str
     payload: Any
+
+    @property
+    def tag(self) -> str:
+        """The payload's `tag`, else its lowercased type name."""
+        payload = self.payload
+        return payload.tag if hasattr(payload, "tag") else type(payload).__name__.lower()
 
     @property
     def summary(self) -> str:
@@ -275,11 +278,7 @@ class Kernel:
                     heappush(queue, event)
                     break
                 self.now = deliver_at
-                try:
-                    tag = payload.tag
-                except AttributeError:
-                    tag = type(payload).__name__.lower()
-                append(_tuple_new(LogRecord, (deliver_at, sender_id, recipient_id, tag, payload)))
+                append(_tuple_new(LogRecord, (deliver_at, sender_id, recipient_id, payload)))
                 recipient = agents[recipient_id]
                 try:
                     if isinstance(payload, Wakeup):

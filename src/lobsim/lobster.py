@@ -173,10 +173,11 @@ class SyntheticFlowConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.arrival_rate_per_side <= 0:
-            raise ValueError("arrival_rate_per_side must be positive")
-        if self.size_gamma_shape <= 0 or self.size_gamma_scale <= 0:
-            raise ValueError("gamma size parameters must be positive")
+        # nan fails every comparison; an infinite rate would stop the clock
+        if not 0 < self.arrival_rate_per_side < math.inf:
+            raise ValueError("arrival_rate_per_side must be positive and finite")
+        if not (0 < self.size_gamma_shape < math.inf and 0 < self.size_gamma_scale < math.inf):
+            raise ValueError("size_gamma_shape and size_gamma_scale must be positive and finite")
         if not 0 < self.placement_geometric_p <= 1:
             raise ValueError("placement_geometric_p must be in (0, 1]")
         if not 0 <= self.cancel_probability < 1:

@@ -127,31 +127,44 @@ def ks_distance(samples: np.ndarray, cdf) -> float:
     return float(max(upper.max(), lower.max()))
 
 
+def _refusal_reason(x: np.ndarray) -> Optional[str]:
+    """Why a positive-support fit refuses the sample `x`, or None."""
+    if np.any(x <= 0):
+        return "non-positive samples"
+    if x.min() == x.max():  # exact, unlike a var() == 0 test under rounding
+        return "zero variance"
+    return None
+
+
+def _newton_shape(shape: float, residual_and_slope) -> float:
+    """A positive root of a shape equation by Newton's method from `shape`:
+    at most 100 steps, a step to a non-positive shape halves the shape
+    instead, and the iteration stops once a step moves it less than 1e-10."""
+    for _ in range(100):
+        residual, slope = residual_and_slope(shape)
+        updated = shape - residual / slope
+        if updated <= 0:
+            updated = shape / 2.0
+        if abs(updated - shape) < 1e-10:
+            return updated
+        shape = updated
+    return shape
+
+
 def fit_gamma(samples: Sequence[float]) -> FitOutcome:
     """Gamma MLE: Newton iteration on ln(k) - digamma(k) = ln(mean) -
     mean(ln x), initialized at the method-of-moments shape."""
     x = np.asarray(samples, dtype=np.float64)
     if len(x) == 0:
         raise InsufficientDataError("gamma fit needs samples")
-    if np.any(x <= 0):
-        return FitRefusal("gamma", "non-positive samples", len(x))
-    if x.min() == x.max():  # exact, unlike a var() == 0 test under rounding
-        return FitRefusal("gamma", "zero variance", len(x))
+    if reason := _refusal_reason(x):
+        return FitRefusal("gamma", reason, len(x))
     mean = x.mean()
     variance = x.var()
     target = math.log(mean) - np.log(x).mean()
-    shape = mean * mean / variance  # moment start
-    for _ in range(100):
-        residual = math.log(shape) - special.digamma(shape) - target
-        slope = 1.0 / shape - special.polygamma(1, shape)
-        step = residual / slope
-        updated = shape - step
-        if updated <= 0:
-            updated = shape / 2.0
-        if abs(updated - shape) < 1e-10:
-            shape = updated
-            break
-        shape = updated
+    shape = _newton_shape(mean * mean / variance,  # moment start
+                          lambda k: (math.log(k) - special.digamma(k) - target,
+                                     1.0 / k - special.polygamma(1, k)))
     scale = mean / shape
     distance = ks_distance(x, lambda v: special.gammainc(shape, v / scale))
     return FitReport("gamma", {"shape": float(shape), "scale": float(scale)},
@@ -162,10 +175,8 @@ def fit_lognormal(samples: Sequence[float]) -> FitOutcome:
     x = np.asarray(samples, dtype=np.float64)
     if len(x) == 0:
         raise InsufficientDataError("log-normal fit needs samples")
-    if np.any(x <= 0):
-        return FitRefusal("lognormal", "non-positive samples", len(x))
-    if x.min() == x.max():
-        return FitRefusal("lognormal", "zero variance", len(x))
+    if reason := _refusal_reason(x):
+        return FitRefusal("lognormal", reason, len(x))
     logs = np.log(x)
     mu = float(logs.mean())
     sigma = float(logs.std())
@@ -192,28 +203,18 @@ def fit_weibull(samples: Sequence[float]) -> FitOutcome:
     x = np.asarray(samples, dtype=np.float64)
     if len(x) < 2:
         return FitRefusal("weibull", "need at least two samples", len(x))
-    if np.any(x <= 0):
-        return FitRefusal("weibull", "non-positive samples", len(x))
-    if x.min() == x.max():
-        return FitRefusal("weibull", "zero variance", len(x))
+    if reason := _refusal_reason(x):
+        return FitRefusal("weibull", reason, len(x))
     logs = np.log(x)
     mean_log = logs.mean()
-    shape = 1.0
-    for _ in range(100):
+
+    def residual_and_slope(shape):
         powered = x**shape
         weighted = (powered * logs).sum() / powered.sum()
-        g = weighted - 1.0 / shape - mean_log
-        powered_log2 = (powered * logs * logs).sum()
-        d_weighted = powered_log2 / powered.sum() - weighted**2
-        slope = d_weighted + 1.0 / (shape * shape)
-        step = g / slope
-        updated = shape - step
-        if updated <= 0:
-            updated = shape / 2.0
-        if abs(updated - shape) < 1e-10:
-            shape = updated
-            break
-        shape = updated
+        d_weighted = (powered * logs * logs).sum() / powered.sum() - weighted**2
+        return weighted - 1.0 / shape - mean_log, d_weighted + 1.0 / (shape * shape)
+
+    shape = _newton_shape(1.0, residual_and_slope)
     scale = float((x**shape).mean() ** (1.0 / shape))
     distance = ks_distance(x, lambda v: -special.expm1(-(v / scale) ** shape))
     return FitReport("weibull", {"shape": float(shape), "scale": scale},

@@ -13,7 +13,7 @@ import csv
 import shutil
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -83,9 +83,6 @@ class RunSetup:
     momentum_count: int = 6
     momentum: MomentumConfig = field(default_factory=MomentumConfig)
     include_twap_twin: bool = True
-    # test hook: build additional kernel agents per episode (e.g. scripted
-    # liquidity); not reachable from the CLI config format
-    extra_agent_factory: Optional[Callable[[int], list]] = None
 
     def kernel_config(self, episode: int) -> KernelConfig:
         return KernelConfig(
@@ -132,8 +129,6 @@ def run_episode(
     for i in range(setup.momentum_count):
         agents.append(MomentumAgent(replace(setup.momentum), poll_offset=i * stagger,
                                     name=f"momentum-{i}"))
-    if setup.extra_agent_factory is not None:
-        agents.extend(setup.extra_agent_factory(episode))
     twin = None
     if executor == "ddql" and train_enabled and setup.include_twap_twin:
         twin = TWAPExecutionAgent(setup.ddql, name="twap-benchmark")

@@ -21,6 +21,7 @@ from lobsim import (
     seconds,
 )
 from lobsim.book import BookSnapshot, Order, OrderKind
+from lobsim.kernel import Agent
 from lobsim.lobster import EventType, LobsterEvent
 from lobsim.messages import (
     CancelOrder,
@@ -138,6 +139,24 @@ class TestExchangeProtocol:
         exchange.on_message(11, 2, CancelOrder(100))
         assert kernel.to(2) == [OrderCancelled(100, 0, "rejected:not_owner")]
         assert exchange.book.order(100) is not None
+
+    @pytest.mark.parametrize("quantity", [None, 5])
+    def test_non_owner_cancel_of_an_order_no_longer_resting_is_not_found(self, quantity):
+        # ownership is read off the resting order, so a filled order has none
+        exchange, kernel = make_exchange()
+        exchange.on_message(10, 1, LimitOrder(100, Side.BID, 50, 9_990))
+        exchange.on_message(11, 3, MarketOrder(200, Side.ASK, 50))
+        kernel.sent.clear()
+        exchange.on_message(12, 2, CancelOrder(100, quantity))
+        assert kernel.sent == [(2, OrderCancelled(100, 0, "not_found"))]
+
+    def test_maker_execution_is_routed_by_the_resting_orders_agent(self):
+        # the exchange never saw order 100 arrive; the fill names its owner
+        exchange, kernel = make_exchange()
+        exchange.book.submit(Order(100, 4, Side.ASK, 1_000_000, 30, OrderKind.LIMIT, 0))
+        exchange.on_message(10, 3, MarketOrder(300, Side.BID, 20))
+        assert kernel.to(4) == [OrderExecuted(100, 20, 1_000_000)]
+        assert kernel.to(3) == [OrderExecuted(300, 20, 1_000_000)]
 
     def test_full_cancel_acknowledges_removed_quantity(self):
         exchange, kernel = make_exchange()
@@ -372,7 +391,6 @@ class TestMomentumAgent:
             agent.on_message(i, 0, reply(9_990 + i * 10, 10_010 + i * 10))
         order_id = agent.open_order_id
         agent.on_message(10, 0, OrderExecuted(order_id, 7, 10_000))
-        agent.on_message(11, 0, OrderExecuted(999, 5, 10_000))  # not ours
         assert agent.filled_quantity == 7
 
     def test_cancelled_ack_clears_open_order(self):
@@ -431,34 +449,38 @@ class TestTWAPSchedule:
 
 class TestTWAPAgent:
     def run_against_wall(self, parent=30, periods=3, wall_price=10_010, **grid):
+        """The TWAP agent against deep liquidity, so every child fills at one
+        price.  A passive agent, registered second so its id is 1, owns the
+        liquidity and gets the maker executions.  Returns the agent and the log."""
         config = KernelConfig(start_time=0, stop_time=seconds(200))
         exchange = ExchangeAgent()
-        # deep resting liquidity so every child fills at one price
-        exchange.book.submit(Order(1, -1, Side.ASK, wall_price, 10_000, OrderKind.LIMIT, 0))
-        exchange.book.submit(Order(2, -1, Side.BID, 9_990, 10_000, OrderKind.LIMIT, 0))
+        exchange.book.submit(Order(1, 1, Side.ASK, wall_price, 10_000, OrderKind.LIMIT, 0))
+        exchange.book.submit(Order(2, 1, Side.BID, 9_990, 10_000, OrderKind.LIMIT, 0))
         twap = TWAPExecutionAgent(parent_order(parent, periods, start=seconds(10), **grid),
                                   exchange_id=0)
-        run_simulation(config, [exchange, twap])
-        return twap
+        log = run_simulation(config, [exchange, Agent("liquidity"), twap])
+        return twap, log
 
     def test_constant_rate_execution(self):
-        twap = self.run_against_wall()
+        twap, log = self.run_against_wall()
         assert twap.result.filled_quantity == 30
-        assert [q for _, q, _ in twap.fills] == [10, 10, 10]
-        assert sorted({p for p, _, _ in twap.fills}) == [0, 1, 2]
+        fills = [(r.time, r.payload.quantity) for r in log.records
+                 if r.recipient_id == twap.agent_id and isinstance(r.payload, OrderExecuted)]
+        assert [q for _, q in fills] == [10, 10, 10]
+        assert [(t - seconds(10)) // seconds(30) for t, _ in fills] == [0, 1, 2]
 
     def test_vwap_and_arrival_price(self):
-        twap = self.run_against_wall()
+        twap, _ = self.run_against_wall()
         assert twap.result.fill_vwap == 10_010.0
         assert twap.result.arrival_price == 10_000.0
         assert twap.result.slippage == pytest.approx(0.001)
 
     def test_action_trace_is_all_market(self):
-        twap = self.run_against_wall()
+        twap, _ = self.run_against_wall()
         assert twap.result.action_trace == [8, 8, 8]  # multiplier 1.0, market placement
 
     def test_action_trace_uses_the_configured_grid(self):
-        twap = self.run_against_wall(multipliers=(0.5, 1.0, 2.0))
+        twap, _ = self.run_against_wall(multipliers=(0.5, 1.0, 2.0))
         assert twap.result.action_trace == [4, 4, 4]  # multiplier rank 1, market placement
 
     def test_grid_without_the_twap_action_rejected(self):

@@ -77,18 +77,23 @@ class TestSubmit:
     def test_marketable_limit_fills_at_maker_price(self):
         book = OrderBook()
         book.submit(limit(1, Side.ASK, 100.00, 50))
-        result = book.submit(limit(2, Side.BID, 100.05, 80))
+        order = limit(2, Side.BID, 100.05, 80)
+        result = book.submit(order)
         assert [(f.price_ticks, f.quantity) for f in result.fills] == [(100_0000, 50)]
         # remainder rests at the limit price, not the fill price
         assert book.best_bid() == 100_0500
-        assert result.resting.quantity == 30
+        # the submitted order itself rests, carrying the remainder
+        assert result.resting is order and book.order(2) is order
+        assert order.quantity == 30
 
     def test_fifo_within_level(self):
         book = OrderBook()
-        book.submit(limit(1, Side.ASK, 100.00, 10, placed_at=5))
-        book.submit(limit(2, Side.ASK, 100.00, 10, placed_at=6))
+        book.submit(limit(1, Side.ASK, 100.00, 10, agent_id=5, placed_at=5))
+        book.submit(limit(2, Side.ASK, 100.00, 10, agent_id=6, placed_at=6))
         result = book.submit(market(3, Side.BID, 15))
-        assert [(f.maker_order_id, f.quantity) for f in result.fills] == [(1, 10), (2, 5)]
+        # each fill names its maker's agent
+        assert [(f.maker_order_id, f.maker_agent_id, f.quantity) for f in result.fills] == \
+            [(1, 5, 10), (2, 6, 5)]
 
     def test_equal_placed_at_breaks_ties_by_order_id(self):
         book = OrderBook()

@@ -16,7 +16,9 @@ import yaml
 from checkpoint_bytes import corrupt_first_network
 from lobsim import DDQLConfig, MomentumConfig, SyntheticFlowConfig
 from lobsim.cli import (
+    ConfigError,
     build_data_source,
+    build_flow_config,
     build_setup,
     load_config,
     main,
@@ -257,6 +259,43 @@ class TestConfigHandling:
         column = header.index("filled_quantity")
         assert [row[column] for row in rows] == ["50", "50"]
 
+    @pytest.mark.parametrize("mode, dotted, value", [
+        ("realism", "realism.window_seconds", 1e-10),
+        ("realism", "realism.bucket_minutes", 1e-12),
+        ("realism", "realism.window_seconds", float("nan")),
+        ("realism", "realism.window_seconds", float("inf")),
+        ("train", "kernel.warmup_seconds", float("inf")),
+        ("train", "kernel.post_margin_seconds", float("inf")),
+        ("train", "ddql.period_seconds", float("inf")),
+        ("train", "roster.momentum.poll_interval_seconds", float("inf")),
+        ("train", "ddql.multipliers", [float("nan"), 1.0]),
+        ("train", "ddql.multipliers", [1.0, float("inf")]),
+        ("gen-data", "data.synthetic.arrival_rate_per_side", float("nan")),
+        ("gen-data", "data.synthetic.size_gamma_scale", float("nan")),
+    ])
+    def test_non_finite_or_sub_nanosecond_float_names_its_key(self, tmp_path, capsys,
+                                                               mode, dotted, value):
+        # each used to end in a traceback
+        cfg = base_config()
+        *sections, key = dotted.split(".")
+        node = cfg
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = value
+        path = write_config(tmp_path, cfg)
+        assert main([mode, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert ".".join(sections) in err and key in err
+
+    def test_infinite_arrival_rate_names_its_key(self, tmp_path):
+        # gen-data used to loop forever: an exponential gap of 0 never
+        # advances the clock
+        cfg = resolve_config({"data": {"synthetic": {"arrival_rate_per_side": float("inf")}}},
+                             out_dir=str(tmp_path))
+        with pytest.raises(ConfigError, match="data.synthetic: arrival_rate_per_side"):
+            build_flow_config(cfg)
+
     def test_negative_seed_flag_is_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "out"),
@@ -287,6 +326,19 @@ class TestConfigHandling:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["replay", "--resume"],
+                                      ["gen-data", "--checkpoint", "x"],
+                                      ["evaluate", "--resume"],
+                                      ["train", "--checkpoint", "x"]])
+    def test_flag_of_another_subcommand_rejected_by_parser(self, tmp_path, capsys, argv):
+        # each used to run and ignore the flag
+        path = write_config(tmp_path, base_config())
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestGenData:

@@ -281,7 +281,8 @@ class TestScriptedOracle:
 
 
 class TestLogRecord:
-    """A record keeps the payload; its text fields are formatted on reading."""
+    """A record keeps the payload; its tag and text fields are derived from
+    it on reading."""
 
     PAYLOADS = [
         LimitOrder(1, Side.BID, 10, 9_990), MarketOrder(2, Side.ASK, 5), CancelOrder(3),
@@ -293,8 +294,10 @@ class TestLogRecord:
 
     @pytest.mark.parametrize("payload", PAYLOADS, ids=lambda p: type(p).__name__)
     def test_fields_are_the_payloads_own_formatting(self, payload):
-        tag = getattr(payload, "tag", "str")
-        record = LogRecord(5, 1, 2, tag, payload)
+        # a payload without a tag (Wakeup, a string) is tagged by its type's name
+        tag = getattr(payload, "tag", type(payload).__name__.lower())
+        record = LogRecord(5, 1, 2, payload)
+        assert record.tag == tag
         summary = payload.summary() if hasattr(payload, "summary") else str(payload)
         detail = payload.detail() if hasattr(payload, "detail") else None
         assert record.summary == summary
@@ -304,18 +307,23 @@ class TestLogRecord:
             body["detail"] = detail
         assert record.to_json() == json.dumps(body, sort_keys=True)
 
+    def test_stores_four_fields_and_derives_the_tag(self):
+        assert LogRecord._fields == ("time", "sender_id", "recipient_id", "payload")
+        assert LogRecord(5, 1, 2, OrderAccepted(1)).tag == "order_accepted"
+        assert LogRecord(5, 1, 2, "plain text").tag == "str"
+
     def test_formatted_text(self):
-        record = LogRecord(5, 1, 0, "limit_order", LimitOrder(1, Side.BID, 10, 9_990))
+        record = LogRecord(5, 1, 0, LimitOrder(1, Side.BID, 10, 9_990))
         assert record.to_json() == (
             '{"detail": {"order_id": 1, "price": 9990, "quantity": 10, "side": "BID"}, '
             '"recipient": 0, "sender": 1, "summary": "#1 BID 10@9990", '
             '"tag": "limit_order", "time": 5}')
-        reply = LogRecord(6, 0, 1, "market_data_reply",
-                          MarketDataReply(BookSnapshot(((9_990, 10),), ())))
+        reply = LogRecord(6, 0, 1, MarketDataReply(BookSnapshot(((9_990, 10),), ())))
         assert (reply.summary, reply.detail) == ("bid 10x9990 / ask -", None)
 
     def test_kernel_logs_the_payload_it_delivered(self):
         log, _ = run_scripts([[(5, [(0, 1)])]], config(latency_nanos=10))
         wakeup, ping = log.records
-        assert isinstance(wakeup.payload, Wakeup) and wakeup.summary == ""
+        assert isinstance(wakeup.payload, Wakeup)
+        assert (wakeup.tag, wakeup.summary) == ("wakeup", "")
         assert ping.payload == Ping(1) and (ping.tag, ping.summary) == ("ping", "1")

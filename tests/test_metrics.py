@@ -144,7 +144,7 @@ class TestFlowSeries:
             (7, 0, 3, OrderAccepted(9)),
             (8, 3, 0, MarketDataQuery(1)),
         ]:
-            log.append(LogRecord(seconds(at), sender, recipient, payload.tag, payload))
+            log.append(LogRecord(seconds(at), sender, recipient, payload))
         flow = FlowSeries.from_log(log, exchange_id=0)
         assert flow.times.tolist() == [seconds(1), seconds(4)]
         assert flow.sizes.tolist() == [50, 15]
@@ -154,7 +154,7 @@ class TestFlowSeries:
     def test_from_log_respects_session_argument(self):
         log = SimulationLog()
         payload = LimitOrder(1, Side.BID, 50, 10_000)
-        log.append(LogRecord(seconds(1), 3, 0, payload.tag, payload))
+        log.append(LogRecord(seconds(1), 3, 0, payload))
         flow = FlowSeries.from_log(log, session=(0, seconds(60)))
         assert flow.session == (0, seconds(60))
 

@@ -12,9 +12,10 @@ import weakref
 
 import pytest
 
+from lobsim import training
 from lobsim.agents import DDQLConfig, ExchangeAgent, LearnerState, TWAPExecutionAgent
 from lobsim.book import BookSnapshot, Fill, Order, OrderKind, PriceLevel, Side
-from lobsim.kernel import Agent, seconds
+from lobsim.kernel import seconds
 from lobsim.lobster import EventType, LobsterEvent, SyntheticFlowConfig
 from lobsim.messages import (
     CancelOrder,
@@ -196,22 +197,23 @@ class TestRunEpisode:
         outcome = run_episode(setup, 0, learner, epsilon=0.0)
         assert outcome.twap_twin is None
 
+    def test_vwaps_are_the_mean_of_the_executions_received(self, tmp_path):
+        # a parent large enough that both executors trade at several prices
+        setup = make_setup(tmp_path, ddql=small_ddql(parent_quantity=500))
+        learner = LearnerState(setup.ddql, seed=7)
+        outcome = run_episode(setup, 0, learner, epsilon=1.0)
+        for agent in (outcome.executor, outcome.twap_twin):
+            fills = [r.payload for r in outcome.log.records
+                     if r.recipient_id == agent.agent_id and isinstance(r.payload, OrderExecuted)]
+            assert len({f.price for f in fills}) > 1
+            assert agent.result.fill_vwap == \
+                sum(f.quantity * f.price for f in fills) / sum(f.quantity for f in fills)
+
     def test_only_a_training_episode_carries_the_twin(self, tmp_path):
         setup = make_setup(tmp_path)
         learner = LearnerState(setup.ddql, seed=7)
         outcome = run_episode(setup, 0, learner, epsilon=0.0, train_enabled=False)
         assert outcome.twap_twin is None
-
-    def test_extra_agent_factory_sees_episode_index(self, tmp_path):
-        calls = []
-
-        def factory(episode):
-            calls.append(episode)
-            return []
-
-        setup = make_setup(tmp_path, extra_agent_factory=factory)
-        run_episode(setup, 3, executor="none")
-        assert calls == [3]
 
     def test_episode_index_stamped_on_result(self, tmp_path):
         outcome = run_episode(make_setup(tmp_path), 2, executor="twap")
@@ -350,18 +352,18 @@ class TestMemory:
         finally:
             gc.enable()
 
-    def test_train_holds_no_finished_episode(self, tmp_path):
+    def test_train_holds_no_finished_episode(self, tmp_path, monkeypatch):
         previous = []
         freed = []
 
-        class Probe(Agent):
+        class ProbeExchange(ExchangeAgent):
             def on_start(self, kernel):
                 gc.collect()
                 freed.append(all(ref() is None for ref in previous))
                 previous.append(weakref.ref(self))
 
-        setup = make_setup(tmp_path / "run", ddql=small_ddql(episodes=3),
-                           extra_agent_factory=lambda episode: [Probe()])
+        monkeypatch.setattr(training, "ExchangeAgent", ProbeExchange)
+        setup = make_setup(tmp_path / "run", ddql=small_ddql(episodes=3))
         train(setup)
         assert freed == [True, True, True]
 
@@ -372,7 +374,7 @@ class TestMemory:
         lambda: Order(1, 0, Side.BID, 100, 5),
         lambda: Fill(1, 2, 100, 5, 0),
         lambda: TestMemory.SNAPSHOT,
-        lambda: PriceLevel(100),
+        lambda: PriceLevel(),
         lambda: LimitOrder(1, Side.BID, 5, 100),
         lambda: MarketOrder(1, Side.ASK, 5),
         lambda: CancelOrder(1),

@@ -1,4 +1,5 @@
-"""Replays a historical or synthetic LOBSTER event stream into the exchange.
+"""Replays a historical or synthetic LOBSTER flow into the exchange, walking
+its columns with a cursor.
 
 Event mapping:
   type 1 -> LimitOrder under the event's own order id
@@ -15,8 +16,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from ..book import Side
 from ..kernel import SimTime
-from ..lobster import EventType, LobsterEvent
+from ..lobster import EventType, FlowColumns, LobsterEvent
 from ..messages import LimitOrder, MarketOrder, CancelOrder
 from .base import TradingAgent
 
@@ -25,7 +27,7 @@ class MarketReplayAgent(TradingAgent):
     def __init__(self, events: Iterable[LobsterEvent], exchange_id: int = 0,
                  name: str = "replay"):
         super().__init__(exchange_id, name)
-        self.events = list(events)
+        self.flow = FlowColumns.of(events)
         self._cursor = 0
         self.submitted = 0
         self.skipped: dict[str, int] = {}
@@ -35,28 +37,30 @@ class MarketReplayAgent(TradingAgent):
         self.kernel.schedule_wakeup(self.agent_id, kernel.config.start_time)
 
     def on_wakeup(self, now: SimTime) -> None:
-        while self._cursor < len(self.events) and self.events[self._cursor].time_ns <= now:
-            self._submit(self.events[self._cursor])
+        times = self.flow.time
+        while self._cursor < len(times) and times[self._cursor] <= now:
+            self._submit(self._cursor)
             self._cursor += 1
-        if self._cursor < len(self.events):
-            next_at = self.events[self._cursor].time_ns
-            if next_at <= self.kernel.config.stop_time:
-                self.kernel.schedule_wakeup(self.agent_id, next_at)
+        if self._cursor < len(times) and times[self._cursor] <= self.kernel.config.stop_time:
+            self.kernel.schedule_wakeup(self.agent_id, times[self._cursor])
 
-    def _submit(self, event: LobsterEvent) -> None:
-        if event.event_type is EventType.NEW_LIMIT:
-            payload = LimitOrder(event.order_id, event.side, event.size, event.price)
-        elif event.event_type is EventType.PARTIAL_CANCEL:
-            payload = CancelOrder(event.order_id, event.size)
-        elif event.event_type is EventType.DELETE:
-            payload = CancelOrder(event.order_id)
-        elif event.event_type is EventType.EXECUTE_VISIBLE:
+    def _submit(self, row: int) -> None:
+        flow = self.flow
+        event_type = flow.type[row]
+        side = Side.BID if flow.direction[row] == 1 else Side.ASK
+        if event_type == EventType.NEW_LIMIT:
+            payload = LimitOrder(flow.id[row], side, flow.size[row], flow.price[row])
+        elif event_type == EventType.PARTIAL_CANCEL:
+            payload = CancelOrder(flow.id[row], flow.size[row])
+        elif event_type == EventType.DELETE:
+            payload = CancelOrder(flow.id[row])
+        elif event_type == EventType.EXECUTE_VISIBLE:
             # the aggressor of a visible execution sits opposite the resting
             # order the event describes
-            payload = MarketOrder(self.next_order_id(), event.side.opposite, event.size)
+            payload = MarketOrder(self.next_order_id(), side.opposite, flow.size[row])
             self.type4_market_orders += 1
         else:
-            key = event.event_type.name.lower()
+            key = EventType(event_type).name.lower()
             self.skipped[key] = self.skipped.get(key, 0) + 1
             return
         self.kernel.send(self.agent_id, self.exchange_id, payload)
@@ -67,5 +71,5 @@ class MarketReplayAgent(TradingAgent):
             "submitted": self.submitted,
             "skipped": dict(sorted(self.skipped.items())),
             "type4_market_orders": self.type4_market_orders,
-            "events_total": len(self.events),
+            "events_total": len(self.flow),
         }

@@ -1,9 +1,12 @@
-"""LOBSTER message-file parsing, canonical serialization, and synthetic flow.
+"""LOBSTER message files, flow columns, and synthetic flow.
 
 A message file is headerless CSV with six columns:
 time_seconds, event_type, order_id, size, price, direction
 where price is dollars x 10,000 (= integer ticks at the default tick size)
 and direction is +1 for buy orders, -1 for sell.
+
+In memory a flow is `FlowColumns`, the same six fields as int64 columns
+with time in nanoseconds; a `LobsterEvent` is one row of it.
 
 Synthetic flow substitutes for proprietary exchange data: a merged Poisson
 event stream whose per-side arrivals, gamma order sizes, and geometric
@@ -15,13 +18,16 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from array import array
+from bisect import insort
+from dataclasses import asdict, dataclass, field
 from enum import IntEnum
+from functools import partial
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .book import Order, OrderBook, OrderKind, Side
+from .book import Side
 from .kernel import NANOS_PER_SECOND, SimTime, time_from_str
 
 
@@ -69,10 +75,38 @@ class LobsterEvent:
             return f"direction must be +1 or -1, got {self.direction}"
         return None
 
-    def to_csv_row(self) -> str:
-        """Canonical formatting: seconds with exactly nine fractional digits."""
-        sec, nanos = divmod(self.time_ns, NANOS_PER_SECOND)
-        return f"{sec}.{nanos:09d},{int(self.event_type)},{self.order_id},{self.size},{self.price},{self.direction}"
+
+@dataclass(repr=False)
+class FlowColumns:
+    """An order flow as six int64 columns, one row per event.  A column
+    indexes to Python ints and `np.frombuffer(column, np.int64)` views it
+    without a copy; iterating the flow yields its rows as `LobsterEvent`s."""
+
+    time: array = field(default_factory=partial(array, "q"))  # ns after midnight
+    type: array = field(default_factory=partial(array, "q"))  # EventType value
+    id: array = field(default_factory=partial(array, "q"))
+    size: array = field(default_factory=partial(array, "q"))
+    price: array = field(default_factory=partial(array, "q"))
+    direction: array = field(default_factory=partial(array, "q"))  # +1 buy, -1 sell
+
+    @classmethod
+    def of(cls, events: Iterable[LobsterEvent]) -> FlowColumns:
+        """`events` itself when it is a FlowColumns, else a columnar copy."""
+        if isinstance(events, cls):
+            return events
+        rows = [(e.time_ns, e.event_type, e.order_id, e.size, e.price, e.direction)
+                for e in events]
+        return cls(*(array("q", column) for column in zip(*rows)))
+
+    def columns(self) -> tuple:
+        return self.time, self.type, self.id, self.size, self.price, self.direction
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def __iter__(self) -> Iterator[LobsterEvent]:
+        for time_ns, event_type, *rest in zip(*self.columns()):
+            yield LobsterEvent(time_ns, EventType(event_type), *rest)
 
 
 def parse_time_seconds(text: str) -> SimTime:
@@ -142,13 +176,14 @@ def parse_message_file(path) -> Iterator[LobsterEvent]:
 
 
 def write_message_file(events: Iterable[LobsterEvent], path) -> int:
-    count = 0
+    """Writes a flow as canonical CSV, time in seconds with exactly nine
+    fractional digits; returns the number of rows."""
+    flow = FlowColumns.of(events)
     with open(path, "w") as fh:
-        for event in events:
-            fh.write(event.to_csv_row())
-            fh.write("\n")
-            count += 1
-    return count
+        for time_ns, event_type, order_id, size, price, direction in zip(*flow.columns()):
+            sec, nanos = divmod(time_ns, NANOS_PER_SECOND)
+            fh.write(f"{sec}.{nanos:09d},{event_type},{order_id},{size},{price},{direction}\n")
+    return len(flow)
 
 
 @dataclass
@@ -188,90 +223,84 @@ class SyntheticFlowConfig:
             raise ValueError("session start must precede end")
 
 
-def generate_synthetic(config: SyntheticFlowConfig) -> Iterator[LobsterEvent]:
-    """Seeded synthetic LOBSTER stream.
+def generate_synthetic(config: SyntheticFlowConfig) -> FlowColumns:
+    """Seeded synthetic LOBSTER flow, as columns.
 
-    A shadow book tracks resting synthetic orders so placements reference
-    the live opposite best and cancellations target real resting orders.
-    A cancel event with an empty shadow book degrades to a new limit order.
-    """
+    A cancel picks a live order uniformly and cuts or deletes it; with no
+    live order a new limit order is placed instead, behind the opposite
+    best, so the flow never crosses.  The shadow keeps only what the draws
+    read: id -> [direction, price, quantity, slot in `live`], live orders
+    per price, and each side's prices in ascending order."""
     config.validate()
     rng = np.random.default_rng(config.seed)
-    shadow = OrderBook()
-    alive: list[int] = []
-    alive_pos: dict[int, int] = {}
+    exponential, random, integers = rng.exponential, rng.random, rng.integers
+    flow = FlowColumns()
+    add_time, add_type, add_id, add_size, add_price, add_direction = (
+        column.append for column in flow.columns())
+    orders: dict[int, list] = {}
+    live: list[int] = []  # the ids a cancel draw indexes
+    level_orders: dict[int, int] = {}  # one key space: the sides never share a price
+    bids, asks = [], []
     next_id = 1
-    merged_rate = 2.0 * config.arrival_rate_per_side
+    gap_scale = 1.0 / (2.0 * config.arrival_rate_per_side)
     t_seconds = 0.0
     session_seconds = (config.session_end_ns - config.session_start_ns) / NANOS_PER_SECOND
-
-    def drop(order_id: int) -> None:
-        pos = alive_pos.pop(order_id)
-        last = alive.pop()
-        if pos < len(alive):
-            alive[pos] = last
-            alive_pos[last] = pos
-
     while True:
-        t_seconds += rng.exponential(1.0 / merged_rate)
+        t_seconds += exponential(gap_scale)
         if t_seconds > session_seconds:
-            return
-        time_ns = config.session_start_ns + int(round(t_seconds * NANOS_PER_SECOND))
-        if alive and rng.random() < config.cancel_probability:
-            target_id = alive[int(rng.integers(len(alive)))]
-            target = shadow.order(target_id)
-            if target.quantity > 1 and rng.random() < 0.5:
-                cut = int(rng.integers(1, target.quantity))
-                shadow.reduce(target_id, cut)
-                yield LobsterEvent(time_ns, EventType.PARTIAL_CANCEL, target_id,
-                                   cut, target.price_ticks, target.side.sign)
+            return flow
+        add_time(config.session_start_ns + int(round(t_seconds * NANOS_PER_SECOND)))
+        if live and random() < config.cancel_probability:
+            order_id = live[int(integers(len(live)))]
+            direction, price, quantity, slot = entry = orders[order_id]
+            if quantity > 1 and random() < 0.5:
+                size = int(integers(1, quantity))
+                entry[2] = quantity - size
+                add_type(EventType.PARTIAL_CANCEL)
             else:
-                removed = shadow.cancel(target_id)
-                drop(target_id)
-                yield LobsterEvent(time_ns, EventType.DELETE, target_id,
-                                   removed, target.price_ticks, target.side.sign)
-            continue
-        side = Side.BID if rng.random() < 0.5 else Side.ASK
-        size = max(1, math.ceil(rng.gamma(config.size_gamma_shape, config.size_gamma_scale)))
-        offset = int(rng.geometric(config.placement_geometric_p))
-        if side is Side.BID:
-            reference = shadow.best_ask()
-            if reference is None:
-                reference = config.initial_mid_ticks + 1
-            price = max(1, reference - offset)
+                size = quantity
+                live[slot] = last = live[-1]  # swap-remove, the last id moving into the slot
+                orders[last][3] = slot
+                live.pop()
+                del orders[order_id]
+                level_orders[price] -= 1
+                if not level_orders[price]:
+                    del level_orders[price]
+                    (bids if direction == 1 else asks).remove(price)
+                add_type(EventType.DELETE)
         else:
-            reference = shadow.best_bid()
-            if reference is None:
-                reference = config.initial_mid_ticks - 1
-            price = reference + offset
-        order = Order(next_id, -1, side, price, size, OrderKind.LIMIT, time_ns)
-        result = shadow.submit(order)
-        assert not result.fills, "synthetic placement must not cross"
-        alive_pos[next_id] = len(alive)
-        alive.append(next_id)
-        yield LobsterEvent(time_ns, EventType.NEW_LIMIT, next_id, size, price, side.sign)
-        next_id += 1
+            direction = 1 if random() < 0.5 else -1
+            size = max(1, math.ceil(rng.gamma(config.size_gamma_shape, config.size_gamma_scale)))
+            offset = int(rng.geometric(config.placement_geometric_p))
+            if direction == 1:
+                price = max(1, (asks[0] if asks else config.initial_mid_ticks + 1) - offset)
+            else:
+                price = (bids[-1] if bids else config.initial_mid_ticks - 1) + offset
+            order_id = next_id
+            next_id += 1
+            orders[order_id] = [direction, price, size, len(live)]
+            live.append(order_id)
+            level_orders[price] = level_orders.get(price, 0) + 1
+            if level_orders[price] == 1:
+                insort(bids if direction == 1 else asks, price)
+            assert not (bids and asks and bids[-1] >= asks[0]), "placement crossed the book"
+            add_type(EventType.NEW_LIMIT)
+        add_id(order_id)
+        add_size(size)
+        add_price(price)
+        add_direction(direction)
 
 
 def generate_to_file(config: SyntheticFlowConfig, path) -> dict:
     """Write a synthetic stream plus a metadata sidecar (<path>.meta.json);
     returns the sidecar contents."""
-    counts: dict[str, int] = {}
-    total = 0
-
-    def counting(stream):
-        nonlocal total
-        for event in stream:
-            key = event.event_type.name.lower()
-            counts[key] = counts.get(key, 0) + 1
-            total += 1
-            yield event
-
-    write_message_file(counting(generate_synthetic(config)), path)
+    flow = generate_synthetic(config)
+    write_message_file(flow, path)
+    counts = {kind.name.lower(): flow.type.count(kind) for kind in EventType}
     sidecar = {
         "config": asdict(config),
-        "event_counts": dict(sorted(counts.items())),
-        "total_events": total,
+        "event_counts": {name: n for name, n in sorted(counts.items()) if n},
+        "total_events": len(flow),
         "merged_rate_per_second": 2.0 * config.arrival_rate_per_side,
     }
     sidecar_path = str(path) + ".meta.json"

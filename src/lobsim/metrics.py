@@ -19,7 +19,7 @@ import numpy as np
 from scipy import special
 
 from .kernel import NANOS_PER_SECOND, SimulationLog
-from .lobster import EventType, LobsterEvent
+from .lobster import EventType, FlowColumns, LobsterEvent
 from .messages import CancelOrder, LimitOrder, MarketOrder
 from .rl import ActionSpace, EpisodeResult
 
@@ -49,21 +49,21 @@ class FlowSeries:
         self.session = session
 
     @classmethod
-    def _sample(cls, read_times: list, limit_times: list, limit_sizes: list,
+    def _sample(cls, read_times, limit_times, limit_sizes,
                 session: Optional[tuple]) -> "FlowSeries":
-        if session is None and read_times:
-            session = (min(read_times), max(read_times))
+        if session is None and len(read_times):
+            session = (int(np.min(read_times)), int(np.max(read_times)))
         return cls(limit_times, limit_sizes, session, len(read_times))
 
     @classmethod
     def from_events(cls, events: Iterable[LobsterEvent],
                     session: Optional[tuple] = None) -> "FlowSeries":
-        """Every replayable LOBSTER event is read; NEW_LIMIT events form the
-        sample."""
-        read = [e for e in events if e.event_type is not EventType.HALT]
-        limits = [e for e in read if e.event_type is EventType.NEW_LIMIT]
-        return cls._sample([e.time_ns for e in read], [e.time_ns for e in limits],
-                           [e.size for e in limits], session)
+        """Every replayable event is read; NEW_LIMIT events form the sample."""
+        flow = FlowColumns.of(events)
+        times, types, sizes = (np.frombuffer(column, dtype=np.int64)
+                               for column in (flow.time, flow.type, flow.size))
+        limits = types == EventType.NEW_LIMIT
+        return cls._sample(times[types != EventType.HALT], times[limits], sizes[limits], session)
 
     @classmethod
     def from_log(cls, log: SimulationLog, exchange_id: int = 0,

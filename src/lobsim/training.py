@@ -28,7 +28,7 @@ from .agents import (
     TWAPExecutionAgent,
 )
 from .kernel import Agent, KernelConfig, SimTime, SimulationLog, build_kernel, seconds
-from .lobster import SyntheticFlowConfig, generate_synthetic, parse_message_file
+from .lobster import FlowColumns, SyntheticFlowConfig, generate_synthetic, parse_message_file
 from .metrics import ExecutionComparison, execution_report
 from .rl import ActionSpace, EpisodeResult
 
@@ -48,6 +48,7 @@ class DataSource:
     kind: str = "synthetic"  # "synthetic" | "lobster" | "none"
     synthetic: Optional[SyntheticFlowConfig] = None
     paths: list = field(default_factory=list)
+    _last: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def validate(self) -> None:
         if self.kind == "synthetic" and self.synthetic is None:
@@ -57,15 +58,21 @@ class DataSource:
         if self.kind not in ("synthetic", "lobster", "none"):
             raise ValueError(f"unknown data source kind {self.kind!r}")
 
-    def events_for_episode(self, episode: int, base_seed: int) -> list:
+    def events_for_episode(self, episode: int, base_seed: int) -> FlowColumns:
+        """The episode's flow.  The last one is kept for a command that runs
+        its day twice, and dropped before the next is made."""
         self.validate()
         if self.kind == "none":
-            return []
+            return FlowColumns()
         if self.kind == "lobster":
-            path = self.paths[episode % len(self.paths)]
-            return list(parse_message_file(path))
-        flow = replace(self.synthetic, seed=derive_seed(base_seed, FLOW_STREAM, episode))
-        return list(generate_synthetic(flow))
+            key = self.paths[episode % len(self.paths)]
+        else:
+            key = replace(self.synthetic, seed=derive_seed(base_seed, FLOW_STREAM, episode))
+        if self._last is None or self._last[0] != key:
+            self._last = None  # frees the last day before the next is made
+            self._last = (key, FlowColumns.of(parse_message_file(key))
+                          if self.kind == "lobster" else generate_synthetic(key))
+        return self._last[1]
 
 
 @dataclass

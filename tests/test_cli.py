@@ -7,12 +7,15 @@ fast; `main` is invoked in-process to keep exit-code checks cheap.
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import lobsim
 from checkpoint_bytes import corrupt_first_network
 from lobsim import DDQLConfig, MomentumConfig, SyntheticFlowConfig
 from lobsim.cli import (
@@ -362,6 +365,20 @@ class TestGenData:
         assert (tmp_path / "a/synthetic_11.csv").read_bytes() == \
             (tmp_path / "b/synthetic_11.csv").read_bytes()
 
+    def test_identical_bytes_under_different_hash_seeds(self, tmp_path):
+        path = write_config(tmp_path, base_config())
+        src = Path(lobsim.__file__).resolve().parent.parent
+        for hash_seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
+            proc = subprocess.run(
+                [sys.executable, "-m", "lobsim.cli", "gen-data", "--config", str(path),
+                 "--out", str(tmp_path / hash_seed)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+        for name in ("synthetic_11.csv", "synthetic_11.csv.meta.json"):
+            assert (tmp_path / "0" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+
 
 class TestReplay:
     def test_log_counts_match_generated_flow(self, tmp_path):
@@ -609,6 +626,13 @@ class TestRealism:
         assert "interarrival_exponential.rate" in body["deltas"]
         rate_delta = body["deltas"]["interarrival_exponential.rate"]
         assert rate_delta is None or rate_delta >= 0.0
+
+    def test_paired_runs_make_one_flow(self, tmp_path, flows_made):
+        cfg = base_config()
+        cfg["realism"]["paired"] = True
+        path = write_config(tmp_path, cfg)
+        assert main(["realism", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert len(flows_made) == 1
 
     def test_paired_report_keeps_a_refused_fit(self, tmp_path):
         cfg = base_config()

@@ -1,5 +1,6 @@
 """Message-file parsing, canonical serialization, and synthetic flow statistics."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -17,9 +18,10 @@ from lobsim import (
     seconds,
     write_message_file,
 )
-from lobsim.lobster import parse_line, parse_time_seconds
+from lobsim.lobster import FlowColumns, parse_line, parse_time_seconds
 
 from replay_oracle import OracleBook
+from synthetic_reference import reference_synthetic
 
 
 def parse_text(tmp_path, text):
@@ -100,9 +102,10 @@ class TestParsing:
 
 
 class TestRoundTrip:
-    def test_canonical_time_formatting(self):
-        event = parse_line("36000.5,3,42,100,1000000,-1", 1)
-        assert event.to_csv_row() == "36000.500000000,3,42,100,1000000,-1"
+    def test_canonical_time_formatting(self, tmp_path):
+        out = tmp_path / "canonical.csv"
+        write_message_file([parse_line("36000.5,3,42,100,1000000,-1", 1)], out)
+        assert out.read_text() == "36000.500000000,3,42,100,1000000,-1\n"
 
     def test_parse_write_parse_is_identity(self, tmp_path):
         text = (
@@ -189,6 +192,39 @@ class TestSyntheticFlow:
             hour_config(placement_geometric_p=0.0).validate()
         with pytest.raises(ValueError):
             hour_config(session_end_ns=0).validate()
+
+
+class TestColumnarGenerator:
+    @pytest.mark.parametrize("overrides", [
+        dict(cancel_probability=0.0),
+        dict(cancel_probability=0.2),
+        dict(cancel_probability=0.7),
+        dict(cancel_probability=0.95),
+        dict(placement_geometric_p=1.0),
+        dict(placement_geometric_p=0.05),
+        dict(placement_geometric_p=0.05, initial_mid_ticks=5),  # bids clamp at one tick
+        dict(size_gamma_shape=0.2, size_gamma_scale=0.5),  # mostly one-unit orders
+        dict(arrival_rate_per_side=5.0),
+    ], ids=lambda overrides: ",".join(f"{k}={v}" for k, v in overrides.items()))
+    def test_same_stream_as_the_order_book_shadow(self, overrides):
+        config = hour_config(seed=31, session_end_ns=seconds(900), **overrides)
+        flow = generate_synthetic(config)
+        assert list(flow) == list(reference_synthetic(config))
+        assert FlowColumns.of(reference_synthetic(config)) == flow
+
+    def test_default_day_file_is_pinned(self, tmp_path):
+        path = tmp_path / "day.csv"
+        write_message_file(generate_synthetic(SyntheticFlowConfig()), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "57d350aa02efacedb318c7b960e2474f5b037d7fd33f6f150284a7006453f93b"
+
+    def test_rows_are_python_ints(self):
+        flow = generate_synthetic(hour_config(seed=4, session_end_ns=seconds(60)))
+        event = next(iter(flow))
+        assert type(flow.price[0]) is int
+        assert event.event_type is EventType.NEW_LIMIT
+        assert [type(value) for value in (event.time_ns, event.order_id, event.size,
+                                          event.price, event.direction)] == [int] * 5
 
 
 class TestGenerateToFile:

@@ -16,7 +16,7 @@ from lobsim import training
 from lobsim.agents import DDQLConfig, ExchangeAgent, LearnerState, TWAPExecutionAgent
 from lobsim.book import BookSnapshot, Fill, Order, OrderKind, PriceLevel, Side
 from lobsim.kernel import seconds
-from lobsim.lobster import EventType, LobsterEvent, SyntheticFlowConfig
+from lobsim.lobster import EventType, LobsterEvent, SyntheticFlowConfig, parse_message_file
 from lobsim.messages import (
     CancelOrder,
     LimitOrder,
@@ -117,7 +117,7 @@ class TestDeriveSeed:
 
 class TestDataSource:
     def test_none_yields_no_events(self):
-        assert DataSource("none").events_for_episode(0, 7) == []
+        assert len(DataSource("none").events_for_episode(0, 7)) == 0
 
     def test_synthetic_requires_flow_config(self):
         with pytest.raises(ValueError, match="flow config"):
@@ -132,12 +132,37 @@ class TestDataSource:
             DataSource("flat-file").validate()
 
     def test_synthetic_events_deterministic_per_episode(self):
-        source = DataSource("synthetic", synthetic=small_flow())
-        first = source.events_for_episode(0, base_seed=7)
-        again = source.events_for_episode(0, base_seed=7)
-        other = source.events_for_episode(1, base_seed=7)
+        first = DataSource("synthetic", synthetic=small_flow()).events_for_episode(0, 7)
+        again = DataSource("synthetic", synthetic=small_flow()).events_for_episode(0, 7)
+        other = DataSource("synthetic", synthetic=small_flow()).events_for_episode(1, 7)
+        assert first is not again
         assert first == again
         assert first != other
+
+    def test_the_last_flow_is_made_once(self, flows_made):
+        source = DataSource("synthetic", synthetic=small_flow())
+        first = source.events_for_episode(0, 7)
+        assert source.events_for_episode(0, 7) is first
+        assert len(flows_made) == 1
+        del first
+        other = source.events_for_episode(1, 7)
+        assert source.events_for_episode(1, 7) is other
+        assert len(flows_made) == 2
+
+    def test_a_lobster_file_is_parsed_once_for_every_episode(self, tmp_path, monkeypatch):
+        day = tmp_path / "day.csv"
+        day.write_text("100.000000000,1,11,21,1000000,1\n")
+        parsed = []
+
+        def counted(path):
+            parsed.append(path)
+            return parse_message_file(path)
+
+        monkeypatch.setattr(training, "parse_message_file", counted)
+        source = DataSource("lobster", paths=[day])
+        flows = [source.events_for_episode(episode, 7) for episode in range(3)]
+        assert parsed == [day]
+        assert list(flows[0].id) == [11]
 
     def test_synthetic_seed_comes_from_run_not_flow_config(self):
         # The flow config's own seed field is overridden per episode, so two
@@ -367,6 +392,10 @@ class TestMemory:
         train(setup)
         assert freed == [True, True, True]
 
+    def test_train_makes_one_flow_per_episode(self, tmp_path, flows_made):
+        train(make_setup(tmp_path / "run", ddql=small_ddql(episodes=3)))
+        assert len(flows_made) == 3
+
     STATE = StateVector(0.5, 0.5, 1.0, 0.0, 0.0, 0.0)
     SNAPSHOT = BookSnapshot(((99, 10),), ((101, 5),), 100)
 
@@ -421,6 +450,13 @@ class TestEvaluate:
         body = evaluation.comparison.to_dict()
         assert body["candidate"]["fill_ratio"] == \
             evaluation.candidate.result.fill_ratio
+
+    def test_candidate_and_baseline_share_one_flow(self, tmp_path, flows_made):
+        setup = make_setup(tmp_path / "run", ddql=small_ddql(episodes=1))
+        ckpt = train(setup).last_checkpoint
+        flows_made.clear()
+        evaluate(make_setup(tmp_path / "run", ddql=small_ddql(episodes=1)), ckpt)
+        assert len(flows_made) == 1
 
     def test_explicit_episode_override(self, tmp_path):
         setup = make_setup(tmp_path / "run", ddql=small_ddql(episodes=1))

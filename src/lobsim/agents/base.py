@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from ..book import Side
 from ..kernel import Agent
-from ..messages import CancelOrder, LimitOrder, MarketDataQuery, MarketOrder
+from ..messages import EXCHANGE_ID, CancelOrder, LimitOrder, MarketDataQuery, MarketOrder
 
 # Each agent's order ids live in a disjoint band so they can never collide
 # with replayed historical ids (which are far smaller in practice).
@@ -12,11 +12,10 @@ ORDER_ID_BAND = 10**12
 
 
 class TradingAgent(Agent):
-    """An agent that submits orders to a single exchange agent."""
+    """An agent that submits orders to the exchange at EXCHANGE_ID."""
 
-    def __init__(self, exchange_id: int = 0, name: str = ""):
+    def __init__(self, name: str = ""):
         super().__init__(name)
-        self.exchange_id = exchange_id
         self._order_seq = 0
         self._queries: dict[int, MarketDataQuery] = {}  # one frozen query per depth
 
@@ -26,21 +25,21 @@ class TradingAgent(Agent):
 
     def send_limit(self, side: Side, quantity: int, price_ticks: int) -> int:
         order_id = self.next_order_id()
-        self.kernel.send(self.agent_id, self.exchange_id,
+        self.kernel.send(self.agent_id, EXCHANGE_ID,
                          LimitOrder(order_id, side, quantity, price_ticks))
         return order_id
 
     def send_market(self, side: Side, quantity: int) -> int:
         order_id = self.next_order_id()
-        self.kernel.send(self.agent_id, self.exchange_id,
+        self.kernel.send(self.agent_id, EXCHANGE_ID,
                          MarketOrder(order_id, side, quantity))
         return order_id
 
     def send_cancel(self, order_id: int, quantity=None) -> None:
-        self.kernel.send(self.agent_id, self.exchange_id, CancelOrder(order_id, quantity))
+        self.kernel.send(self.agent_id, EXCHANGE_ID, CancelOrder(order_id, quantity))
 
     def query_market_data(self, depth: int = 3) -> None:
         query = self._queries.get(depth)
         if query is None:
             query = self._queries[depth] = MarketDataQuery(depth)
-        self.kernel.send(self.agent_id, self.exchange_id, query)
+        self.kernel.send(self.agent_id, EXCHANGE_ID, query)

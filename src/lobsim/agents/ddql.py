@@ -57,9 +57,7 @@ from ..rl import (
     Batch,
     EpisodeResult,
     Experience,
-    FillRecord,
     ReplayBuffer,
-    RewardParams,
     StateVector,
     compute_reward,
     featurize,
@@ -295,28 +293,27 @@ class LearnerState:
 
 
 class DDQLExecutionAgent(TradingAgent):
-    """Kernel-resident executor for one episode, driven by a LearnerState."""
+    """Kernel-resident executor for one episode, driven by a LearnerState.
+    The action trace holds one action per period stepped, so its length is
+    the period index and its last entry the previous action."""
 
-    _PERIOD, _TERMINAL_SNAPSHOT, _TERMINAL_FILL, _DONE = range(4)
+    _PERIOD, _TERMINAL_SNAPSHOT, _TERMINAL_FILL = range(3)
 
     def __init__(self, config: DDQLConfig, learner: LearnerState,
                  epsilon: Optional[float] = None, train_enabled: bool = True,
-                 exchange_id: int = 0, name: str = "ddql"):
+                 name: str = "ddql"):
         config.validate()
-        super().__init__(exchange_id, name)
+        super().__init__(name)
         self.config = config
         self.learner = learner
         self.epsilon = learner.epsilon if epsilon is None else epsilon
         self.train_enabled = train_enabled
         self._phase = self._PERIOD
-        self._period = 0
         self._open_orders: dict[int, int] = {}
-        self._period_fills: list[FillRecord] = []
         self._notional = 0  # sum of quantity * price over every fill, in ticks
+        self._period_filled = self._period_notional = 0  # this period's fills, for its reward
         self._mids: list[float] = []
         self._prev_state: Optional[StateVector] = None
-        self._prev_action: Optional[int] = None
-        self._reward_params: Optional[RewardParams] = None
         self._syncs_at_start = learner.sync_count
         self.result = EpisodeResult(episode=learner.episode_index,
                                     parent_quantity=config.parent_quantity,
@@ -334,9 +331,11 @@ class DDQLExecutionAgent(TradingAgent):
 
     def on_message(self, now: SimTime, sender_id: int, payload) -> None:
         if isinstance(payload, OrderExecuted):
+            notional = payload.quantity * payload.price
             self.result.filled_quantity += payload.quantity
-            self._notional += payload.quantity * payload.price
-            self._period_fills.append(FillRecord(payload.quantity, payload.price))
+            self._notional += notional
+            self._period_filled += payload.quantity
+            self._period_notional += notional
             remaining = self._open_orders.get(payload.order_id)
             if remaining is not None:
                 remaining -= payload.quantity
@@ -368,26 +367,24 @@ class DDQLExecutionAgent(TradingAgent):
     def _period_step(self, snapshot) -> None:
         config = self.config
         learner = self.learner
-        i = self._period
-        state = featurize(i, config.num_periods, self.result.filled_quantity,
+        result = self.result
+        i = len(result.action_trace)
+        state = featurize(i, config.num_periods, result.filled_quantity,
                           config.parent_quantity, snapshot, self._mids)
         if i == 0:
             mid = snapshot.mid_price
-            arrival = mid if mid is not None else float(config.parent_quantity)
-            self._reward_params = RewardParams(config.reward_scale,
-                                               config.parent_quantity, arrival)
-            self.result.arrival_price = arrival
+            result.arrival_price = mid if mid is not None else float(config.parent_quantity)
         else:
             self._store_reward(state, terminal=False)
         if self.train_enabled and i % config.train_every == 0 and learner.buffer.ready:
             batch = learner.buffer.sample(config.batch_size, learner.rng)
             loss = learner.train_once(batch)
-            self.result.losses.append(loss)
-            self.result.train_steps += 1
+            result.losses.append(loss)
+            result.train_steps += 1
         acting = learner.target_params if config.act_with_target_net else learner.eval_params
         action_index = select_action(state, self.epsilon, learner.rng, acting,
                                      len(learner.action_space))
-        remaining = config.parent_quantity - self.result.filled_quantity
+        remaining = config.parent_quantity - result.filled_quantity
         children = schedule_orders(learner.action_space.decode(action_index), remaining,
                                    config.twap_child_quantity, snapshot, config.side)
         for child in children:
@@ -402,31 +399,32 @@ class DDQLExecutionAgent(TradingAgent):
         if mid is not None:
             self._mids.append(mid)
         self._prev_state = state
-        self._prev_action = action_index
-        self.result.action_trace.append(action_index)
-        self._period += 1
-        if self._period < config.num_periods:
+        result.action_trace.append(action_index)
+        if i + 1 < config.num_periods:
             self.kernel.schedule_wakeup(
-                self.agent_id, config.session_start + self._period * config.period)
+                self.agent_id, config.session_start + (i + 1) * config.period)
         else:
             self._phase = self._TERMINAL_SNAPSHOT
             self.kernel.schedule_wakeup(self.agent_id, config.session_end)
 
     def _store_reward(self, next_state: StateVector, terminal: bool) -> None:
-        reward = compute_reward(self._period_fills, self._reward_params)
+        """Stores the transition out of the previous period, rewarded with
+        that period's fills."""
+        config = self.config
+        reward = compute_reward(self._period_filled, self._period_notional,
+                                self.result.arrival_price, config.parent_quantity,
+                                config.reward_scale)
         self.result.total_reward += reward
-        self.learner.buffer.push(Experience(self._prev_state, self._prev_action,
+        self.learner.buffer.push(Experience(self._prev_state, self.result.action_trace[-1],
                                             reward, next_state, terminal))
-        self._period_fills = []
+        self._period_filled = self._period_notional = 0
 
     def _finish(self, snapshot) -> None:
         config = self.config
         terminal_state = featurize(config.num_periods, config.num_periods,
                                    self.result.filled_quantity, config.parent_quantity,
                                    snapshot, self._mids)
-        if self._prev_state is not None:
-            self._store_reward(terminal_state, terminal=True)
-        self._phase = self._DONE
+        self._store_reward(terminal_state, terminal=True)
         self.result.partial = False
 
     def on_stop(self) -> None:
@@ -437,7 +435,7 @@ class DDQLExecutionAgent(TradingAgent):
     def state_summary(self) -> dict:
         return {
             "filled_quantity": self.result.filled_quantity,
-            "periods_completed": self._period,
+            "periods_completed": len(self.result.action_trace),
             "train_steps": self.result.train_steps,
             "partial": self.result.partial,
         }

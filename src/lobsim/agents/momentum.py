@@ -51,10 +51,10 @@ class MomentumAgent(TradingAgent):
     """Polls every poll_interval, keeps a mid-price history, and maintains at
     most one resting limit order at its own side's best price."""
 
-    def __init__(self, config: MomentumConfig, exchange_id: int = 0,
-                 poll_offset: SimTime = 0, name: str = "momentum"):
+    def __init__(self, config: MomentumConfig, poll_offset: SimTime = 0,
+                 name: str = "momentum"):
         config.validate()
-        super().__init__(exchange_id, name)
+        super().__init__(name)
         self.config = config
         self.poll_offset = poll_offset
         self.mids: deque = deque(maxlen=config.long_window)

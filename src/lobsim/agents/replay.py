@@ -19,14 +19,13 @@ from typing import Iterable
 from ..book import Side
 from ..kernel import SimTime
 from ..lobster import EventType, FlowColumns, LobsterEvent
-from ..messages import LimitOrder, MarketOrder, CancelOrder
+from ..messages import EXCHANGE_ID, CancelOrder, LimitOrder, MarketOrder
 from .base import TradingAgent
 
 
 class MarketReplayAgent(TradingAgent):
-    def __init__(self, events: Iterable[LobsterEvent], exchange_id: int = 0,
-                 name: str = "replay"):
-        super().__init__(exchange_id, name)
+    def __init__(self, events: Iterable[LobsterEvent], name: str = "replay"):
+        super().__init__(name)
         self.flow = FlowColumns.of(events)
         self._cursor = 0
         self.submitted = 0
@@ -63,7 +62,7 @@ class MarketReplayAgent(TradingAgent):
             key = EventType(event_type).name.lower()
             self.skipped[key] = self.skipped.get(key, 0) + 1
             return
-        self.kernel.send(self.agent_id, self.exchange_id, payload)
+        self.kernel.send(self.agent_id, EXCHANGE_ID, payload)
         self.submitted += 1
 
     def state_summary(self) -> dict:

@@ -31,13 +31,12 @@ class TWAPExecutionAgent(TradingAgent):
     """Trades the parent order of a DDQLConfig, reading only its side,
     quantity, session start, period, period count and action grid."""
 
-    def __init__(self, config: DDQLConfig, exchange_id: int = 0, name: str = "twap"):
-        super().__init__(exchange_id, name)
+    def __init__(self, config: DDQLConfig, name: str = "twap"):
+        super().__init__(name)
         self.config = config
         self.schedule = twap_schedule(config)
         # every period is the same action: the TWAP child at multiplier 1.0
         self.action = ActionSpace(config.multipliers).encode(1.0, PLACEMENT_MARKET)
-        self._period = 0
         self._notional = 0  # sum of quantity * price over every fill, in ticks
         self.result = EpisodeResult(episode=0, parent_quantity=config.parent_quantity)
 
@@ -59,13 +58,13 @@ class TWAPExecutionAgent(TradingAgent):
         mid = payload.snapshot.mid_price
         if self.result.arrival_price is None and mid is not None:
             self.result.arrival_price = mid
-        quantity = self.schedule[self._period][1]
+        trace = self.result.action_trace
+        quantity = self.schedule[len(trace)][1]
         if quantity > 0:
             self.send_market(self.config.side, quantity)
-        self.result.action_trace.append(self.action)
-        self._period += 1
-        if self._period < len(self.schedule):
-            self.kernel.schedule_wakeup(self.agent_id, self.schedule[self._period][0])
+        trace.append(self.action)
+        if len(trace) < len(self.schedule):
+            self.kernel.schedule_wakeup(self.agent_id, self.schedule[len(trace)][0])
 
     def on_stop(self) -> None:
         if self.result.filled_quantity > 0:

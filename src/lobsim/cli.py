@@ -28,7 +28,7 @@ from typing import Optional
 
 import yaml
 
-from .agents import DDQLConfig, LearnerState, MomentumConfig
+from .agents import DDQLConfig, DDQLExecutionAgent, LearnerState, MomentumConfig
 from .book import Side
 from .kernel import NANOS_PER_SECOND, seconds, time_from_str, time_to_str
 from .lobster import LobsterParseError, SyntheticFlowConfig, generate_to_file
@@ -84,11 +84,21 @@ def _side(name) -> Side:
     return Side.BID if name == "buy" else Side.ASK
 
 
+DAY = 24 * 3600 * NANOS_PER_SECOND  # simulated time stays inside one day
+
+
+def _clock(value) -> int:
+    """A clock time is "HH:MM:SS[.f]" or integer nanoseconds, never a float
+    or bool, and lies inside the day."""
+    t = time_from_str(value) if isinstance(value, str) else _coerce(int)(value)
+    if not 0 <= t < DAY:
+        raise ValueError(f"must lie in [00:00:00, 24:00:00), got {value!r}")
+    return t
+
+
 # (load, dump): YAML value -> field value, field default -> YAML value
 SECONDS = (lambda value: seconds(float(value)), lambda t: t / NANOS_PER_SECOND)
-# a clock time is "HH:MM:SS[.f]" or integer nanoseconds, never a float or bool
-CLOCK = (lambda value: time_from_str(value) if isinstance(value, str) else _coerce(int)(value),
-         lambda t: time_to_str(t).removesuffix(".000000000"))
+CLOCK = (_clock, lambda t: time_to_str(t).removesuffix(".000000000"))
 SIDE = (_side, lambda side: "buy" if side is Side.BID else "sell")
 
 # The keys that are not their field's name with its default's type:
@@ -268,6 +278,13 @@ def build_setup(cfg: dict) -> RunSetup:
     setup = RunSetup(ddql=_build(DDQLConfig, cfg, "ddql"), data=build_data_source(cfg),
                      momentum=_build(MomentumConfig, cfg, "roster.momentum"),
                      **_fields(cfg), **_fields(cfg, "kernel"), **_fields(cfg, "roster"))
+    kernel = setup.kernel_config(0)
+    if kernel.start_time < 0:
+        raise ConfigError("kernel.warmup_seconds: puts the kernel's start before 00:00:00, "
+                          f"got {setup.warmup / NANOS_PER_SECOND:g}")
+    if kernel.stop_time >= DAY:
+        raise ConfigError("kernel.post_margin_seconds: puts the kernel's stop at or past "
+                          f"24:00:00, got {setup.post_margin / NANOS_PER_SECOND:g}")
     least = CLOSING_HOPS * (setup.latency_nanos + setup.computation_delay_nanos)
     if setup.post_margin < least:
         # the kernel would stop before the closing order fills
@@ -313,7 +330,7 @@ def cmd_gen_data(cfg: dict, args: argparse.Namespace, out_dir: Path) -> int:
 def cmd_replay(cfg: dict, args: argparse.Namespace, out_dir: Path) -> int:
     setup = build_setup(cfg)
     setup.momentum_count = 0
-    outcome = run_episode(setup, 0, executor="none")
+    outcome = run_episode(setup, 0)
     outcome.log.to_jsonl(out_dir / "replay_log.jsonl")
     with open(out_dir / "book_final.csv", "w") as fh:
         fh.write(outcome.exchange.book.depth_csv())
@@ -405,13 +422,12 @@ def cmd_realism(cfg: dict, args: argparse.Namespace, out_dir: Path) -> int:
     setup = build_setup(cfg)
     if args.checkpoint:
         learner = LearnerState.load(Path(args.checkpoint), setup.ddql, setup.seed)
-        epsilon = 0.0
+        learner.epsilon = 0.0
     else:
-        learner = LearnerState(setup.ddql, setup.seed)
-        epsilon = setup.ddql.epsilon_start
-    with_agent = run_episode(setup, 0, learner, executor="ddql",
-                             train_enabled=False, epsilon=epsilon)
-    without_agent = run_episode(setup, 0, executor="none")
+        learner = LearnerState(setup.ddql, setup.seed)  # acts at epsilon_start
+    with_agent = run_episode(setup, 0, DDQLExecutionAgent(setup.ddql, learner,
+                                                          train_enabled=False))
+    without_agent = run_episode(setup, 0)
     session = (setup.ddql.session_start, setup.ddql.session_end)
     flow_with = FlowSeries.from_log(with_agent.log, session=session)
     flow_without = FlowSeries.from_log(without_agent.log, session=session)

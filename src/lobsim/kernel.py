@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import gc
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import count
 from typing import Any, NamedTuple, Optional
@@ -97,17 +97,12 @@ class KernelConfig:
     latency_nanos: int = 0
     computation_delay_nanos: int = 0
     rng_seed: int = 0
-    # overrides keyed by (sender_id, recipient_id); the scalar applies elsewhere
-    latency_overrides: dict = field(default_factory=dict)
 
     def validate(self) -> None:
         if self.start_time >= self.stop_time:
             raise ValueError("start_time must precede stop_time")
         if self.latency_nanos < 0 or self.computation_delay_nanos < 0:
             raise ValueError("latency and computation delay must be non-negative")
-        for value in self.latency_overrides.values():
-            if value < 0:
-                raise ValueError("latency overrides must be non-negative")
 
 
 class LogRecord(NamedTuple):
@@ -235,17 +230,14 @@ class Kernel:
 
     def send(self, sender_id: int, recipient_id: int, payload: Any) -> SimTime:
         """Enqueue `payload` for delivery after the computation delay and
-        the pair's latency; returns the delivery time."""
+        the latency; returns the delivery time."""
         n = len(self.agents)
         if not (0 <= sender_id < n and 0 <= recipient_id < n):
             if not 0 <= sender_id < n:
                 raise KernelError(f"unregistered agent {sender_id}")
             raise UnknownRecipientError(f"unknown recipient {recipient_id}")
         config = self.config
-        overrides = config.latency_overrides
-        latency = overrides.get((sender_id, recipient_id), config.latency_nanos) \
-            if overrides else config.latency_nanos
-        deliver_at = self.now + config.computation_delay_nanos + latency
+        deliver_at = self.now + config.computation_delay_nanos + config.latency_nanos
         heappush(self._queue, (deliver_at, next(self._sequence), sender_id, recipient_id, payload))
         return deliver_at
 

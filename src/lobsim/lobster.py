@@ -213,8 +213,10 @@ class SyntheticFlowConfig:
             raise ValueError("arrival_rate_per_side must be positive and finite")
         if not (0 < self.size_gamma_shape < math.inf and 0 < self.size_gamma_scale < math.inf):
             raise ValueError("size_gamma_shape and size_gamma_scale must be positive and finite")
-        if not 0 < self.placement_geometric_p <= 1:
-            raise ValueError("placement_geometric_p must be in (0, 1]")
+        # an offset draw stays below about 45 / p ticks, so the floor keeps
+        # every price far inside the int64 price column
+        if not 1e-9 <= self.placement_geometric_p <= 1:
+            raise ValueError("placement_geometric_p must be in [1e-9, 1]")
         if not 0 <= self.cancel_probability < 1:
             raise ValueError("cancel_probability must be in [0, 1)")
         if self.initial_mid_ticks <= 1:

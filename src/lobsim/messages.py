@@ -12,6 +12,9 @@ from typing import Optional
 
 from .book import BookSnapshot, Side
 
+# The exchange's kernel id: every roster registers the exchange first.
+EXCHANGE_ID = 0
+
 
 @dataclass(frozen=True, slots=True)
 class LimitOrder:

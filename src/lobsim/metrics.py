@@ -20,7 +20,7 @@ from scipy import special
 
 from .kernel import NANOS_PER_SECOND, SimulationLog
 from .lobster import EventType, FlowColumns, LobsterEvent
-from .messages import CancelOrder, LimitOrder, MarketOrder
+from .messages import EXCHANGE_ID, CancelOrder, LimitOrder, MarketOrder
 from .rl import ActionSpace, EpisodeResult
 
 
@@ -66,13 +66,12 @@ class FlowSeries:
         return cls._sample(times[types != EventType.HALT], times[limits], sizes[limits], session)
 
     @classmethod
-    def from_log(cls, log: SimulationLog, exchange_id: int = 0,
-                 session: Optional[tuple] = None) -> "FlowSeries":
+    def from_log(cls, log: SimulationLog, session: Optional[tuple] = None) -> "FlowSeries":
         """Inbound order traffic to the exchange, read off the kernel log;
         its limit orders form the sample."""
         read, times, sizes = [], [], []
         for rec in log.records:
-            if rec.recipient_id != exchange_id:
+            if rec.recipient_id != EXCHANGE_ID:
                 continue
             payload = rec.payload
             if isinstance(payload, LimitOrder):
@@ -383,14 +382,12 @@ class ExecutionComparison:
         }
 
 
-def trace_distance(action_trace: Sequence[int],
-                   action_space: Optional[ActionSpace] = None) -> float:
+def trace_distance(action_trace: Sequence[int], action_space: ActionSpace) -> float:
     """Mean |a_i - 1| over the trace's multipliers: 0 means TWAP-identical
     sizing, since |a*N - N|/N reduces to |a - 1|."""
     if not action_trace:
         return 0.0
-    space = action_space or ActionSpace()
-    return float(np.mean([abs(space.decode(i).multiplier - 1.0) for i in action_trace]))
+    return float(np.mean([abs(action_space.decode(i).multiplier - 1.0) for i in action_trace]))
 
 
 def _run_summary(result: EpisodeResult) -> dict:
@@ -405,7 +402,7 @@ def _run_summary(result: EpisodeResult) -> dict:
 
 
 def execution_report(episode: EpisodeResult, twap_baseline: EpisodeResult,
-                     action_space: Optional[ActionSpace] = None) -> ExecutionComparison:
+                     action_space: ActionSpace) -> ExecutionComparison:
     """Side-by-side execution quality, candidate vs the TWAP baseline run on
     identical data and seeds."""
     if episode.parent_quantity != twap_baseline.parent_quantity:

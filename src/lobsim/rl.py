@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -184,39 +184,22 @@ def _placement_prices(snapshot: BookSnapshot, side: Side, depth: int) -> list:
     return prices
 
 
-class FillRecord(NamedTuple):
-    """Minimal fill view for reward computation."""
-
-    quantity: int
-    price_ticks: int
-
-
-@dataclass
-class RewardParams:
-    reward_scale: float  # the paper-style scaling constant, > 0
-    parent_quantity: int
-    arrival_price: float  # mid at episode start, ticks
-
-    def validate(self) -> None:
-        if self.reward_scale <= 0:
-            raise ValueError("reward_scale must be positive")
-        if self.parent_quantity <= 0:
-            raise ValueError("parent_quantity must be positive")
-        if self.arrival_price <= 0:
-            raise ValueError("arrival_price must be positive")
-
-
-def compute_reward(fills: Sequence, params: RewardParams) -> float:
+def compute_reward(filled: int, notional: int, arrival_price: float,
+                   parent_quantity: int, reward_scale: float) -> float:
     """R = (1 - |P_fill - P_arrival| / P_arrival) * scale * N_t / N with
-    P_fill the quantity-weighted fill price this period; 0 without fills."""
-    params.validate()
-    filled = sum(f.quantity for f in fills)
+    N_t the period's filled quantity and P_fill = notional / N_t its
+    quantity-weighted fill price; 0 without fills."""
+    if reward_scale <= 0:
+        raise ValueError("reward_scale must be positive")
+    if parent_quantity <= 0:
+        raise ValueError("parent_quantity must be positive")
+    if arrival_price <= 0:
+        raise ValueError("arrival_price must be positive")
     if filled == 0:
         return 0.0
-    notional = sum(f.quantity * f.price_ticks for f in fills)
     fill_price = notional / filled
-    slippage = abs(fill_price - params.arrival_price) / params.arrival_price
-    return (1.0 - slippage) * params.reward_scale * filled / params.parent_quantity
+    slippage = abs(fill_price - arrival_price) / arrival_price
+    return (1.0 - slippage) * reward_scale * filled / parent_quantity
 
 
 @dataclass(frozen=True, slots=True)

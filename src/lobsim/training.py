@@ -25,6 +25,7 @@ from .agents import (
     MarketReplayAgent,
     MomentumAgent,
     MomentumConfig,
+    TradingAgent,
     TWAPExecutionAgent,
 )
 from .kernel import Agent, KernelConfig, SimTime, SimulationLog, build_kernel, seconds
@@ -103,31 +104,17 @@ class RunSetup:
 
 @dataclass
 class EpisodeOutcome:
-    result: Optional[EpisodeResult]
     log: SimulationLog
     exchange: ExchangeAgent
-    executor: Optional[Agent]
-    twap_twin: Optional[TWAPExecutionAgent] = None
 
 
-def run_episode(
-    setup: RunSetup,
-    episode: int,
-    learner: Optional[LearnerState] = None,
-    *,
-    executor: str = "ddql",
-    train_enabled: bool = True,
-    epsilon: Optional[float] = None,
-) -> EpisodeOutcome:
-    """One full kernel session with the configured roster.
-
-    executor "ddql" needs a learner; "twap" swaps the learning agent for the
-    benchmark in the same roster slot so paired runs stay seed-aligned;
-    "none" runs only the background roster.  A TWAP twin trades beside the
-    learner exactly when the executor is "ddql", train_enabled is set and
-    setup.include_twap_twin is set: training episodes carry it, greedy
-    evaluation and paired realism runs do not.
-    """
+def run_episode(setup: RunSetup, episode: int,
+                executor: Optional[TradingAgent] = None) -> EpisodeOutcome:
+    """One full kernel session: the background roster, then `executor`, if
+    given, whose result is stamped with the episode index.  A TWAP twin
+    trades beside a training DDQL executor when setup.include_twap_twin is
+    set: training episodes carry it, greedy evaluation and paired realism
+    runs do not."""
     events = setup.data.events_for_episode(episode, setup.seed)
     agents: list[Agent] = [ExchangeAgent()]
     if events:
@@ -136,30 +123,14 @@ def run_episode(
     for i in range(setup.momentum_count):
         agents.append(MomentumAgent(replace(setup.momentum), poll_offset=i * stagger,
                                     name=f"momentum-{i}"))
-    twin = None
-    if executor == "ddql" and train_enabled and setup.include_twap_twin:
-        twin = TWAPExecutionAgent(setup.ddql, name="twap-benchmark")
-        agents.append(twin)
-    if executor == "ddql":
-        if learner is None:
-            raise ValueError("ddql executor needs a LearnerState")
-        agent = DDQLExecutionAgent(setup.ddql, learner, epsilon=epsilon,
-                                   train_enabled=train_enabled)
-    elif executor == "twap":
-        agent = TWAPExecutionAgent(setup.ddql)
-    elif executor == "none":
-        agent = None
-    else:
-        raise ValueError(f"unknown executor {executor!r}")
-    if agent is not None:
-        agents.append(agent)
-    kernel = build_kernel(setup.kernel_config(episode), agents)
-    log = kernel.run()
-    result = None
-    if agent is not None:
-        result = agent.result
-        result.episode = episode
-    return EpisodeOutcome(result, log, agents[0], agent, twin)
+    if executor is not None:
+        executor.result.episode = episode
+        if setup.include_twap_twin and isinstance(executor, DDQLExecutionAgent) \
+                and executor.train_enabled:
+            agents.append(TWAPExecutionAgent(setup.ddql, name="twap-benchmark"))
+        agents.append(executor)
+    log = build_kernel(setup.kernel_config(episode), agents).run()
+    return EpisodeOutcome(log, agents[0])
 
 
 LEARNING_CURVE_COLUMNS = ("episode", "total_reward", "filled_quantity",
@@ -222,10 +193,11 @@ def train(setup: RunSetup, resume: bool = False) -> TrainOutcome:
     last_good = latest_checkpoint(out_dir) if resume else None
     for episode in range(learner.episode_index, setup.ddql.episodes):
         learner.epsilon = setup.ddql.epsilon_for_episode(episode)
-        # keep only the result: a held outcome would keep the episode's
-        # kernel, log, book and flow alive through the next episode
-        result = run_episode(setup, episode, learner, executor="ddql",
-                             train_enabled=True, epsilon=learner.epsilon).result
+        executor = DDQLExecutionAgent(setup.ddql, learner)
+        # the outcome is dropped: held, it would keep the episode's log,
+        # book and flow alive through the next episode
+        run_episode(setup, episode, executor)
+        result = executor.result
         learner.episode_index = episode + 1
         path = checkpoint_path(out_dir, episode)
         try:
@@ -256,8 +228,8 @@ def _read_curve_rows(path: Path, upto_episode: int) -> list:
 @dataclass
 class EvaluationOutcome:
     comparison: ExecutionComparison
-    candidate: EpisodeOutcome
-    baseline: EpisodeOutcome
+    candidate: DDQLExecutionAgent
+    baseline: TWAPExecutionAgent
 
 
 def evaluate(setup: RunSetup, checkpoint: Path,
@@ -265,20 +237,19 @@ def evaluate(setup: RunSetup, checkpoint: Path,
     """Greedy DDQL run and a TWAP run on the same episode seeds, compared."""
     learner = LearnerState.load(checkpoint, setup.ddql, setup.seed)
     index = learner.episode_index if episode is None else episode
-    candidate = run_episode(setup, index, learner, executor="ddql",
-                            train_enabled=False, epsilon=0.0)
-    baseline = run_episode(setup, index, None, executor="twap")
+    candidate = DDQLExecutionAgent(setup.ddql, learner, epsilon=0.0, train_enabled=False)
+    baseline = TWAPExecutionAgent(setup.ddql)
+    run_episode(setup, index, candidate)
+    run_episode(setup, index, baseline)
     comparison = execution_report(candidate.result, baseline.result,
                                   ActionSpace(setup.ddql.multipliers))
     return EvaluationOutcome(comparison, candidate, baseline)
 
 
-def write_action_trace(result: EpisodeResult, path: Path,
-                       action_space: Optional[ActionSpace] = None) -> None:
-    space = action_space or ActionSpace()
+def write_action_trace(result: EpisodeResult, path: Path, action_space: ActionSpace) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["period", "action_index", "multiplier", "placement"])
         for period, index in enumerate(result.action_trace):
-            action = space.decode(index)
+            action = action_space.decode(index)
             writer.writerow([period, index, action.multiplier, action.placement])

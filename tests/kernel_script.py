@@ -75,8 +75,7 @@ def expected_log(scripts: list[Script], config: KernelConfig):
     pings = []  # (deliver_at, seq, sender, recipient, marker)
     for at, _, agent_idx, sends in delivered_wakeups:
         for recipient, marker in sends:
-            latency = config.latency_overrides.get((agent_idx, recipient), config.latency_nanos)
-            deliver_at = at + config.computation_delay_nanos + latency
+            deliver_at = at + config.computation_delay_nanos + config.latency_nanos
             pings.append((deliver_at, seq, agent_idx, recipient, marker))
             seq += 1
 

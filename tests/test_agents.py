@@ -24,6 +24,7 @@ from lobsim.book import BookSnapshot, Order, OrderKind
 from lobsim.kernel import Agent
 from lobsim.lobster import EventType, LobsterEvent
 from lobsim.messages import (
+    EXCHANGE_ID,
     CancelOrder,
     LimitOrder,
     MarketDataQuery,
@@ -221,14 +222,14 @@ def replay_setup(events, latency=0, stop=None, exchange=None):
     stop = stop if stop is not None else (events[-1].time_ns if events else 0) + seconds(1)
     config = KernelConfig(start_time=0, stop_time=stop, latency_nanos=latency)
     exchange = exchange or ExchangeAgent()
-    replay = MarketReplayAgent(events, exchange_id=0)
+    replay = MarketReplayAgent(events)
     log = run_simulation(config, [exchange, replay])
     return exchange, replay, log
 
 
-def inbound(log, exchange_id=0):
+def inbound(log):
     """(time, payload) of every message the exchange received."""
-    return [(r.time, r.payload) for r in log.records if r.recipient_id == exchange_id]
+    return [(r.time, r.payload) for r in log.records if r.recipient_id == EXCHANGE_ID]
 
 
 class TestMarketReplay:
@@ -276,7 +277,7 @@ class TestMarketReplay:
             LobsterEvent(900, EventType.NEW_LIMIT, 2, 10, 999_000, 1),
             LobsterEvent(1_500, EventType.NEW_LIMIT, 3, 10, 998_000, 1),
         ]
-        replay = MarketReplayAgent(events, exchange_id=0)
+        replay = MarketReplayAgent(events)
         log = run_simulation(config, [ExchangeAgent(), replay])
         assert [(time, type(p), p.quantity) for time, p in inbound(log)] == [
             (1_000, LimitOrder, 10), (1_000, LimitOrder, 10), (1_500, LimitOrder, 10),
@@ -456,8 +457,7 @@ class TestTWAPAgent:
         exchange = ExchangeAgent()
         exchange.book.submit(Order(1, 1, Side.ASK, wall_price, 10_000, OrderKind.LIMIT, 0))
         exchange.book.submit(Order(2, 1, Side.BID, 9_990, 10_000, OrderKind.LIMIT, 0))
-        twap = TWAPExecutionAgent(parent_order(parent, periods, start=seconds(10), **grid),
-                                  exchange_id=0)
+        twap = TWAPExecutionAgent(parent_order(parent, periods, start=seconds(10), **grid))
         log = run_simulation(config, [exchange, Agent("liquidity"), twap])
         return twap, log
 

@@ -69,6 +69,14 @@ def write_config(tmp_path, cfg, name="config.yaml"):
     return path
 
 
+def set_key(cfg: dict, dotted: str, value) -> None:
+    *sections, key = dotted.split(".")
+    node = cfg
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[key] = value
+
+
 def read_jsonl(path):
     lines = path.read_text().splitlines()
     records = [json.loads(line) for line in lines[:-1]]
@@ -275,6 +283,8 @@ class TestConfigHandling:
         ("train", "ddql.multipliers", [1.0, float("inf")]),
         ("gen-data", "data.synthetic.arrival_rate_per_side", float("nan")),
         ("gen-data", "data.synthetic.size_gamma_scale", float("nan")),
+        # a geometric price offset of about 9.2e18 ticks overflowed int64
+        ("gen-data", "data.synthetic.placement_geometric_p", 1.0e-300),
     ])
     def test_non_finite_or_sub_nanosecond_float_names_its_key(self, tmp_path, capsys,
                                                                mode, dotted, value):
@@ -298,6 +308,37 @@ class TestConfigHandling:
                              out_dir=str(tmp_path))
         with pytest.raises(ConfigError, match="data.synthetic: arrival_rate_per_side"):
             build_flow_config(cfg)
+
+    @pytest.mark.parametrize("mode, dotted, settings", [
+        ("gen-data", "data.synthetic.session_end", {"data.synthetic.session_end": "25:00:00"}),
+        ("gen-data", "data.synthetic.session_end", {"data.synthetic.session_end": "24:00:00"}),
+        ("gen-data", "data.synthetic.session_start", {"data.synthetic.session_start": -1}),
+        ("train", "ddql.session_end", {"ddql.session_start": "23:59:55",
+                                       "ddql.session_end": "24:00:05"}),
+        ("train", "kernel.warmup_seconds", {"kernel.warmup_seconds": 120.5}),
+        ("replay", "kernel.warmup_seconds", {"kernel.warmup_seconds": 1e12}),
+        ("replay", "kernel.post_margin_seconds", {"kernel.post_margin_seconds": 86_270.0}),
+        ("replay", "kernel.post_margin_seconds", {"kernel.post_margin_seconds": 1e12}),
+    ])
+    def test_time_outside_the_day_names_its_key(self, tmp_path, capsys, mode, dotted,
+                                                settings):
+        # each used to exit 0: gen-data stamped events past 86,400 s and the
+        # kernel ran from before midnight or past the next one (the ddql
+        # session starts at 00:02:00 and ends at 00:02:10)
+        cfg = base_config()
+        for key, value in settings.items():
+            set_key(cfg, key, value)
+        path = write_config(tmp_path, cfg)
+        assert main([mode, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and dotted in err
+
+    def test_day_ends_just_before_midnight(self, tmp_path):
+        cfg = base_config()
+        set_key(cfg, "data.synthetic.session_start", "23:59:50")
+        set_key(cfg, "data.synthetic.session_end", "23:59:59.999999999")
+        path = write_config(tmp_path, cfg)
+        assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
     def test_negative_seed_flag_is_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())

@@ -4,16 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lobsim import (
     Action,
     ActionSpace,
     BookSnapshot,
     Experience,
-    FillRecord,
     OrderKind,
     ReplayBuffer,
-    RewardParams,
     Side,
     StateVector,
     compute_reward,
@@ -202,55 +202,71 @@ class TestScheduleOrders:
             assert all(c.quantity > 0 for c in children)
 
 
-def reward_params(**kw):
-    defaults = dict(reward_scale=1.0, parent_quantity=600, arrival_price=100.0)
-    defaults.update(kw)
-    return RewardParams(**defaults)
+def reward(fills, reward_scale=1.0, parent_quantity=600, arrival_price=100.0):
+    """compute_reward over (quantity, price) fills, summed as the agent sums them."""
+    filled = sum(q for q, _ in fills)
+    notional = sum(q * p for q, p in fills)
+    return compute_reward(filled, notional, arrival_price, parent_quantity, reward_scale)
 
 
 class TestReward:
     def test_perfect_execution(self):
-        fills = [FillRecord(quantity=600, price_ticks=100)]
-        assert compute_reward(fills, reward_params()) == 1.0
+        assert reward([(600, 100)]) == 1.0
 
     def test_one_percent_slippage_half_fill(self):
-        fills = [FillRecord(quantity=300, price_ticks=101)]
-        assert compute_reward(fills, reward_params()) == pytest.approx(0.495)
+        assert reward([(300, 101)]) == pytest.approx(0.495)
 
     def test_no_fills(self):
-        assert compute_reward([], reward_params()) == 0.0
+        assert reward([]) == 0.0
 
     def test_vwap_over_multiple_fills(self):
-        fills = [FillRecord(100, 100), FillRecord(100, 102)]
         # vwap 101 -> slippage 1%, filled third of parent
         expected = (1 - 0.01) * (200 / 600)
-        assert compute_reward(fills, reward_params()) == pytest.approx(expected)
+        assert reward([(100, 100), (100, 102)]) == pytest.approx(expected)
 
     def test_decreases_with_slippage(self):
-        rewards = [
-            compute_reward([FillRecord(300, price)], reward_params())
-            for price in (100, 101, 102, 105)
-        ]
+        rewards = [reward([(300, price)]) for price in (100, 101, 102, 105)]
         assert all(a > b for a, b in zip(rewards, rewards[1:]))
 
     def test_increases_with_quantity(self):
-        rewards = [
-            compute_reward([FillRecord(qty, 101)], reward_params())
-            for qty in (100, 200, 400, 600)
-        ]
+        rewards = [reward([(qty, 101)]) for qty in (100, 200, 400, 600)]
         assert all(a < b for a, b in zip(rewards, rewards[1:]))
 
     def test_scale_is_linear(self):
-        fills = [FillRecord(300, 101)]
-        assert compute_reward(fills, reward_params(reward_scale=2.0)) == pytest.approx(
-            2 * compute_reward(fills, reward_params())
+        assert reward([(300, 101)], reward_scale=2.0) == pytest.approx(
+            2 * reward([(300, 101)])
         )
 
     def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
-            compute_reward([FillRecord(1, 100)], reward_params(reward_scale=0.0))
-        with pytest.raises(ValueError):
-            compute_reward([FillRecord(1, 100)], reward_params(arrival_price=0.0))
+        with pytest.raises(ValueError, match="reward_scale"):
+            reward([(1, 100)], reward_scale=0.0)
+        with pytest.raises(ValueError, match="parent_quantity"):
+            reward([(1, 100)], parent_quantity=0)
+        with pytest.raises(ValueError, match="arrival_price"):
+            reward([(1, 100)], arrival_price=0.0)
+
+    def test_params_checked_in_order_and_without_fills(self):
+        with pytest.raises(ValueError, match="reward_scale"):
+            reward([], reward_scale=-1.0, parent_quantity=0, arrival_price=0.0)
+        with pytest.raises(ValueError, match="parent_quantity"):
+            reward([], parent_quantity=-5, arrival_price=0.0)
+
+    @given(fills=st.lists(st.tuples(st.integers(1, 10_000), st.integers(1, 10**7)),
+                          max_size=30),
+           arrival_price=st.floats(0.5, 1e7),
+           parent_quantity=st.integers(1, 10**6),
+           reward_scale=st.floats(1e-3, 1e3))
+    def test_equals_the_quantity_weighted_form(self, fills, arrival_price,
+                                               parent_quantity, reward_scale):
+        if fills:
+            total = sum(q for q, _ in fills)
+            vwap = sum(q * p for q, p in fills) / total
+            slippage = abs(vwap - arrival_price) / arrival_price
+            expected = (1.0 - slippage) * reward_scale * total / parent_quantity
+        else:
+            expected = 0.0
+        got = reward(fills, reward_scale, parent_quantity, arrival_price)
+        assert got.hex() == expected.hex()
 
 
 def experience(tag: float) -> Experience:

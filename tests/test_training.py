@@ -13,7 +13,13 @@ import weakref
 import pytest
 
 from lobsim import training
-from lobsim.agents import DDQLConfig, ExchangeAgent, LearnerState, TWAPExecutionAgent
+from lobsim.agents import (
+    DDQLConfig,
+    DDQLExecutionAgent,
+    ExchangeAgent,
+    LearnerState,
+    TWAPExecutionAgent,
+)
 from lobsim.book import BookSnapshot, Fill, Order, OrderKind, PriceLevel, Side
 from lobsim.kernel import seconds
 from lobsim.lobster import EventType, LobsterEvent, SyntheticFlowConfig, parse_message_file
@@ -28,7 +34,7 @@ from lobsim.messages import (
     OrderExecuted,
 )
 from lobsim.metrics import execution_report
-from lobsim.rl import ChildOrder, EpisodeResult, Experience, StateVector
+from lobsim.rl import ActionSpace, ChildOrder, EpisodeResult, Experience, StateVector
 from lobsim.training import (
     FLOW_STREAM,
     KERNEL_STREAM,
@@ -184,65 +190,83 @@ class TestDataSource:
         assert [e.order_id for e in source.events_for_episode(2, 7)] == [11]
 
 
+@pytest.fixture
+def twins(monkeypatch):
+    """The TWAP twins that run_episode adds to the rosters of a test."""
+    made = []
+
+    class RecordedTWAP(TWAPExecutionAgent):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(training, "TWAPExecutionAgent", RecordedTWAP)
+    return made
+
+
+def ddql_agent(setup, epsilon=0.0, train_enabled=True) -> DDQLExecutionAgent:
+    return DDQLExecutionAgent(setup.ddql, LearnerState(setup.ddql, seed=7),
+                              epsilon=epsilon, train_enabled=train_enabled)
+
+
 class TestRunEpisode:
-    def test_background_only_roster(self, tmp_path):
-        outcome = run_episode(make_setup(tmp_path), 0, executor="none")
-        assert outcome.result is None
-        assert outcome.executor is None
-        assert outcome.twap_twin is None
+    def test_background_only_roster(self, tmp_path, twins):
+        outcome = run_episode(make_setup(tmp_path), 0)
+        assert twins == []
         assert isinstance(outcome.exchange, ExchangeAgent)
         assert len(outcome.log) > 0
+        assert len(outcome.log.final_states) == 4  # exchange, replay, 2 momentum
 
-    def test_ddql_needs_a_learner(self, tmp_path):
-        with pytest.raises(ValueError, match="LearnerState"):
-            run_episode(make_setup(tmp_path), 0, executor="ddql")
+    def test_executor_joins_the_roster_last(self, tmp_path):
+        agent = TWAPExecutionAgent(small_ddql())
+        outcome = run_episode(make_setup(tmp_path), 0, agent)
+        assert agent.agent_id == len(outcome.log.final_states) - 1
+        assert outcome.log.final_states[agent.agent_id] == agent.state_summary()
 
-    def test_unknown_executor_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown executor"):
-            run_episode(make_setup(tmp_path), 0, executor="vwap")
+    def test_twap_run_returns_result_without_twin(self, tmp_path, twins):
+        agent = TWAPExecutionAgent(small_ddql())
+        run_episode(make_setup(tmp_path), 0, agent)
+        assert twins == []
+        assert agent.result.parent_quantity == 50
+        assert agent.result.action_trace == [8] * 5
 
-    def test_twap_run_returns_result_without_twin(self, tmp_path):
-        outcome = run_episode(make_setup(tmp_path), 0, executor="twap")
-        assert outcome.twap_twin is None
-        assert outcome.result.parent_quantity == 50
-        assert outcome.result.action_trace == [8] * 5
-
-    def test_ddql_run_carries_twap_twin(self, tmp_path):
+    def test_ddql_run_carries_twap_twin(self, tmp_path, twins):
         setup = make_setup(tmp_path)
-        learner = LearnerState(setup.ddql, seed=7)
-        outcome = run_episode(setup, 0, learner, epsilon=0.0)
-        assert isinstance(outcome.twap_twin, TWAPExecutionAgent)
-        assert outcome.twap_twin.result.parent_quantity == 50
-        assert len(outcome.result.action_trace) == 5
+        agent = ddql_agent(setup)
+        run_episode(setup, 0, agent)
+        [twin] = twins
+        assert twin.name == "twap-benchmark"
+        assert twin.result.parent_quantity == 50
+        assert len(twin.result.action_trace) == 5
+        assert len(agent.result.action_trace) == 5
 
-    def test_twin_can_be_disabled(self, tmp_path):
+    def test_twin_can_be_disabled(self, tmp_path, twins):
         setup = make_setup(tmp_path)
-        learner = LearnerState(setup.ddql, seed=7)
         setup.include_twap_twin = False
-        outcome = run_episode(setup, 0, learner, epsilon=0.0)
-        assert outcome.twap_twin is None
+        run_episode(setup, 0, ddql_agent(setup))
+        assert twins == []
 
-    def test_vwaps_are_the_mean_of_the_executions_received(self, tmp_path):
+    def test_vwaps_are_the_mean_of_the_executions_received(self, tmp_path, twins):
         # a parent large enough that both executors trade at several prices
         setup = make_setup(tmp_path, ddql=small_ddql(parent_quantity=500))
-        learner = LearnerState(setup.ddql, seed=7)
-        outcome = run_episode(setup, 0, learner, epsilon=1.0)
-        for agent in (outcome.executor, outcome.twap_twin):
+        agent = ddql_agent(setup, epsilon=1.0)
+        outcome = run_episode(setup, 0, agent)
+        for trader in (agent, *twins):
             fills = [r.payload for r in outcome.log.records
-                     if r.recipient_id == agent.agent_id and isinstance(r.payload, OrderExecuted)]
+                     if r.recipient_id == trader.agent_id and isinstance(r.payload, OrderExecuted)]
             assert len({f.price for f in fills}) > 1
-            assert agent.result.fill_vwap == \
+            assert trader.result.fill_vwap == \
                 sum(f.quantity * f.price for f in fills) / sum(f.quantity for f in fills)
 
-    def test_only_a_training_episode_carries_the_twin(self, tmp_path):
+    def test_only_a_training_episode_carries_the_twin(self, tmp_path, twins):
         setup = make_setup(tmp_path)
-        learner = LearnerState(setup.ddql, seed=7)
-        outcome = run_episode(setup, 0, learner, epsilon=0.0, train_enabled=False)
-        assert outcome.twap_twin is None
+        run_episode(setup, 0, ddql_agent(setup, train_enabled=False))
+        assert twins == []
 
     def test_episode_index_stamped_on_result(self, tmp_path):
-        outcome = run_episode(make_setup(tmp_path), 2, executor="twap")
-        assert outcome.result.episode == 2
+        agent = TWAPExecutionAgent(small_ddql())
+        run_episode(make_setup(tmp_path), 2, agent)
+        assert agent.result.episode == 2
 
 
 class TestSeedAlignment:
@@ -259,22 +283,22 @@ class TestSeedAlignment:
         setup = make_setup(tmp_path)
 
         def run_once():
-            learner = LearnerState(setup.ddql, seed=setup.seed)
-            return run_episode(setup, 0, learner, epsilon=0.0,
-                               train_enabled=False)
+            agent = ddql_agent(setup, train_enabled=False)
+            return agent, run_episode(setup, 0, agent)
 
-        first, second = run_once(), run_once()
-        assert [r.to_json() for r in first.log.records] == \
-            [r.to_json() for r in second.log.records]
+        (first, first_run), (second, second_run) = run_once(), run_once()
+        assert [r.to_json() for r in first_run.log.records] == \
+            [r.to_json() for r in second_run.log.records]
         assert first.result.to_dict() == second.result.to_dict()
 
     def test_twap_control_reports_zero_distance(self, tmp_path):
         # Same episode run twice with the TWAP executor: byte-equal behavior,
         # so the comparison collapses to zero distance and equal slippage.
         setup = make_setup(tmp_path)
-        a = run_episode(setup, 0, executor="twap")
-        b = run_episode(setup, 0, executor="twap")
-        comparison = execution_report(a.result, b.result)
+        a, b = TWAPExecutionAgent(setup.ddql), TWAPExecutionAgent(setup.ddql)
+        run_episode(setup, 0, a)
+        run_episode(setup, 0, b)
+        comparison = execution_report(a.result, b.result, ActionSpace())
         assert comparison.action_trace_distance == 0.0
         assert comparison.candidate["slippage"] == comparison.baseline["slippage"]
 
@@ -354,23 +378,23 @@ class TestMemory:
 
     def test_training_episode_leaves_no_cyclic_garbage(self, tmp_path):
         setup = make_setup(tmp_path)
-        learner = LearnerState(setup.ddql, seed=7)
+        agent = ddql_agent(setup, epsilon=0.5)
         gc.collect()
         gc.disable()
         try:
-            outcome = run_episode(setup, 0, learner, epsilon=0.5)
-            assert outcome.result.train_steps > 0
+            run_episode(setup, 0, agent)
+            assert agent.result.train_steps > 0
             assert gc.collect() == 0
         finally:
             gc.enable()
 
     def test_dropped_episode_is_freed_by_reference_counting(self, tmp_path):
         setup = make_setup(tmp_path)
-        learner = LearnerState(setup.ddql, seed=7)
+        agent = ddql_agent(setup, epsilon=0.5)
         gc.collect()
         gc.disable()
         try:
-            outcome = run_episode(setup, 0, learner, epsilon=0.5)
+            outcome = run_episode(setup, 0, agent)
             exchange = weakref.ref(outcome.exchange)
             del outcome
             assert exchange() is None
@@ -443,6 +467,8 @@ class TestEvaluate:
 
         evaluation = evaluate(setup, ckpt)
         assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == digest_before
+        assert isinstance(evaluation.candidate, DDQLExecutionAgent)
+        assert isinstance(evaluation.baseline, TWAPExecutionAgent)
         assert evaluation.candidate.result.final_epsilon == 0.0
         assert evaluation.candidate.result.train_steps == 0
         assert evaluation.baseline.result.action_trace == [8] * 5
@@ -493,7 +519,7 @@ class TestWriters:
         result = EpisodeResult(episode=0, parent_quantity=10,
                                action_trace=[0, 8, 23])
         path = tmp_path / "trace.csv"
-        write_action_trace(result, path)
+        write_action_trace(result, path, ActionSpace())
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["period", "action_index", "multiplier", "placement"]

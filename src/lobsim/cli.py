@@ -334,7 +334,7 @@ def cmd_replay(cfg: dict, args: argparse.Namespace, out_dir: Path) -> int:
     outcome.log.to_jsonl(out_dir / "replay_log.jsonl")
     with open(out_dir / "book_final.csv", "w") as fh:
         fh.write(outcome.exchange.book.depth_csv())
-    print(f"replayed {len(outcome.log.records)} deliveries; "
+    print(f"replayed {len(outcome.log)} deliveries; "
           f"book dump at {out_dir / 'book_final.csv'}")
     return 0
 

@@ -4,8 +4,8 @@ Three flow facts are measured: windowed order volume (gamma and log-normal
 fits), limit-order interarrival times (exponential and Weibull), and the
 intraday volume profile (quadratic U-shape test).  Fits are maximum
 likelihood, computed here; scipy supplies only the special functions that
-the fits and their CDFs are written in.  Every fit is deterministic in the
-sample.
+the fits and their CDFs are written in, and only the fits import it, so no
+other command loads scipy.  Every fit is deterministic in the sample.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
-from scipy import special
 
 from .kernel import NANOS_PER_SECOND, SimulationLog
 from .lobster import EventType, FlowColumns, LobsterEvent
@@ -69,18 +68,19 @@ class FlowSeries:
     def from_log(cls, log: SimulationLog, session: Optional[tuple] = None) -> "FlowSeries":
         """Inbound order traffic to the exchange, read off the kernel log;
         its limit orders form the sample."""
-        read, times, sizes = [], [], []
-        for rec in log.records:
-            if rec.recipient_id != EXCHANGE_ID:
-                continue
-            payload = rec.payload
+        to_exchange = np.frombuffer(log.recipients, dtype=np.int64) == EXCHANGE_ID
+        payloads = log.payloads
+        read, limits, sizes = [], [], []
+        for i in np.flatnonzero(to_exchange).tolist():
+            payload = payloads[i]
             if isinstance(payload, LimitOrder):
-                times.append(rec.time)
+                limits.append(i)
                 sizes.append(payload.quantity)
             elif not isinstance(payload, (MarketOrder, CancelOrder)):
                 continue
-            read.append(rec.time)
-        return cls._sample(read, times, sizes, session)
+            read.append(i)
+        times = np.frombuffer(log.times, dtype=np.int64)
+        return cls._sample(times[read], times[limits], sizes, session)
 
 
 @dataclass(frozen=True)
@@ -153,6 +153,7 @@ def _newton_shape(shape: float, residual_and_slope) -> float:
 def fit_gamma(samples: Sequence[float]) -> FitOutcome:
     """Gamma MLE: Newton iteration on ln(k) - digamma(k) = ln(mean) -
     mean(ln x), initialized at the method-of-moments shape."""
+    from scipy import special
     x = np.asarray(samples, dtype=np.float64)
     if len(x) == 0:
         raise InsufficientDataError("gamma fit needs samples")
@@ -171,6 +172,7 @@ def fit_gamma(samples: Sequence[float]) -> FitOutcome:
 
 
 def fit_lognormal(samples: Sequence[float]) -> FitOutcome:
+    from scipy import special
     x = np.asarray(samples, dtype=np.float64)
     if len(x) == 0:
         raise InsufficientDataError("log-normal fit needs samples")
@@ -185,6 +187,7 @@ def fit_lognormal(samples: Sequence[float]) -> FitOutcome:
 
 
 def fit_exponential(samples: Sequence[float]) -> FitOutcome:
+    from scipy import special
     x = np.asarray(samples, dtype=np.float64)
     if len(x) == 0:
         raise InsufficientDataError("exponential fit needs samples")
@@ -199,6 +202,7 @@ def fit_exponential(samples: Sequence[float]) -> FitOutcome:
 def fit_weibull(samples: Sequence[float]) -> FitOutcome:
     """Weibull MLE via Newton on the profile shape equation; zero gaps are
     outside the support and excluded by the caller."""
+    from scipy import special
     x = np.asarray(samples, dtype=np.float64)
     if len(x) < 2:
         return FitRefusal("weibull", "need at least two samples", len(x))

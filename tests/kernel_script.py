@@ -89,13 +89,15 @@ def expected_log(scripts: list[Script], config: KernelConfig):
     return [(at, sender, recipient, tag, marker) for at, _, sender, recipient, tag, marker in events]
 
 
+def flatten(rec) -> tuple:
+    """One LogRecord in the expected_log tuple shape."""
+    marker = int(rec.summary) if rec.tag == "ping" else -1
+    return (rec.time, rec.sender_id, rec.recipient_id, rec.tag, marker)
+
+
 def observed_log(log):
     """Flatten a SimulationLog into the expected_log tuple shape."""
-    out = []
-    for rec in log.records:
-        marker = int(rec.summary) if rec.tag == "ping" else -1
-        out.append((rec.time, rec.sender_id, rec.recipient_id, rec.tag, marker))
-    return out
+    return [flatten(rec) for rec in log.records]
 
 
 def random_scripts(rng, n_agents: int, config: KernelConfig) -> list[Script]:

@@ -333,6 +333,26 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and dotted in err
 
+    @pytest.mark.parametrize("mode, dotted, value", [
+        ("gen-data", "data.synthetic.session_end", "00:02:75"),
+        ("gen-data", "data.synthetic.session_start", "00:01:60"),
+        ("gen-data", "data.synthetic.session_end", "00:02:11.-5"),
+        ("gen-data", "data.synthetic.session_end", "00:03:-49"),
+        ("gen-data", "data.synthetic.session_end", "00:02:1_1"),
+        ("train", "ddql.session_end", "00:02:+10"),
+        ("train", "ddql.session_start", "00:02:-0"),
+    ])
+    def test_clock_field_out_of_range_or_signed_names_its_key(self, tmp_path, capsys, mode,
+                                                              dotted, value):
+        # each used to run: "00:02:75" meant 00:03:15, "00:02:11.-5"
+        # 00:02:10.95 and "00:03:-49" 00:02:11
+        cfg = base_config()
+        set_key(cfg, dotted, value)
+        path = write_config(tmp_path, cfg)
+        assert main([mode, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and dotted in err
+
     def test_day_ends_just_before_midnight(self, tmp_path):
         cfg = base_config()
         set_key(cfg, "data.synthetic.session_start", "23:59:50")
@@ -449,6 +469,14 @@ class TestReplay:
             (tmp_path / "b/replay_log.jsonl").read_bytes()
         assert (tmp_path / "a/book_final.csv").read_bytes() == \
             (tmp_path / "b/book_final.csv").read_bytes()
+
+    def test_log_bytes_are_pinned(self, tmp_path):
+        # the sha256 taken when the log kept one LogRecord tuple per delivery
+        path = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert main(["replay", "--config", str(path), "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "replay_log.jsonl").read_bytes()).hexdigest() == \
+            "8116f832f1c13e4cae5a4c2f011704ba72b1f8c671570718e8240239aabccf79"
 
     def test_empty_data_file_runs_clean(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -667,6 +695,16 @@ class TestRealism:
         assert "interarrival_exponential.rate" in body["deltas"]
         rate_delta = body["deltas"]["interarrival_exponential.rate"]
         assert rate_delta is None or rate_delta >= 0.0
+
+    def test_paired_report_bytes_are_pinned(self, tmp_path):
+        # the sha256 taken when FlowSeries.from_log read LogRecord tuples
+        cfg = base_config()
+        cfg["realism"]["paired"] = True
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["realism", "--config", str(path), "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "realism.json").read_bytes()).hexdigest() == \
+            "41083e8405263967e0c9f0cc645b5ef97b6f989e6a68f28601c17dea9a9a12e8"
 
     def test_paired_runs_make_one_flow(self, tmp_path, flows_made):
         cfg = base_config()

@@ -2,6 +2,8 @@
 
 import gc
 import json
+import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from lobsim import (
 )
 
 from lobsim.book import BookSnapshot, Side
-from lobsim.kernel import LogRecord, Wakeup
+from lobsim.kernel import LogRecord, SimulationLog, Wakeup
 from lobsim.messages import (
     CancelOrder,
     LimitOrder,
@@ -33,7 +35,16 @@ from lobsim.messages import (
     OrderExecuted,
 )
 
-from kernel_script import Ping, ScriptAgent, check_schedule, expected_log, observed_log, random_scripts, run_scripts
+from kernel_script import (
+    Ping,
+    ScriptAgent,
+    check_schedule,
+    expected_log,
+    flatten,
+    observed_log,
+    random_scripts,
+    run_scripts,
+)
 
 
 def config(start=0, stop=1_000_000, **kw) -> KernelConfig:
@@ -54,6 +65,23 @@ class TestTimeHelpers:
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
             time_from_str("9h30")
+
+    def test_single_digit_hours_and_the_last_second(self):
+        assert time_from_str("9:30:00") == time_from_str("09:30:00")
+        assert time_from_str("23:59:59.999999999") == 24 * 3600 * 10**9 - 1
+
+    @pytest.mark.parametrize("text", ["10:75:00", "09:30:99", "09:60:00", "09:30:60"])
+    def test_rejects_minutes_or_seconds_of_60_or_more(self, text):
+        # each used to carry into the next field: "10:75:00" meant 11:15:00
+        with pytest.raises(ValueError, match="below 60"):
+            time_from_str(text)
+
+    @pytest.mark.parametrize("text", ["9:-5:00", "10:00:00.-5", "+9:30:00", "09:30:+5",
+                                      "09:30:1_0", "09: 30:00", "10:00:00.", "１0:00:00"])
+    def test_rejects_fields_that_are_not_unsigned_digits(self, text):
+        # int() took each: "9:-5:00" meant 08:55:00, "10:00:00.-5" 09:59:59.95
+        with pytest.raises(ValueError, match="decimal digits"):
+            time_from_str(text)
 
     def test_seconds(self):
         assert seconds(1.5) == 1_500_000_000
@@ -322,3 +350,72 @@ class TestLogRecord:
         assert isinstance(wakeup.payload, Wakeup)
         assert (wakeup.tag, wakeup.summary) == ("wakeup", "")
         assert ping.payload == Ping(1) and (ping.tag, ping.summary) == ("ping", "1")
+
+
+class _Pinger(Agent):
+    """Wakes itself `left` times, 1 ns apart: one delivery per wakeup."""
+
+    def __init__(self, left: int):
+        super().__init__("pinger")
+        self.left = left
+
+    def on_start(self, kernel):
+        kernel.schedule_wakeup(self.agent_id, kernel.config.start_time)
+
+    def on_wakeup(self, now):
+        self.left -= 1
+        if self.left > 0:
+            self.kernel.schedule_wakeup(self.agent_id, now + 1)
+
+
+class TestColumnarLog:
+    """The log keeps int64 columns and a payload list; `records` reads them
+    back as LogRecords."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_records_view_reads_the_expected_log(self, seed):
+        cfg = config(latency_nanos=7)
+        scripts = random_scripts(np.random.default_rng(seed), 4, cfg)
+        log, _ = run_scripts(scripts, cfg)
+        want = expected_log(scripts, cfg)
+        records = log.records
+        n = len(want)
+        assert isinstance(records, Sequence) and len(records) == len(log) == n
+        assert [flatten(records[i]) for i in range(n)] == want
+        assert [flatten(records[i - n]) for i in range(n)] == want
+        assert [flatten(rec) for rec in records] == want
+        for part in (slice(None), slice(2, n - 1), slice(-3, None), slice(None, None, 2),
+                     slice(None, None, -1), slice(n, n + 5)):
+            assert [flatten(rec) for rec in records[part]] == want[part]
+        assert all(type(rec) is LogRecord for rec in records)
+        with pytest.raises(IndexError):
+            records[n]
+
+    def test_records_are_read_only(self):
+        log, _ = run_scripts([[(5, [(0, 1)])]], config())
+        with pytest.raises(TypeError):
+            log.records[0] = LogRecord(0, 0, 0, "x")
+        assert not hasattr(log.records, "append")
+
+    def test_append_adds_one_row_to_each_column(self):
+        log = SimulationLog()
+        log.append(LogRecord(5, 1, 0, "text"))
+        log.append(LogRecord(2**62, 3, 4, Ping(9)))
+        assert list(log.times) == [5, 2**62]
+        assert (list(log.senders), list(log.recipients)) == ([1, 3], [0, 4])
+        assert list(log.records) == [LogRecord(5, 1, 0, "text"), LogRecord(2**62, 3, 4, Ping(9))]
+
+    def test_a_delivery_costs_under_48_bytes(self):
+        # a LogRecord tuple and its time int cost 120 bytes a delivery; three
+        # int64 columns and a payload pointer cost about 32
+        deliveries = 100_000
+        kernel = build_kernel(config(stop=10 * deliveries), [_Pinger(deliveries)])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            log = kernel.run()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(log) == deliveries
+        assert held / deliveries < 48

@@ -1,8 +1,10 @@
 """The package's exports: every advertised name resolves, so a name left in
 `__all__` after its definition is deleted fails here, not at a user's
-`from lobsim import *`.  Also what importing the command line loads."""
+`from lobsim import *`.  Also that the command line and the commands that
+fit nothing never load scipy."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -26,12 +28,31 @@ def test_star_import_succeeds():
     assert set(lobsim.__all__) <= set(namespace)
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # every command pays for what `lobsim.cli` imports; the fits need only
+SCIPY_AFTER_COMMANDS = """
+import json, sys
+from lobsim.cli import main
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+loaded = {"import": scipy_modules()}
+for mode in ("gen-data", "replay", "train", "evaluate"):
+    assert main([mode, "--config", sys.argv[1], "--out", sys.argv[2]]) == 0, mode
+    loaded[mode] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_import_and_commands_leave_scipy_unloaded(tmp_path):
+    # every command pays for what it imports, and only the realism fits need
     # scipy.special
+    from test_cli import base_config, write_config
+
     import lobsim
     src = str(Path(lobsim.__file__).resolve().parents[1])
-    code = "import sys, lobsim.cli; print('scipy.stats' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert proc.stdout.strip() == "False"
+    config = write_config(tmp_path, base_config())
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_AFTER_COMMANDS, str(config), str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert loaded == {step: [] for step in ("import", "gen-data", "replay", "train", "evaluate")}

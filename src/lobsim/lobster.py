@@ -5,8 +5,9 @@ time_seconds, event_type, order_id, size, price, direction
 where price is dollars x 10,000 (= integer ticks at the default tick size)
 and direction is +1 for buy orders, -1 for sell.
 
-In memory a flow is `FlowColumns`, the same six fields as int64 columns
-with time in nanoseconds; a `LobsterEvent` is one row of it.
+A file is read straight into `FlowColumns`, the one in-memory form of a
+flow: the same six fields as int64 columns, time in nanoseconds.  A
+`LobsterEvent` is the row type that iterating the columns yields.
 
 Synthetic flow substitutes for proprietary exchange data: a merged Poisson
 event stream whose per-side arrivals, gamma order sizes, and geometric
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 from array import array
 from bisect import insort
@@ -61,20 +63,6 @@ class LobsterEvent:
     def side(self) -> Side:
         return Side.BID if self.direction == 1 else Side.ASK
 
-    def validate(self) -> Optional[str]:
-        """Returns a reason string when a field violates the format, else None."""
-        if self.time_ns < 0:
-            return "negative time"
-        if self.event_type in (EventType.NEW_LIMIT, EventType.PARTIAL_CANCEL, EventType.DELETE,
-                               EventType.EXECUTE_VISIBLE, EventType.EXECUTE_HIDDEN) and self.size <= 0:
-            return f"size must be positive for event type {int(self.event_type)}"
-        if self.event_type in (EventType.NEW_LIMIT, EventType.PARTIAL_CANCEL, EventType.DELETE,
-                               EventType.EXECUTE_VISIBLE) and self.price <= 0:
-            return f"price must be positive for event type {int(self.event_type)}"
-        if self.direction not in (1, -1):
-            return f"direction must be +1 or -1, got {self.direction}"
-        return None
-
 
 @dataclass(repr=False)
 class FlowColumns:
@@ -109,70 +97,78 @@ class FlowColumns:
             yield LobsterEvent(time_ns, EventType(event_type), *rest)
 
 
-def parse_time_seconds(text: str) -> SimTime:
-    """Decimal seconds after midnight -> integer nanoseconds, exactly."""
-    text = text.strip()
-    if "." in text:
-        whole, frac = text.split(".", 1)
-        if len(frac) > 9:
-            frac = frac[:9]
-        nanos = int(frac.ljust(9, "0")) if frac else 0
-    else:
-        whole, nanos = text, 0
-    return int(whole) * NANOS_PER_SECOND + nanos
+# The grammar of a message-file row, column by column: ASCII digits, with
+# whitespace allowed around each field.  The time is unsigned seconds with
+# an optional fraction, of which the first nine digits count.
+_INTEGER = rb"(-?[0-9]+)"
+_GRAMMAR = {"time": rb"([0-9]+)(?:\.([0-9]*))?", "type": _INTEGER, "order_id": _INTEGER,
+            "size": _INTEGER, "price": _INTEGER, "direction": rb"(-?1)"}
+_FIELDS = {name: re.compile(rb"\s*%b\s*" % grammar) for name, grammar in _GRAMMAR.items()}
+_ROW = re.compile(b",".join(pattern.pattern for pattern in _FIELDS.values()))
+_EVENT_TYPES = frozenset(EventType)
 
 
-def parse_line(line: str, line_number: int) -> LobsterEvent:
-    parts = line.strip().split(",")
-    if len(parts) != 6:
-        raise LobsterParseError(line_number, f"expected 6 columns, got {len(parts)}")
+def _row_fault(line: bytes) -> Optional[str]:
+    """Why `line` does not fit the row grammar; None when it is blank."""
     try:
-        time_ns = parse_time_seconds(parts[0])
-        raw_type = int(parts[1])
-        event = LobsterEvent(
-            time_ns=time_ns,
-            event_type=EventType(raw_type),
-            order_id=int(parts[2]),
-            size=int(parts[3]),
-            price=int(parts[4]),
-            direction=int(parts[5]),
-        )
-    except LobsterParseError:
-        raise
-    except ValueError as exc:
-        raise LobsterParseError(line_number, str(exc)) from exc
-    reason = event.validate()
-    if reason is not None:
-        raise LobsterParseError(line_number, reason)
-    return event
+        if not line.decode().strip():
+            return None
+    except UnicodeDecodeError as exc:
+        return f"not UTF-8 text (byte {exc.start + 1})"
+    fields = line.split(b",")
+    if len(fields) != len(_FIELDS):
+        return f"expected {len(_FIELDS)} columns, got {len(fields)}"
+    for (name, pattern), text in zip(_FIELDS.items(), fields):
+        if not pattern.fullmatch(text):
+            return f"malformed {name} field {text.strip().decode()!r}"
 
 
-def parse_message_file(path) -> Iterator[LobsterEvent]:
-    """Yield events in file order.  Malformed rows, and bytes that are not
-    UTF-8, raise LobsterParseError with the path and the 1-based line
-    number; a time going backwards only warns."""
-    last_time = None
+def _value_fault(event_type: int, size: int, price: int) -> Optional[str]:
+    """Why a row that fits the grammar breaks the format, else None."""
+    if event_type not in _EVENT_TYPES:
+        return f"type {event_type} is not a LOBSTER event type"
+    if size <= 0 and event_type != EventType.HALT:
+        return f"size must be positive for event type {event_type}"
+    if price <= 0 and event_type <= EventType.EXECUTE_VISIBLE:
+        return f"price must be positive for event type {event_type}"
+
+
+def parse_message_file(path) -> FlowColumns:
+    """The file's rows as columns, in file order.  A row that breaks the
+    grammar or the format, or bytes that are not UTF-8, raise
+    LobsterParseError with the path and the 1-based line number; a time
+    going backwards only warns."""
+    flow = FlowColumns()
+    appends = [column.append for column in flow.columns()]
+    last_time = 0
     with open(path, "rb") as fh:
-        for line_number, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode()
-            except UnicodeDecodeError as exc:
-                raise LobsterParseError(line_number, f"not UTF-8 text (byte {exc.start + 1})",
-                                        path) from None
-            if not line.strip():
-                continue
-            try:
-                event = parse_line(line, line_number)
-            except LobsterParseError as exc:
-                raise LobsterParseError(line_number, exc.reason, path) from None
-            if last_time is not None and event.time_ns < last_time:
-                warnings.warn(
-                    f"line {line_number}: time goes backwards "
-                    f"({event.time_ns} < {last_time}); event kept",
-                    stacklevel=2,
-                )
-            last_time = event.time_ns
-            yield event
+        for line_number, line in enumerate(fh, start=1):
+            match = _ROW.fullmatch(line)
+            if match is None:
+                reason = _row_fault(line)
+                if reason is None:
+                    continue
+                raise LobsterParseError(line_number, reason, path)
+            whole, fraction, *fields = match.groups()
+            time_ns = int(whole) * NANOS_PER_SECOND
+            if fraction:
+                time_ns += int(fraction[:9].ljust(9, b"0"))
+            event_type, order_id, size, price, direction = map(int, fields)
+            reason = _value_fault(event_type, size, price)
+            if reason is not None:
+                raise LobsterParseError(line_number, reason, path)
+            if time_ns < last_time:
+                warnings.warn(f"line {line_number}: time goes backwards "
+                              f"({time_ns} < {last_time}); event kept", stacklevel=2)
+            last_time = time_ns
+            row = (time_ns, event_type, order_id, size, price, direction)
+            for name, append, value in zip(_FIELDS, appends, row):
+                try:
+                    append(value)
+                except OverflowError:
+                    raise LobsterParseError(line_number, f"{name} is outside the int64 range",
+                                            path) from None
+    return flow
 
 
 def write_message_file(events: Iterable[LobsterEvent], path) -> int:
@@ -213,14 +209,15 @@ class SyntheticFlowConfig:
             raise ValueError("arrival_rate_per_side must be positive and finite")
         if not (0 < self.size_gamma_shape < math.inf and 0 < self.size_gamma_scale < math.inf):
             raise ValueError("size_gamma_shape and size_gamma_scale must be positive and finite")
-        # an offset draw stays below about 45 / p ticks, so the floor keeps
-        # every price far inside the int64 price column
+        # an offset draw stays below about 45 / p ticks (4.5e10 at the
+        # floor), and a mid below 2**62 leaves about 4.6e18 ticks for its
+        # walk, so every price stays inside the int64 price column
         if not 1e-9 <= self.placement_geometric_p <= 1:
             raise ValueError("placement_geometric_p must be in [1e-9, 1]")
         if not 0 <= self.cancel_probability < 1:
             raise ValueError("cancel_probability must be in [0, 1)")
-        if self.initial_mid_ticks <= 1:
-            raise ValueError("initial_mid_ticks must exceed one tick")
+        if not 1 < self.initial_mid_ticks < 2**62:
+            raise ValueError("initial_mid_ticks must exceed one tick and stay below 2**62")
         if self.session_start_ns >= self.session_end_ns:
             raise ValueError("session start must precede end")
 

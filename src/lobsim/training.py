@@ -71,8 +71,8 @@ class DataSource:
             key = replace(self.synthetic, seed=derive_seed(base_seed, FLOW_STREAM, episode))
         if self._last is None or self._last[0] != key:
             self._last = None  # frees the last day before the next is made
-            self._last = (key, FlowColumns.of(parse_message_file(key))
-                          if self.kind == "lobster" else generate_synthetic(key))
+            self._last = (key, parse_message_file(key) if self.kind == "lobster"
+                          else generate_synthetic(key))
         return self._last[1]
 
 

@@ -285,6 +285,11 @@ class TestConfigHandling:
         ("gen-data", "data.synthetic.size_gamma_scale", float("nan")),
         # a geometric price offset of about 9.2e18 ticks overflowed int64
         ("gen-data", "data.synthetic.placement_geometric_p", 1.0e-300),
+        # so did the first ask above a mid at the int64 ceiling; 2**62 is
+        # the first mid refused
+        ("gen-data", "data.synthetic.initial_mid_ticks", 2**63 - 1),
+        ("train", "data.synthetic.initial_mid_ticks", 2**63 - 1),
+        ("gen-data", "data.synthetic.initial_mid_ticks", 2**62),
     ])
     def test_non_finite_or_sub_nanosecond_float_names_its_key(self, tmp_path, capsys,
                                                                mode, dotted, value):
@@ -512,6 +517,21 @@ class TestDataErrors:
         assert main([mode, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(bad) in err and "line 2" in err
+
+    @pytest.mark.parametrize("mode", ["replay", "realism", "train"])
+    @pytest.mark.parametrize("row", ["61.0,1,2,10,99999999999999999999,-1",
+                                     "99999999999.0,1,2,10,1000100,-1"])
+    def test_lobster_field_outside_int64_is_one_line(self, tmp_path, capsys, mode, row):
+        # each used to end in an OverflowError traceback
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"60.000000000,1,1,10,1000000,1\n{row}\n")
+        cfg = base_config()
+        cfg["data"] = {"kind": "lobster", "paths": [str(bad)]}
+        path = write_config(tmp_path, cfg)
+        assert main([mode, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(bad) in err and "line 2" in err
+        assert "outside the int64 range" in err
 
 
 class TestTrain:

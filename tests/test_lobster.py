@@ -18,21 +18,46 @@ from lobsim import (
     seconds,
     write_message_file,
 )
-from lobsim.lobster import FlowColumns, parse_line, parse_time_seconds
+from lobsim.lobster import FlowColumns
 
+import lobster_reference
 from replay_oracle import OracleBook
 from synthetic_reference import reference_synthetic
 
 
-def parse_text(tmp_path, text):
+def write_text(tmp_path, text):
     path = tmp_path / "messages.csv"
-    path.write_text(text)
-    return list(parse_message_file(path))
+    path.write_bytes(text.encode())
+    return path
+
+
+def parse_text(tmp_path, text):
+    return list(parse_message_file(write_text(tmp_path, text)))
+
+
+def parse_row(tmp_path, row):
+    (event,) = parse_text(tmp_path, row + "\n")
+    return event
+
+
+# Rows in the shapes real LOBSTER files and hand edits use; each must read
+# exactly as the row-at-a-time reader read it.
+REAL_ROWS = [
+    "34200.004241176,1,16113575,18,5853300,1",
+    "34713.685155243,7,0,0,-1,-1",  # trading halt
+    "34714.1,5,0,100,0,-1",  # hidden execution, no price
+    "34715.2,4,16113575,18,5853300,1\r",  # CRLF line end
+    " 34716.3 , 2 , 16113575 , 5 , 5853300 , 1 ",
+    "34717.1234567891234,3,16113575,13,5853300,1",  # more than nine digits
+    "34718,1,16113576,1,5853400,-1",  # no fraction
+    "34719.,1,16113577,1,5853400,-1",
+    "\t34720.5\t,\t1\t,-3,7,5853500,\t-1\t",
+]
 
 
 class TestParsing:
-    def test_new_limit_buy_row(self):
-        event = parse_line("34200.000000001,1,11885113,21,2238100,1", 1)
+    def test_new_limit_buy_row(self, tmp_path):
+        event = parse_row(tmp_path, "34200.000000001,1,11885113,21,2238100,1")
         assert event.time_ns == 34_200_000_000_001
         assert event.event_type is EventType.NEW_LIMIT
         assert event.order_id == 11885113
@@ -41,24 +66,54 @@ class TestParsing:
         assert event.direction == 1
         assert event.side is Side.BID
 
-    def test_delete_sell_row(self):
-        event = parse_line("36000.5,3,42,100,1000000,-1", 1)
+    def test_delete_sell_row(self, tmp_path):
+        event = parse_row(tmp_path, "36000.5,3,42,100,1000000,-1")
         assert event.time_ns == 36_000_500_000_000
         assert event.event_type is EventType.DELETE
         assert event.order_id == 42
         assert event.side is Side.ASK
 
+    def test_file_reads_into_columns(self, tmp_path):
+        flow = parse_message_file(write_text(tmp_path, "36000.5,3,42,100,1000000,-1\n"))
+        assert type(flow) is FlowColumns
+        assert [list(column) for column in flow.columns()] == \
+            [[36_000_500_000_000], [3], [42], [100], [1_000_000], [-1]]
+
     def test_empty_file_yields_nothing(self, tmp_path):
         assert parse_text(tmp_path, "") == []
 
     def test_blank_lines_skipped(self, tmp_path):
-        text = "\n34200.0,1,1,10,1000000,1\n\n"
+        text = "\n34200.0,1,1,10,1000000,1\n  \r\n\n"
         assert len(parse_text(tmp_path, text)) == 1
 
-    def test_time_parsing_pads_and_truncates(self):
-        assert parse_time_seconds("100") == 100_000_000_000
-        assert parse_time_seconds("0.123456789") == 123_456_789
-        assert parse_time_seconds("1.1234567891") == 1_123_456_789
+    @pytest.mark.parametrize("text, time_ns", [
+        ("100", 100_000_000_000),
+        ("0.123456789", 123_456_789),
+        ("1.1234567891", 1_123_456_789),
+        ("7.", 7_000_000_000),
+        ("007.5", 7_500_000_000),
+    ])
+    def test_time_parsing_pads_and_truncates(self, tmp_path, text, time_ns):
+        assert parse_row(tmp_path, f"{text},1,1,10,1000000,1").time_ns == time_ns
+
+    def test_halt_and_hidden_execution_rows(self, tmp_path):
+        halt = parse_row(tmp_path, "34713.685155243,7,0,0,-1,-1")
+        assert (halt.event_type, halt.size, halt.price) == (EventType.HALT, 0, -1)
+        hidden = parse_row(tmp_path, "100.0,5,0,50,0,1")
+        assert (hidden.event_type, hidden.price) == (EventType.EXECUTE_HIDDEN, 0)
+
+    def test_real_rows_read_as_the_row_reader_read_them(self, tmp_path):
+        path = write_text(tmp_path, "".join(row + "\n" for row in REAL_ROWS))
+        flow = parse_message_file(path)
+        assert len(flow) == len(REAL_ROWS)
+        assert flow == FlowColumns.of(lobster_reference.parse_message_file(path))
+
+    def test_default_day_reads_as_the_row_reader_read_it(self, tmp_path):
+        path = tmp_path / "day.csv"
+        generate_to_file(SyntheticFlowConfig(), path)  # the seed-0 day gen-data writes
+        flow = parse_message_file(path)
+        assert len(flow) == 47_087
+        assert flow == FlowColumns.of(lobster_reference.parse_message_file(path))
 
     def test_wrong_column_count_carries_line_number(self, tmp_path):
         text = "34200.0,1,1,10,1000000,1\n34200.1,1,2,10,1000000\n"
@@ -71,28 +126,43 @@ class TestParsing:
         rows = "".join(f"{100 + i}.0,1,{i},10,1000000,1\n" for i in range(5000))
         path.write_bytes(rows.encode() + b"99999.0,1,1,1\xe90,1000000,1\n")
         with pytest.raises(LobsterParseError, match="not UTF-8") as excinfo:
-            list(parse_message_file(path))
+            parse_message_file(path)
         assert excinfo.value.line_number == 5001
         assert str(path) in str(excinfo.value)
 
     @pytest.mark.parametrize(
         "row,reason",
         [
-            ("34200.0,6,1,10,1000000,1", "6"),  # no such event type
-            ("34200.0,1,x,10,1000000,1", "invalid literal"),
+            ("34200.0,6,1,10,1000000,1", "type 6"),  # no such event type
+            ("34200.0,1,x,10,1000000,1", "malformed order_id field 'x'"),
             ("34200.0,1,1,0,1000000,1", "size must be positive"),
             ("34200.0,1,1,10,0,1", "price must be positive"),
             ("34200.0,1,1,10,1000000,2", "direction"),
-            ("-1.0,1,1,10,1000000,1", "negative time"),
+            ("-1.0,1,1,10,1000000,1", "malformed time field"),
+            # each of these used to be accepted, the first three as other times
+            ("-0.5,1,1,10,1000000,1", "malformed time field"),  # as +0.5 s
+            ("1.-5,1,1,10,1000000,1", "malformed time field"),  # as 0.95 s
+            ("5 . 5,1,1,10,1000000,1", "malformed time field"),  # as 5.05 s
+            ("+34200.0,1,1,10,1000000,1", "malformed time field"),
+            ("34200.0,1,1,+10,1000000,1", "malformed size field"),
+            ("34200.0,1,1,10,1000000,+1", "malformed direction field"),
+            ("34_200.0,1,1,10,1000000,1", "malformed time field"),
+            ("34200.0,1,1,10,1_000_000,1", "malformed price field"),
+            ("34200.0,1,\uff11,10,1000000,1", "malformed order_id field"),  # full-width digit
+            ("34200.\uff15,1,1,10,1000000,1", "malformed time field"),
+            ("34200.0,\uff11,1,10,1000000,1", "malformed type field"),
+            # each of these used to end in an OverflowError once copied to columns
+            ("34200.0,1,1,10,99999999999999999999,1", "price is outside the int64 range"),
+            ("34200.0,1,-9223372036854775809,10,1000000,1", "order_id is outside"),
+            ("99999999999.0,1,1,10,1000000,1", "time is outside the int64 range"),
         ],
     )
-    def test_malformed_rows_rejected(self, row, reason):
-        with pytest.raises(LobsterParseError, match=reason):
-            parse_line(row, 7)
-
-    def test_hidden_execution_allows_nonpositive_price(self):
-        event = parse_line("100.0,5,0,50,0,1", 3)
-        assert event.event_type is EventType.EXECUTE_HIDDEN
+    def test_malformed_rows_rejected(self, tmp_path, row, reason):
+        path = write_text(tmp_path, row + "\n")
+        with pytest.raises(LobsterParseError, match=reason) as excinfo:
+            parse_message_file(path)
+        assert excinfo.value.line_number == 1
+        assert str(excinfo.value).startswith(f"{path}: line 1: ")
 
     def test_nonmonotone_time_warns_but_keeps_event(self, tmp_path):
         text = "100.0,1,1,10,1000000,1\n99.0,1,2,10,1000000,1\n"
@@ -104,7 +174,7 @@ class TestParsing:
 class TestRoundTrip:
     def test_canonical_time_formatting(self, tmp_path):
         out = tmp_path / "canonical.csv"
-        write_message_file([parse_line("36000.5,3,42,100,1000000,-1", 1)], out)
+        write_message_file([parse_row(tmp_path, "36000.5,3,42,100,1000000,-1")], out)
         assert out.read_text() == "36000.500000000,3,42,100,1000000,-1\n"
 
     def test_parse_write_parse_is_identity(self, tmp_path):
@@ -114,10 +184,10 @@ class TestRoundTrip:
             "36001,2,7,5,2238100,1\n"
             "36002.25,4,11885113,21,2238100,1\n"
         )
-        first = parse_text(tmp_path, text)
+        first = parse_message_file(write_text(tmp_path, text))
         out = tmp_path / "canonical.csv"
         write_message_file(first, out)
-        second = list(parse_message_file(out))
+        second = parse_message_file(out)
         assert second == first
         # canonical text is a fixed point
         again = tmp_path / "canonical2.csv"
@@ -192,6 +262,14 @@ class TestSyntheticFlow:
             hour_config(placement_geometric_p=0.0).validate()
         with pytest.raises(ValueError):
             hour_config(session_end_ns=0).validate()
+        with pytest.raises(ValueError, match="initial_mid_ticks"):
+            hour_config(initial_mid_ticks=2**62).validate()
+
+    def test_largest_initial_mid_keeps_prices_in_int64(self):
+        flow = generate_synthetic(hour_config(initial_mid_ticks=2**62 - 1,
+                                              placement_geometric_p=1e-9,
+                                              session_end_ns=seconds(60)))
+        assert len(flow) > 0 and max(flow.price) < 2**63
 
 
 class TestColumnarGenerator:

@@ -13,7 +13,8 @@ Notification protocol, in emission order per inbound message:
     "rejected:not_owner" when another agent's order rests under the id)
   * malformed or duplicate orders -> OrderCancelled(reason "rejected:...")
   * MarketDataQuery -> MarketDataReply with a depth-k snapshot; while the
-    book is unchanged every query of that depth gets the same reply object
+    snapshot's value is unchanged every query of that depth gets the same
+    reply object
 """
 
 from __future__ import annotations

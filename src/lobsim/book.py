@@ -7,7 +7,7 @@ remainders are cancelled, never converted to limit orders.
 
 Single-owner mutable structure: all access is serialized through the
 exchange agent on the kernel thread.  Snapshots are immutable value copies;
-the book hands out the same one until it changes.
+the book hands out the same one while the top-k value it shows is unchanged.
 """
 
 from __future__ import annotations
@@ -167,8 +167,10 @@ class OrderBook:
         # resting orders cancelled by self-trade prevention during the most
         # recent submit; only populated when allow_self_trade is False
         self.self_trade_cancels: list[Order] = []
-        # the last snapshot per depth; every change to the book clears it
+        # the current snapshot per depth; every change to the book clears it
         self._snapshots: dict[int, BookSnapshot] = {}
+        # the last snapshot made per depth, which a rebuild reuses if equal
+        self._last_snapshots: dict[int, BookSnapshot] = {}
 
     # -- queries ------------------------------------------------------------
 
@@ -202,8 +204,10 @@ class OrderBook:
         return sum(level.total_quantity for side in self._levels.values() for level in side.values())
 
     def snapshot(self, k: int = 3) -> BookSnapshot:
-        """Top-k depth.  While the book is unchanged every call with the same
-        k returns the same (immutable) object."""
+        """Top-k depth.  While its value is unchanged, every call with the
+        same k returns the same (immutable) object, across changes to the
+        book below the top k too; a rebuild whose one side is unchanged
+        keeps that side's tuple."""
         snapshot = self._snapshots.get(k)
         if snapshot is not None:
             return snapshot
@@ -214,7 +218,16 @@ class OrderBook:
         bids = tuple([(p, levels[p].total_quantity) for p in self._prices[Side.BID][:-k - 1:-1]])
         levels = self._levels[Side.ASK]
         asks = tuple([(p, levels[p].total_quantity) for p in self._prices[Side.ASK][:k]])
-        snapshot = self._snapshots[k] = BookSnapshot(bids, asks, self.last_trade_price)
+        last = self._last_snapshots.get(k)
+        if last is not None:
+            bids = last.bids if bids == last.bids else bids
+            asks = last.asks if asks == last.asks else asks
+            if bids is last.bids and asks is last.asks \
+                    and self.last_trade_price == last.last_trade_price:
+                self._snapshots[k] = last
+                return last
+        snapshot = BookSnapshot(bids, asks, self.last_trade_price)
+        self._snapshots[k] = self._last_snapshots[k] = snapshot
         return snapshot
 
     def depth_csv(self) -> str:

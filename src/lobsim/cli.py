@@ -30,7 +30,7 @@ import yaml
 
 from .agents import DDQLConfig, DDQLExecutionAgent, LearnerState, MomentumConfig
 from .book import Side
-from .kernel import NANOS_PER_SECOND, seconds, time_from_str, time_to_str
+from .kernel import MAX_AGENTS, NANOS_PER_SECOND, seconds, time_from_str, time_to_str
 from .lobster import LobsterParseError, SyntheticFlowConfig, generate_to_file
 from .metrics import (
     FitRefusal,
@@ -291,6 +291,11 @@ def build_setup(cfg: dict) -> RunSetup:
         raise ConfigError(f"kernel.post_margin_seconds: must be at least "
                           f"{least / NANOS_PER_SECOND:g} ({CLOSING_HOPS} x (latency + "
                           f"computation delay)), got {setup.post_margin / NANOS_PER_SECOND:g}")
+    # beside the traders: the exchange, the replay agent, the executor and its twin
+    most = MAX_AGENTS - 3 - setup.include_twap_twin
+    if setup.momentum_count > most:
+        raise ConfigError(f"roster.momentum_count: must be at most {most}, so the roster stays "
+                          f"within {MAX_AGENTS} agents, got {setup.momentum_count}")
     return setup
 
 

@@ -6,9 +6,11 @@ trading day.  Delivery order is a total order: events pop sorted by
 (deliver_at, insertion sequence), so ties at equal timestamps resolve FIFO
 by insertion.  Runs with identical configuration and seed are bit-identical.
 
-The log keeps each delivery's time, sender and recipient in int64 columns
-and its payload object in a list beside them, and formats nothing while the
-loop runs, so payloads must be immutable values (see LogRecord).
+The log keeps each delivery's time in an int64 column, its sender and
+recipient in int16 columns and its payload object in a list beside them,
+about 20 bytes a delivery, and formats nothing while the loop runs, so
+payloads must be immutable values (see LogRecord).  The int16 ids cap a
+kernel at MAX_AGENTS (32,767) agents.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ SimTime = int  # nanoseconds since midnight
 NANOS_PER_SECOND = 1_000_000_000
 NANOS_PER_MINUTE = 60 * NANOS_PER_SECOND
 NANOS_PER_HOUR = 60 * NANOS_PER_MINUTE
+
+# agent ids are logged in int16 columns; the 32,768th agent is refused
+MAX_AGENTS = 32_767
 
 
 _CLOCK = re.compile(r"([0-9]+):([0-9]+):([0-9]+)(?:\.([0-9]+))?")
@@ -179,14 +184,15 @@ class LogRecords(Sequence):
 
 class SimulationLog:
     """Record of every delivered message plus final agent states.  Delivery
-    times, senders and recipients are int64 columns and the payloads a list
-    beside them, so a delivery adds no object but its payload; `records`
-    reads them back as LogRecords."""
+    times are an int64 column, senders and recipients int16 columns (agent
+    ids are below MAX_AGENTS, 32,767) and the payloads a list beside them,
+    so a delivery costs about 20 bytes and adds no object but its payload;
+    `records` reads them back as LogRecords."""
 
     def __init__(self) -> None:
         self.times = array("q")
-        self.senders = array("q")
-        self.recipients = array("q")
+        self.senders = array("h")
+        self.recipients = array("h")
         self.payloads: list = []
         self.final_states: dict[int, dict] = {}
 
@@ -260,6 +266,8 @@ class Kernel:
     def register(self, agent: Agent) -> int:
         if self._running:
             raise KernelError("cannot register agents while running")
+        if len(self.agents) >= MAX_AGENTS:
+            raise KernelError(f"a kernel holds at most {MAX_AGENTS} agents")
         agent.agent_id = len(self.agents)
         self.agents.append(agent)
         return agent.agent_id

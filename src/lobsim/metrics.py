@@ -68,7 +68,7 @@ class FlowSeries:
     def from_log(cls, log: SimulationLog, session: Optional[tuple] = None) -> "FlowSeries":
         """Inbound order traffic to the exchange, read off the kernel log;
         its limit orders form the sample."""
-        to_exchange = np.frombuffer(log.recipients, dtype=np.int64) == EXCHANGE_ID
+        to_exchange = np.frombuffer(log.recipients, dtype=log.recipients.typecode) == EXCHANGE_ID
         payloads = log.payloads
         read, limits, sizes = [], [], []
         for i in np.flatnonzero(to_exchange).tolist():

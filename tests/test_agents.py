@@ -105,6 +105,18 @@ class TestExchangeProtocol:
         deeper = kernel.to(2)[-1]
         assert deeper is not third and deeper.snapshot.bids == ((9_995, 5), (9_990, 10))
 
+    def test_deep_cancel_between_queries_resends_the_same_reply(self):
+        exchange, kernel = make_exchange()
+        for i, price in enumerate((9_990, 9_980, 9_970, 9_960)):
+            exchange.on_message(10, 1, LimitOrder(100 + i, Side.BID, 10, price))
+        kernel.sent.clear()
+        exchange.on_message(11, 2, MarketDataQuery(depth=3))
+        exchange.on_message(12, 1, CancelOrder(103))  # the fourth level, below the depth
+        assert kernel.to(1) == [OrderCancelled(103, 10, "cancelled")]
+        exchange.on_message(13, 2, MarketDataQuery(depth=3))
+        first, second = kernel.to(2)
+        assert second is first
+
     def test_unfilled_market_remainder_cancelled(self):
         exchange, kernel = make_exchange()
         exchange.on_message(10, 1, LimitOrder(100, Side.ASK, 30, 1_000_000))

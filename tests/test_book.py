@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lobsim.book import (
     BookSnapshot,
@@ -308,6 +310,73 @@ class TestSnapshotReuse:
         with pytest.raises(OrderNotFoundError):
             book.reduce(99, 1)
         assert book.snapshot(2) is snap
+
+    @pytest.mark.parametrize("change", [
+        lambda book: book.submit(limit(4, Side.ASK, 100.03, 8)),  # a new deeper level
+        lambda book: book.submit(limit(4, Side.BID, 99.98, 8)),
+        lambda book: book.submit(limit(4, Side.ASK, 100.02, 8)),  # joins the second level
+        lambda book: book.reduce(3, 5),
+        lambda book: book.cancel(3),
+    ], ids=["new_deeper_ask", "new_deeper_bid", "join_a_deeper_level", "reduce_deeper",
+            "cancel_deeper"])
+    def test_change_below_the_top_k_returns_the_same_object(self, change):
+        book = self.two_sided()
+        snap = book.snapshot(1)
+        change(book)
+        assert book.snapshot(1) is snap
+        assert snap == fresh_snapshot(book, 1)
+
+    def test_change_on_one_side_keeps_the_other_sides_tuple(self):
+        book = self.two_sided()
+        snap = book.snapshot(2)
+        book.submit(limit(4, Side.BID, 100.00, 7))
+        after = self.assert_renewed(book, snap)
+        assert after.bids != snap.bids and after.asks is snap.asks
+        book.reduce(2, 4)
+        renewed = self.assert_renewed(book, after)
+        assert renewed.asks != after.asks and renewed.bids is after.bids
+
+    def test_a_new_last_trade_alone_renews(self):
+        # the trade's gap at the best ask is refilled before the next look,
+        # so only the last trade price tells the two snapshots apart
+        book = self.two_sided()
+        snap = book.snapshot(2)
+        book.submit(market(4, Side.BID, 4))
+        book.submit(limit(5, Side.ASK, 100.01, 4))
+        after = self.assert_renewed(book, snap)
+        assert after.last_trade_price == 100_0100 and snap.last_trade_price is None
+        assert after.bids is snap.bids and after.asks is snap.asks
+
+    OPS = st.lists(st.tuples(st.sampled_from(["limit", "market", "cancel", "reduce"]),
+                             st.sampled_from([Side.BID, Side.ASK]), st.integers(-2, 2),
+                             st.integers(1, 3), st.integers(1, 40), st.booleans()),
+                   max_size=60)
+
+    @settings(max_examples=150, deadline=None)
+    @given(OPS)
+    def test_reused_exactly_when_the_value_is_unchanged(self, ops):
+        # a look may skip operations, so several can fall between two snapshots
+        book = OrderBook()
+        previous = {k: book.snapshot(k) for k in (1, 2, 3)}
+        for order_id, (op, side, offset, quantity, target, look) in enumerate(ops, start=1):
+            if op == "limit":
+                book.submit(Order(order_id, 0, side, 100 + offset, quantity,
+                                  OrderKind.LIMIT, order_id))
+            elif op == "market":
+                book.submit(Order(order_id, 0, side, 0, quantity, OrderKind.MARKET, order_id))
+            elif op == "cancel":
+                book.cancel(target)
+            elif book.order(target) is not None:
+                book.reduce(target, quantity)
+            if not look and order_id < len(ops):
+                continue
+            for k in (1, 2, 3):
+                snap, last = book.snapshot(k), previous[k]
+                assert snap == fresh_snapshot(book, k)
+                assert (snap is last) == (snap == last)
+                assert (snap.bids is last.bids) == (snap.bids == last.bids)
+                assert (snap.asks is last.asks) == (snap.asks == last.asks)
+                previous[k] = snap
 
 
 class TestLazyRemoval:

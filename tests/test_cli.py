@@ -306,6 +306,32 @@ class TestConfigHandling:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert ".".join(sections) in err and key in err
 
+    @pytest.mark.parametrize("momentum_count, twin", [(2**40, True), (32_764, True),
+                                                      (32_765, False)])
+    def test_roster_past_the_agent_limit_names_its_key(self, tmp_path, capsys,
+                                                       momentum_count, twin):
+        # 2**40 traders used to run until the process was killed.  The count
+        # goes through build_setup first: a build that accepts it fails the
+        # test before any run starts
+        cfg = base_config()
+        cfg["roster"].update(momentum_count=momentum_count, include_twap=twin)
+        with pytest.raises(ConfigError, match="roster.momentum_count"):
+            build_setup(resolve_config(cfg, out_dir=str(tmp_path / "out")))
+        path = write_config(tmp_path, cfg)
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "roster.momentum_count" in err and "32767 agents" in err
+
+    @pytest.mark.parametrize("momentum_count, twin", [(32_763, True), (32_764, False)])
+    def test_roster_at_the_agent_limit_is_accepted(self, tmp_path, momentum_count, twin):
+        # with the exchange, the replay agent, the executor and the twin
+        # (when there is one) the roster holds 32,767 agents
+        cfg = base_config()
+        cfg["roster"].update(momentum_count=momentum_count, include_twap=twin)
+        setup = build_setup(resolve_config(cfg, out_dir=str(tmp_path / "out")))
+        assert setup.momentum_count == momentum_count
+
     def test_infinite_arrival_rate_names_its_key(self, tmp_path):
         # gen-data used to loop forever: an exponential gap of 0 never
         # advances the clock

@@ -23,7 +23,7 @@ from lobsim import (
 )
 
 from lobsim.book import BookSnapshot, Side
-from lobsim.kernel import LogRecord, SimulationLog, Wakeup
+from lobsim.kernel import Kernel, LogRecord, SimulationLog, Wakeup
 from lobsim.messages import (
     CancelOrder,
     LimitOrder,
@@ -184,6 +184,16 @@ class TestFailureModes:
 
         with pytest.raises(KernelError, match="while running"):
             run_simulation(config(), [Sneaky()])
+
+    def test_agent_id_past_the_int16_log_columns_is_refused(self):
+        # used to be accepted; the log's sender and recipient columns are int16
+        kernel = Kernel(config())
+        for _ in range(32_767):
+            kernel.register(Agent())
+        assert kernel.agents[-1].agent_id == 32_766
+        with pytest.raises(KernelError, match="at most 32767 agents"):
+            kernel.register(Agent())
+        assert len(kernel.agents) == 32_767
 
 
 class TestGarbageCollector:
@@ -369,8 +379,8 @@ class _Pinger(Agent):
 
 
 class TestColumnarLog:
-    """The log keeps int64 columns and a payload list; `records` reads them
-    back as LogRecords."""
+    """The log keeps an int64 time column, int16 sender and recipient
+    columns and a payload list; `records` reads them back as LogRecords."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_records_view_reads_the_expected_log(self, seed):
@@ -405,10 +415,8 @@ class TestColumnarLog:
         assert (list(log.senders), list(log.recipients)) == ([1, 3], [0, 4])
         assert list(log.records) == [LogRecord(5, 1, 0, "text"), LogRecord(2**62, 3, 4, Ping(9))]
 
-    def test_a_delivery_costs_under_48_bytes(self):
-        # a LogRecord tuple and its time int cost 120 bytes a delivery; three
-        # int64 columns and a payload pointer cost about 32
-        deliveries = 100_000
+    @staticmethod
+    def log_bytes_per_delivery(deliveries=100_000) -> float:
         kernel = build_kernel(config(stop=10 * deliveries), [_Pinger(deliveries)])
         tracemalloc.start()
         try:
@@ -418,4 +426,13 @@ class TestColumnarLog:
         finally:
             tracemalloc.stop()
         assert len(log) == deliveries
-        assert held / deliveries < 48
+        return held / deliveries
+
+    def test_a_delivery_costs_under_48_bytes(self):
+        # a LogRecord tuple and its time int cost 120 bytes a delivery
+        assert self.log_bytes_per_delivery() < 48
+
+    def test_a_delivery_costs_under_24_bytes(self):
+        # three int64 columns and a payload pointer cost about 32.5 bytes; an
+        # int64 time, two int16 ids and the pointer about 20
+        assert self.log_bytes_per_delivery() < 24

@@ -18,6 +18,8 @@ from lobsim import (
     seconds,
     write_message_file,
 )
+from lobsim.book import Order, OrderBook
+from lobsim.kernel import time_from_str
 from lobsim.lobster import FlowColumns
 
 import lobster_reference
@@ -295,6 +297,29 @@ class TestColumnarGenerator:
         write_message_file(generate_synthetic(SyntheticFlowConfig()), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == \
             "57d350aa02efacedb318c7b960e2474f5b037d7fd33f6f150284a7006453f93b"
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="each new order rests behind the opposite best and "
+                       "each cancel picks among ~30k resting orders, so once the spread is "
+                       "one tick the best levels never empty; mending it moves the stream")
+    def test_default_day_moves_the_top_of_book_during_the_trading_window(self):
+        flow = generate_synthetic(SyntheticFlowConfig())
+        start, end = time_from_str("10:00:00"), time_from_str("15:30:00")
+        book, tops = OrderBook(), set()
+        for time_ns, event_type, order_id, size, price, direction in zip(*flow.columns()):
+            inside = start <= time_ns <= end
+            if inside:
+                tops.add((book.best_bid(), book.best_ask()))
+            if event_type == EventType.NEW_LIMIT:
+                side = Side.BID if direction == 1 else Side.ASK
+                book.submit(Order(order_id, 0, side, price, size))
+            elif event_type == EventType.PARTIAL_CANCEL:
+                book.reduce(order_id, size)
+            elif event_type == EventType.DELETE:
+                book.cancel(order_id)
+            if inside:
+                tops.add((book.best_bid(), book.best_ask()))
+        assert len(tops) > 1, f"the top of book stays at {tops}"
 
     def test_rows_are_python_ints(self):
         flow = generate_synthetic(hour_config(seed=4, session_end_ns=seconds(60)))

@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from lobsim.agents import ExchangeAgent, MarketReplayAgent, MomentumAgent, MomentumConfig
 from lobsim.book import Side
-from lobsim.kernel import NANOS_PER_SECOND, LogRecord, SimulationLog
-from lobsim.lobster import EventType, LobsterEvent
+from lobsim.kernel import NANOS_PER_SECOND, KernelConfig, LogRecord, SimulationLog, run_simulation
+from lobsim.lobster import EventType, LobsterEvent, SyntheticFlowConfig, generate_synthetic
 from lobsim.messages import (
+    EXCHANGE_ID,
     CancelOrder,
     LimitOrder,
     MarketDataQuery,
@@ -150,6 +152,27 @@ class TestFlowSeries:
         assert flow.sizes.tolist() == [50, 15]
         assert flow.records_read == 5
         assert flow.session == (seconds(1), seconds(5))
+
+    def test_from_log_selects_the_rows_the_kernel_delivered_to_the_exchange(self):
+        # the log's id columns are int16: read as int64 they select other rows
+        flow = generate_synthetic(SyntheticFlowConfig(
+            arrival_rate_per_side=8.0, initial_mid_ticks=10_000,
+            session_start_ns=seconds(99), session_end_ns=seconds(106)))
+        momentum = MomentumConfig(short_window=2, long_window=3, poll_interval=seconds(0.2))
+        agents = [ExchangeAgent(), MarketReplayAgent(flow),
+                  MomentumAgent(momentum, name="m0"),
+                  MomentumAgent(momentum, poll_offset=seconds(0.1), name="m1")]
+        log = run_simulation(KernelConfig(seconds(98), seconds(107), latency_nanos=1_000_000),
+                             agents)
+        read = [r for r in log.records if r.recipient_id == EXCHANGE_ID
+                and isinstance(r.payload, (LimitOrder, MarketOrder, CancelOrder))]
+        limits = [r for r in read if isinstance(r.payload, LimitOrder)]
+        assert {r.sender_id for r in read} == {1, 2, 3}
+        assert len({r.recipient_id for r in log.records}) == 4
+        series = FlowSeries.from_log(log)
+        assert series.records_read == len(read)
+        assert series.times.tolist() == [r.time for r in limits]
+        assert series.sizes.tolist() == [r.payload.quantity for r in limits]
 
     def test_from_log_respects_session_argument(self):
         log = SimulationLog()

@@ -2,9 +2,18 @@
 
 Agents exchange timestamped messages through a single-threaded event loop.
 Time is an integer count of nanoseconds since midnight of the simulated
-trading day.  Delivery order is a total order: events pop sorted by
+trading day.  Delivery order is a total order: events leave sorted by
 (deliver_at, insertion sequence), so ties at equal timestamps resolve FIFO
 by insertion.  Runs with identical configuration and seed are bit-identical.
+
+Events wait in two queues.  Wakeups, which an agent may set for any time
+not in the past, go into a binary heap.  Messages go into a FIFO deque:
+every message is delivered the same computation delay plus latency after
+it is sent, and the clock never goes back, so messages arrive at the deque
+already sorted by (deliver_at, sequence) and need no heap.  The loop
+delivers whichever head is earlier by (time, sequence), which is the order
+a single heap of both kinds would give.  A kernel runs once: a second run
+would restart the clock behind events the first one left queued.
 
 The log keeps each delivery's time in an int64 column, its sender and
 recipient in int16 columns and its payload object in a list beside them,
@@ -19,6 +28,7 @@ import gc
 import json
 import re
 from array import array
+from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -258,10 +268,15 @@ class Kernel:
         self.config = config
         self.agents: list[Agent] = []
         self.now: SimTime = config.start_time
-        # (deliver_at, insertion sequence, sender_id, recipient_id, payload)
-        self._queue: list[tuple] = []
+        self._delay = config.computation_delay_nanos + config.latency_nanos
+        # heap of (at, insertion sequence, agent_id)
+        self._wakeups: list[tuple] = []
+        # (deliver_at, insertion sequence, sender_id, recipient_id, payload),
+        # sorted as appended because every message takes self._delay
+        self._messages: deque = deque()
         self._sequence = count()
         self._running = False
+        self._has_run = False
 
     def register(self, agent: Agent) -> int:
         if self._running:
@@ -277,7 +292,7 @@ class Kernel:
             raise SchedulingError(f"wakeup at {at} is in the past (now={self.now})")
         if not 0 <= agent_id < len(self.agents):
             raise KernelError(f"unregistered agent {agent_id}")
-        heappush(self._queue, (at, next(self._sequence), agent_id, agent_id, _WAKEUP))
+        heappush(self._wakeups, (at, next(self._sequence), agent_id))
 
     def send(self, sender_id: int, recipient_id: int, payload: Any) -> SimTime:
         """Enqueue `payload` for delivery after the computation delay and
@@ -287,14 +302,18 @@ class Kernel:
             if not 0 <= sender_id < n:
                 raise KernelError(f"unregistered agent {sender_id}")
             raise UnknownRecipientError(f"unknown recipient {recipient_id}")
-        config = self.config
-        deliver_at = self.now + config.computation_delay_nanos + config.latency_nanos
-        heappush(self._queue, (deliver_at, next(self._sequence), sender_id, recipient_id, payload))
+        deliver_at = self.now + self._delay
+        self._messages.append((deliver_at, next(self._sequence), sender_id, recipient_id, payload))
         return deliver_at
 
     def run(self) -> SimulationLog:
-        """Deliver events in (deliver_at, insertion) order until the queue
-        drains or stop_time passes; returns the full delivery log.
+        """Deliver events in (deliver_at, insertion) order until both queues
+        drain or stop_time passes; returns the full delivery log.  Each step
+        takes the earlier of the wakeup heap's head and the message FIFO's
+        head; the two never tie, since sequences are unique.  Messages go to
+        `on_message`, wakeups to `on_wakeup`.  A kernel runs once; a second
+        call raises KernelError, since its clock would restart behind the
+        events the first run left queued.
 
         The cyclic garbage collector is paused for the run.  The log adds no
         tracked object per delivery, but the payloads it keeps alive are
@@ -304,10 +323,15 @@ class Kernel:
         collected after the run.  The collector is enabled again on every exit, an
         AgentFault included, if it was enabled on entry.  Every exit also
         clears each agent's `kernel`, so no cycle keeps a finished run alive."""
+        if self._has_run:
+            raise KernelError("a kernel runs once")
+        self._has_run = True
         log = SimulationLog()
         log_time, log_sender = log.times.append, log.senders.append
         log_recipient, log_payload = log.recipients.append, log.payloads.append
-        queue, agents, stop = self._queue, self.agents, self.config.stop_time
+        wakeups, messages = self._wakeups, self._messages
+        next_message = messages.popleft
+        agents, stop = self.agents, self.config.stop_time
         self.now = self.config.start_time
         self._running = True
         gc_was_enabled = gc.isenabled()
@@ -315,27 +339,41 @@ class Kernel:
         try:
             for agent in self.agents:
                 self._invoke(agent, agent.on_start, self)
-            while queue:
-                event = heappop(queue)
-                deliver_at, _, sender_id, recipient_id, payload = event
-                if deliver_at > stop:
-                    heappush(queue, event)
-                    break
-                self.now = deliver_at
-                log_time(deliver_at)
-                log_sender(sender_id)
-                log_recipient(recipient_id)
-                log_payload(payload)
-                recipient = agents[recipient_id]
-                try:
-                    if isinstance(payload, Wakeup):
-                        recipient.on_wakeup(deliver_at)
-                    else:
+            while True:
+                if messages and not (wakeups and wakeups[0] < messages[0]):
+                    deliver_at, _, sender_id, recipient_id, payload = next_message()
+                    if deliver_at > stop:
+                        break
+                    self.now = deliver_at
+                    log_time(deliver_at)
+                    log_sender(sender_id)
+                    log_recipient(recipient_id)
+                    log_payload(payload)
+                    recipient = agents[recipient_id]
+                    try:
                         recipient.on_message(deliver_at, sender_id, payload)
-                except KernelError:
-                    raise
-                except Exception as exc:  # abort with the offending agent identified
-                    raise AgentFault(recipient.agent_id, recipient.name, exc) from exc
+                    except KernelError:
+                        raise
+                    except Exception as exc:  # abort with the offending agent identified
+                        raise AgentFault(recipient.agent_id, recipient.name, exc) from exc
+                elif wakeups:
+                    at, _, agent_id = heappop(wakeups)
+                    if at > stop:
+                        break
+                    self.now = at
+                    log_time(at)
+                    log_sender(agent_id)
+                    log_recipient(agent_id)
+                    log_payload(_WAKEUP)
+                    recipient = agents[agent_id]
+                    try:
+                        recipient.on_wakeup(at)
+                    except KernelError:
+                        raise
+                    except Exception as exc:  # abort with the offending agent identified
+                        raise AgentFault(recipient.agent_id, recipient.name, exc) from exc
+                else:
+                    break
             for agent in self.agents:
                 self._invoke(agent, agent.on_stop)
                 log.final_states[agent.agent_id] = agent.state_summary()

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lobsim import (
     DDQLConfig,
@@ -34,6 +36,7 @@ from lobsim.messages import (
     OrderCancelled,
     OrderExecuted,
 )
+from lobsim.agents.base import ORDER_ID_BAND
 from lobsim.agents.momentum import momentum_decide
 from lobsim.agents.twap import twap_schedule
 
@@ -420,6 +423,93 @@ class TestMomentumAgent:
         for i in range(6):
             agent.on_message(i, 0, MarketDataReply(snapshot))
         assert kernel.sent == []
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="a full fill leaves open_order_id set, so the next decision "
+                       "cancels an order that is gone (not_found); clearing it moves the "
+                       "learn_dense digests")
+    def test_full_fill_clears_the_open_order(self):
+        agent, kernel = make_momentum(short_window=2, long_window=4)
+        for i in range(4):
+            agent.on_message(i, 0, reply(9_990 + i * 10, 10_010 + i * 10))
+        agent.on_message(10, 0, OrderExecuted(agent.open_order_id, agent.config.order_size,
+                                              10_020))
+        before = len(kernel.sent)
+        agent.on_message(11, 0, reply(10_030, 10_050))
+        sent = [p for _, p in kernel.sent[before:]]
+        assert any(isinstance(p, LimitOrder) for p in sent)
+        assert not any(isinstance(p, CancelOrder) for p in sent)
+
+
+EXACT = 2**52  # the integer path's bound on long_sum * short_window * long_window
+
+
+@st.composite
+def windows(draw):
+    short = draw(st.integers(1, 30))
+    return short, draw(st.integers(short + 1, 80))
+
+
+@st.composite
+def feeds(draw, bid, spread=st.integers(1, 4)):
+    """(short, long, [(bid, ask)]) with at least `long` quotes."""
+    short, long = draw(windows())
+    rows = draw(st.lists(st.tuples(bid, spread), min_size=long, max_size=long + 40))
+    return short, long, [(b, b + s) for b, s in rows]
+
+
+def check_orders_follow_the_float_means(short, long, book_quotes) -> list:
+    """Feed `book_quotes` as (bid, ask) replies one at a time.  After each,
+    the agent must have sent what `momentum_decide` on the snapshots'
+    float mids implies: nothing, or a cancel of its previous order (if any)
+    and a limit at the touch.  Returns whether each step was inside the
+    integer path's bound."""
+    agent, kernel = make_momentum(short_window=short, long_window=long)
+    band = (agent.agent_id + 1) * ORDER_ID_BAND
+    mids, doubled, inside, order_seq = [], [], [], 0
+    for bid, ask in book_quotes:
+        before = len(kernel.sent)
+        payload = reply(bid, ask)
+        agent.on_message(0, 0, payload)
+        mids.append(payload.snapshot.mid_price)
+        doubled.append(bid + ask)
+        inside.append(sum(doubled[-long:]) * short * long < EXACT)
+        side = momentum_decide(mids, short, long)
+        want = []
+        if side is not None:
+            if order_seq:
+                want.append(CancelOrder(band + order_seq))
+            order_seq += 1
+            want.append(LimitOrder(band + order_seq, side, agent.config.order_size,
+                                   bid if side is Side.BID else ask))
+        assert [p for _, p in kernel.sent[before:]] == want
+    return inside
+
+
+class TestMomentumExactSums:
+    """The integer running sums decide as momentum_decide on float mids."""
+
+    @given(feeds(st.integers(999_980, 1_000_020)))
+    def test_well_inside_the_bound(self, feed):
+        assert all(check_orders_follow_the_float_means(*feed))
+
+    @given(feeds(st.integers(2**61 - 2**12, 2**61 + 2**12), st.integers(1, 2**11)))
+    def test_near_2_to_the_61(self, feed):
+        assert not any(check_orders_follow_the_float_means(*feed))
+
+    @given(windows(), st.data())
+    def test_a_window_that_crosses_the_bound(self, window, data):
+        # long doubled mids summing to just under EXACT / (short * long),
+        # then long more summing to just over it
+        short, long = window
+        base = -(-EXACT // (short * long)) // long
+        noise = st.integers(-1, 1)
+        doubled = ([base - 2 + data.draw(noise) for _ in range(long)]
+                   + [base + 4 + data.draw(noise) for _ in range(long)])
+        spreads = data.draw(st.lists(st.integers(1, 2), min_size=2 * long, max_size=2 * long))
+        book_quotes = [((d - s) // 2, (d - s) // 2 + s) for d, s in zip(doubled, spreads)]
+        inside = check_orders_follow_the_float_means(short, long, book_quotes)
+        assert inside[long - 1] and not inside[-1]
 
 
 def parent_order(parent, periods, start=0, **fields) -> DDQLConfig:

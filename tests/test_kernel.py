@@ -3,10 +3,13 @@
 import gc
 import json
 import tracemalloc
+from collections import deque
 from collections.abc import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lobsim import (
     Agent,
@@ -35,6 +38,7 @@ from lobsim.messages import (
     OrderExecuted,
 )
 
+from kernel_reference import build_heap_kernel
 from kernel_script import (
     Ping,
     ScriptAgent,
@@ -174,6 +178,27 @@ class TestFailureModes:
         assert "bad-actor" in str(excinfo.value)
         assert isinstance(excinfo.value.__cause__, ValueError)
 
+    def test_message_callback_exception_wrapped_with_identity(self):
+        class Faulty(Agent):
+            def on_message(self, now, sender_id, payload):
+                raise ValueError("broken")
+
+        pinger = ReplyAgent([5], [([(1, Ping(0))], [])])
+        with pytest.raises(AgentFault) as excinfo:
+            run_simulation(config(), [pinger, Faulty(name="bad-actor")])
+        assert excinfo.value.agent_id == 1
+        assert "bad-actor" in str(excinfo.value)
+        assert isinstance(excinfo.value.__cause__, ValueError)
+
+    def test_a_kernel_runs_once(self):
+        # used to restart the clock behind the events the first run left
+        # queued (here a wakeup past the stop)
+        cfg = config(stop=1_000)
+        kernel = build_kernel(cfg, [ScriptAgent([(5, [(0, 1)]), (2_000, [])])])
+        assert len(kernel.run()) == 2
+        with pytest.raises(KernelError, match="runs once"):
+            kernel.run()
+
     def test_register_while_running_rejected(self):
         class Sneaky(Agent):
             def on_start(self, kernel):
@@ -311,6 +336,119 @@ class TestScriptedOracle:
         assert observed_log(log) == expected_log(scripts, cfg)
         markers = [int(r.summary) for r in log.records if r.tag == "ping"]
         assert markers == [1, 2, 3, 4]
+
+
+class ReplyAgent(Agent):
+    """Schedules its wakeups at start, then answers each wakeup or message
+    with the next entry of its script, if one is left: payloads to send to
+    agent ids (unknown ones too) and delays after which to wake again.
+    Records every delivery it sees."""
+
+    def __init__(self, wakeups, answers):
+        super().__init__()
+        self.wakeups = wakeups
+        self.answers = deque(answers)
+        self.seen = []
+
+    def on_start(self, kernel) -> None:
+        for at in self.wakeups:
+            kernel.schedule_wakeup(self.agent_id, at)
+
+    def on_wakeup(self, now) -> None:
+        self.seen.append((now, "wakeup"))
+        self._answer(now)
+
+    def on_message(self, now, sender_id, payload) -> None:
+        self.seen.append((now, sender_id, payload))
+        self._answer(now)
+
+    def _answer(self, now) -> None:
+        if self.answers:
+            sends, delays = self.answers.popleft()
+            for recipient, payload in sends:
+                self.kernel.send(self.agent_id, recipient, payload)
+            for delay in delays:
+                self.kernel.schedule_wakeup(self.agent_id, now + delay)
+
+
+GRID = 50  # a coarse grid, so timestamps collide
+
+
+@st.composite
+def reply_rosters(draw):
+    """(config, roster spec): latencies and delays with 0 among them, times
+    on a coarse grid, wakeups past the stop, answers of 0-3 messages and
+    0-1 wakeups; in about one roster in four, sends may target the unknown
+    id n."""
+    start, steps = 1_000, draw(st.integers(1, 30))
+    cfg = config(start=start, stop=start + GRID * steps,
+                 latency_nanos=draw(st.sampled_from([0, 1, GRID, 777])),
+                 computation_delay_nanos=draw(st.sampled_from([0, GRID])))
+    n = draw(st.integers(1, 4))
+    recipient = st.integers(0, n if draw(st.integers(0, 3)) == 0 else n - 1)
+    at = st.integers(0, steps + 2).map(lambda k: start + GRID * k)
+    delay = st.integers(0, 3).map(lambda k: GRID * k)
+    answer = st.tuples(st.lists(recipient, max_size=3), st.lists(delay, max_size=1))
+    spec, marker = [], 0
+    for _ in range(n):
+        wakeups = draw(st.lists(at, min_size=1, max_size=4))
+        answers = []
+        for recipients, delays in draw(st.lists(answer, max_size=12)):
+            answers.append(([(r, Ping(marker + i)) for i, r in enumerate(recipients)], delays))
+            marker += len(recipients)
+        spec.append((wakeups, answers))
+    return cfg, spec
+
+
+def run_roster(build, cfg, spec):
+    """Run one fresh ReplyAgent roster; (log or the error raised, what each
+    agent saw)."""
+    agents = [ReplyAgent(wakeups, answers) for wakeups, answers in spec]
+    try:
+        outcome = build(cfg, agents).run()
+    except UnknownRecipientError as exc:
+        outcome = exc
+    return outcome, [agent.seen for agent in agents]
+
+
+def same_deliveries(a: SimulationLog, b: SimulationLog) -> bool:
+    return (a.times == b.times and a.senders == b.senders and a.recipients == b.recipients
+            and len(a.payloads) == len(b.payloads)
+            and all(x is y for x, y in zip(a.payloads, b.payloads)))
+
+
+class TestHeapOracle:
+    """The two-queue kernel against the single-heap loop it replaced
+    (tests/kernel_reference.py), on rosters that also send from on_message."""
+
+    @given(reply_rosters())
+    def test_delivers_as_the_single_heap_did(self, roster):
+        cfg, spec = roster
+        got, got_seen = run_roster(build_kernel, cfg, spec)
+        want, want_seen = run_roster(build_heap_kernel, cfg, spec)
+        again, again_seen = run_roster(build_kernel, cfg, spec)
+        assert got_seen == want_seen == again_seen
+        if isinstance(want, UnknownRecipientError):
+            assert isinstance(got, UnknownRecipientError)
+            assert isinstance(again, UnknownRecipientError)
+            return
+        assert same_deliveries(got, want)
+        assert same_deliveries(got, again)
+        assert list(got.times) == sorted(got.times)
+        assert all(cfg.start_time <= t <= cfg.stop_time for t in got.times)
+
+    def test_ties_across_the_two_queues_leave_in_queueing_order(self):
+        # at 150: agent 1's wakeup (queued at start), agent 0's message to 1
+        # and agent 0's wakeup (both queued at 100, the message first)
+        cfg = config(latency_nanos=GRID)
+        spec = [([100], [([(1, Ping(0))], [GRID]), ([], [])]),
+                ([100 + GRID], [([(0, Ping(1))], [])])]
+        got, _ = run_roster(build_kernel, cfg, spec)
+        want, _ = run_roster(build_heap_kernel, cfg, spec)
+        assert same_deliveries(got, want)
+        assert list(zip(got.times, got.senders, got.recipients)) == [
+            (100, 0, 0), (100 + GRID, 1, 1), (100 + GRID, 0, 1), (100 + GRID, 0, 0),
+            (100 + 2 * GRID, 1, 0)]
 
 
 class TestLogRecord:

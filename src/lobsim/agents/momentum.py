@@ -1,17 +1,14 @@
 """Momentum trader: polls the mid-price and joins the touch when the short
 moving average pulls away from the long one.
 
-The trader decides from exact integer sums.  It keeps a window of doubled
-mids (best bid + best ask, in ticks) and the running sums of the window's
-last `short_window` and `long_window` entries, and compares
-`short_sum * long_window` with `long_sum * short_window`.  While
-`long_sum * short_window * long_window < 2**52` that comparison equals
-`momentum_decide` on the float mids: book prices are positive, so the float
-sums of half-integers below 2**52 are exact, and two unequal means differ
-by at least `1 / (2 * short_window * long_window)`, more than the rounding
-of both quotients.  Above that bound the trader calls `momentum_decide` on
-the window's float mids (`doubled / 2.0` is the snapshot's `mid_price` bit
-for bit), so its decisions equal the float ones for every book.
+The trader keeps a window of doubled mids (best bid + best ask, in ticks)
+with the running sums of its last `short_window` and `long_window` entries,
+and compares `short_sum * long_window` with `long_sum * short_window`, which
+orders the two moving averages exactly.  That equals `momentum_decide` on
+the float mids while `long_sum * short_window * long_window < 2**52` (every
+mid below about 2**35 ticks at the default windows): there the float sums
+of these positive half-integers are exact, and two unequal means differ by
+more than the rounding of both quotients.
 """
 
 from __future__ import annotations
@@ -62,10 +59,8 @@ def momentum_decide(mid_history: Sequence[float], short_window: int = 20,
 
 class MomentumAgent(TradingAgent):
     """Polls every poll_interval, keeps the last long_window doubled mids
-    with their short and long running sums, and maintains at most one
-    resting limit order at its own side's best price.  It compares the two
-    sums as integers while that equals the float means (see the module
-    docstring), else calls `momentum_decide` on the window's float mids."""
+    with their running sums, and maintains at most one resting limit order
+    at its own side's best price."""
 
     def __init__(self, config: MomentumConfig, poll_offset: SimTime = 0,
                  name: str = "momentum"):
@@ -76,8 +71,6 @@ class MomentumAgent(TradingAgent):
         self.doubled_mids: deque = deque(maxlen=config.long_window)
         self.short_sum = 0
         self.long_sum = 0
-        # long_sum < _exact_below  <=>  long_sum * short_window * long_window < 2**52
-        self._exact_below = -(-2**52 // (config.short_window * config.long_window))
         self.open_order_id: Optional[int] = None
         self.orders_placed = 0
         self.filled_quantity = 0
@@ -122,13 +115,10 @@ class MomentumAgent(TradingAgent):
         self.short_sum, self.long_sum = short_sum, long_sum
         if held + 1 < long_window:
             return
-        if long_sum < self._exact_below:
-            lead = short_sum * long_window - long_sum * short_window
-            side = Side.BID if lead > 0 else Side.ASK if lead < 0 else None
-        else:
-            side = momentum_decide([d / 2.0 for d in window], short_window, long_window)
-        if side is None:
+        lead = short_sum * long_window - long_sum * short_window
+        if lead == 0:
             return
+        side = Side.BID if lead > 0 else Side.ASK
         touch = bids[0] if side is Side.BID else asks[0]
         if self.open_order_id is not None:
             self.send_cancel(self.open_order_id)

@@ -342,38 +342,29 @@ class Kernel:
             while True:
                 if messages and not (wakeups and wakeups[0] < messages[0]):
                     deliver_at, _, sender_id, recipient_id, payload = next_message()
-                    if deliver_at > stop:
-                        break
-                    self.now = deliver_at
-                    log_time(deliver_at)
-                    log_sender(sender_id)
-                    log_recipient(recipient_id)
-                    log_payload(payload)
-                    recipient = agents[recipient_id]
-                    try:
-                        recipient.on_message(deliver_at, sender_id, payload)
-                    except KernelError:
-                        raise
-                    except Exception as exc:  # abort with the offending agent identified
-                        raise AgentFault(recipient.agent_id, recipient.name, exc) from exc
+                    is_wakeup = False
                 elif wakeups:
-                    at, _, agent_id = heappop(wakeups)
-                    if at > stop:
-                        break
-                    self.now = at
-                    log_time(at)
-                    log_sender(agent_id)
-                    log_recipient(agent_id)
-                    log_payload(_WAKEUP)
-                    recipient = agents[agent_id]
-                    try:
-                        recipient.on_wakeup(at)
-                    except KernelError:
-                        raise
-                    except Exception as exc:  # abort with the offending agent identified
-                        raise AgentFault(recipient.agent_id, recipient.name, exc) from exc
+                    deliver_at, _, recipient_id = heappop(wakeups)
+                    sender_id, payload, is_wakeup = recipient_id, _WAKEUP, True
                 else:
                     break
+                if deliver_at > stop:
+                    break
+                self.now = deliver_at
+                log_time(deliver_at)
+                log_sender(sender_id)
+                log_recipient(recipient_id)
+                log_payload(payload)
+                recipient = agents[recipient_id]
+                try:
+                    if is_wakeup:
+                        recipient.on_wakeup(deliver_at)
+                    else:
+                        recipient.on_message(deliver_at, sender_id, payload)
+                except KernelError:
+                    raise
+                except Exception as exc:  # abort with the offending agent identified
+                    raise AgentFault(recipient.agent_id, recipient.name, exc) from exc
             for agent in self.agents:
                 self._invoke(agent, agent.on_stop)
                 log.final_states[agent.agent_id] = agent.state_summary()

@@ -2,6 +2,7 @@
 
 from collections import deque
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -441,7 +442,7 @@ class TestMomentumAgent:
         assert not any(isinstance(p, CancelOrder) for p in sent)
 
 
-EXACT = 2**52  # the integer path's bound on long_sum * short_window * long_window
+EXACT = 2**52  # float sums of the mids are exact while long_sum * short * long < EXACT
 
 
 @st.composite
@@ -458,23 +459,26 @@ def feeds(draw, bid, spread=st.integers(1, 4)):
     return short, long, [(b, b + s) for b, s in rows]
 
 
-def check_orders_follow_the_float_means(short, long, book_quotes) -> list:
+def check_orders_follow_the_means(short, long, book_quotes) -> list:
     """Feed `book_quotes` as (bid, ask) replies one at a time.  After each,
-    the agent must have sent what `momentum_decide` on the snapshots'
-    float mids implies: nothing, or a cancel of its previous order (if any)
-    and a limit at the touch.  Returns whether each step was inside the
-    integer path's bound."""
+    the agent must have sent what `momentum_decide` on the exact mids (as
+    Fractions) implies: nothing, or a cancel of its previous order (if any)
+    and a limit at the touch.  Where the float sums are exact,
+    `momentum_decide` on the snapshots' float mids must decide the same.
+    Returns whether each step was inside that bound."""
     agent, kernel = make_momentum(short_window=short, long_window=long)
     band = (agent.agent_id + 1) * ORDER_ID_BAND
-    mids, doubled, inside, order_seq = [], [], [], 0
+    float_mids, exact_mids, inside, order_seq = [], [], [], 0
     for bid, ask in book_quotes:
         before = len(kernel.sent)
         payload = reply(bid, ask)
         agent.on_message(0, 0, payload)
-        mids.append(payload.snapshot.mid_price)
-        doubled.append(bid + ask)
-        inside.append(sum(doubled[-long:]) * short * long < EXACT)
-        side = momentum_decide(mids, short, long)
+        float_mids.append(payload.snapshot.mid_price)
+        exact_mids.append(Fraction(bid + ask, 2))
+        inside.append(2 * sum(exact_mids[-long:]) * short * long < EXACT)
+        side = momentum_decide(exact_mids, short, long)
+        if inside[-1]:
+            assert momentum_decide(float_mids, short, long) is side
         want = []
         if side is not None:
             if order_seq:
@@ -487,15 +491,17 @@ def check_orders_follow_the_float_means(short, long, book_quotes) -> list:
 
 
 class TestMomentumExactSums:
-    """The integer running sums decide as momentum_decide on float mids."""
+    """The integer running sums decide as the exact means do, and so as
+    momentum_decide on float mids wherever the float sums are exact."""
 
     @given(feeds(st.integers(999_980, 1_000_020)))
     def test_well_inside_the_bound(self, feed):
-        assert all(check_orders_follow_the_float_means(*feed))
+        assert all(check_orders_follow_the_means(*feed))
 
     @given(feeds(st.integers(2**61 - 2**12, 2**61 + 2**12), st.integers(1, 2**11)))
-    def test_near_2_to_the_61(self, feed):
-        assert not any(check_orders_follow_the_float_means(*feed))
+    def test_follows_the_exact_means_at_large_prices(self, feed):
+        # float means of mids near 2**61 round; the integer sums do not
+        assert not any(check_orders_follow_the_means(*feed))
 
     @given(windows(), st.data())
     def test_a_window_that_crosses_the_bound(self, window, data):
@@ -508,7 +514,7 @@ class TestMomentumExactSums:
                    + [base + 4 + data.draw(noise) for _ in range(long)])
         spreads = data.draw(st.lists(st.integers(1, 2), min_size=2 * long, max_size=2 * long))
         book_quotes = [((d - s) // 2, (d - s) // 2 + s) for d, s in zip(doubled, spreads)]
-        inside = check_orders_follow_the_float_means(short, long, book_quotes)
+        inside = check_orders_follow_the_means(short, long, book_quotes)
         assert inside[long - 1] and not inside[-1]
 
 

@@ -1,7 +1,7 @@
 from .base import TradingAgent
 from .exchange import ExchangeAgent
 from .replay import MarketReplayAgent
-from .momentum import MomentumAgent, MomentumConfig, momentum_decide
+from .momentum import MomentumAgent, MomentumConfig
 from .twap import TWAPExecutionAgent, twap_schedule
 from .ddql import DDQLConfig, DDQLExecutionAgent, LearnerState, compute_target, select_action
 
@@ -11,7 +11,6 @@ __all__ = [
     "MarketReplayAgent",
     "MomentumAgent",
     "MomentumConfig",
-    "momentum_decide",
     "TWAPExecutionAgent",
     "twap_schedule",
     "DDQLConfig",

@@ -4,19 +4,18 @@ moving average pulls away from the long one.
 The trader keeps a window of doubled mids (best bid + best ask, in ticks)
 with the running sums of its last `short_window` and `long_window` entries,
 and compares `short_sum * long_window` with `long_sum * short_window`, which
-orders the two moving averages exactly.  That equals `momentum_decide` on
-the float mids while `long_sum * short_window * long_window < 2**52` (every
-mid below about 2**35 ticks at the default windows): there the float sums
-of these positive half-integers are exact, and two unequal means differ by
-more than the rounding of both quotients.
+orders the two moving averages exactly.  That equals comparing the float
+means of the mids while `long_sum * short_window * long_window < 2**52`
+(every mid below about 2**35 ticks at the default windows): there the float
+sums of these positive half-integers are exact, and two unequal means differ
+by more than the rounding of both quotients.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..book import Side
 from ..kernel import NANOS_PER_SECOND, SimTime
@@ -38,23 +37,6 @@ class MomentumConfig:
             raise ValueError("order_size must be positive")
         if self.poll_interval <= 0:
             raise ValueError("poll_interval must be positive")
-
-
-def momentum_decide(mid_history: Sequence[float], short_window: int = 20,
-                    long_window: int = 50) -> Optional[Side]:
-    """BID when the short-window mean exceeds the long-window mean, ASK when
-    below, None on a tie or insufficient history.  Only the trailing
-    long_window observations matter."""
-    n = len(mid_history)
-    if n < long_window:
-        return None
-    short_mean = sum(islice(mid_history, n - short_window, None)) / short_window
-    long_mean = sum(islice(mid_history, n - long_window, None)) / long_window
-    if short_mean > long_mean:
-        return Side.BID
-    if short_mean < long_mean:
-        return Side.ASK
-    return None
 
 
 class MomentumAgent(TradingAgent):

@@ -13,7 +13,7 @@ the book hands out the same one while the top-k value it shows is unchanged.
 from __future__ import annotations
 
 from bisect import insort
-from collections import deque
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -61,8 +61,9 @@ class OrderNotFoundError(BookError):
 
 @dataclass(eq=False, slots=True)
 class Order:
-    """A resting or incoming order.  Orders compare by identity: a queue
-    entry is live only while the book's id map holds that very object."""
+    """A resting or incoming order.  Orders compare by identity; a resting
+    order is the book's own object, whose quantity it cuts as the order
+    fills or is reduced."""
 
     order_id: int
     agent_id: int
@@ -130,31 +131,28 @@ class BookSnapshot:
 
 @dataclass(slots=True)
 class PriceLevel:
-    """One price's FIFO queue.  Removing an order from the middle only takes
-    it off `total_quantity` and `count`; its entry stays in `queue`, dead,
-    until matching pops it from the head or the book compacts the level.
-    `count` is the number of live orders."""
+    """One price's resting orders, keyed by order id in time priority
+    (placed_at, then order id), and their total quantity.  Every entry is
+    live: a cancel, a reduce to zero or a full fill deletes it in O(1).  A
+    plain dict would not do: finding its first key steps over every slot
+    that deletions at the head left behind."""
 
-    queue: deque = field(default_factory=deque)
+    orders: OrderedDict = field(default_factory=OrderedDict)
     total_quantity: int = 0
-    count: int = 0
 
     def insert(self, order: Order) -> None:
-        # Keep the queue ordered by (placed_at, order_id).  Arrivals come in
-        # non-decreasing time, so almost always this is a plain append.
+        # Arrivals come in non-decreasing time, so almost always this is a
+        # plain append; otherwise the later orders move behind this one.
         key = (order.placed_at, order.order_id)
-        pos = len(self.queue)
-        while pos > 0:
-            prev = self.queue[pos - 1]
+        later = []
+        for prev in reversed(self.orders.values()):
             if (prev.placed_at, prev.order_id) <= key:
                 break
-            pos -= 1
-        if pos == len(self.queue):
-            self.queue.append(order)
-        else:
-            self.queue.insert(pos, order)
+            later.append(prev.order_id)
+        self.orders[order.order_id] = order
+        for order_id in reversed(later):
+            self.orders.move_to_end(order_id)
         self.total_quantity += order.quantity
-        self.count += 1
 
 
 class OrderBook:
@@ -190,15 +188,12 @@ class OrderBook:
         prices = self._prices[side]
         ordered = reversed(prices) if side is Side.BID else iter(prices)
         levels = self._levels[side]
-        return [(p, levels[p].total_quantity, levels[p].count) for p in ordered]
+        return [(p, levels[p].total_quantity, len(levels[p].orders)) for p in ordered]
 
     def level_orders(self, side: Side, price: int) -> list:
-        """The live orders resting at `price`, in time priority."""
+        """The orders resting at `price`, in time priority."""
         level = self._levels[side].get(price)
-        if level is None:
-            return []
-        orders = self._orders
-        return [o for o in level.queue if orders.get(o.order_id) is o]
+        return [] if level is None else list(level.orders.values())
 
     def resting_quantity(self) -> int:
         return sum(level.total_quantity for side in self._levels.values() for level in side.values())
@@ -260,16 +255,12 @@ class OrderBook:
                 if not crosses:
                     break
             level = levels[best]
-            queue = level.queue
-            while remaining > 0 and level.count:
-                maker = queue[0]
-                if orders.get(maker.order_id) is not maker:  # removed earlier
-                    queue.popleft()
-                    continue
+            resting = level.orders
+            while remaining > 0 and resting:
+                maker = next(iter(resting.values()))
                 if not self.allow_self_trade and maker.agent_id == order.agent_id:
-                    queue.popleft()
+                    resting.popitem(last=False)
                     level.total_quantity -= maker.quantity
-                    level.count -= 1
                     del orders[maker.order_id]
                     self.self_trade_cancels.append(maker)
                     continue
@@ -279,10 +270,9 @@ class OrderBook:
                 level.total_quantity -= take
                 remaining -= take
                 if maker.quantity == 0:
-                    queue.popleft()
-                    level.count -= 1
+                    resting.popitem(last=False)
                     del orders[maker.order_id]
-            if not level.count:
+            if not resting:
                 del levels[best]
                 prices.pop(-1 if opposite is Side.BID else 0)
         if fills:
@@ -331,14 +321,11 @@ class OrderBook:
 
     def _unlink(self, order: Order) -> None:
         """Take `order`, already dropped from `_orders`, off its level in
-        O(1).  A level whose queue holds more than twice its live orders is
-        rebuilt from them, so the queues stay O(resting orders)."""
+        O(1), and drop the level once it holds no order."""
         levels = self._levels[order.side]
         level = levels[order.price_ticks]
         level.total_quantity -= order.quantity
-        level.count -= 1
-        if not level.count:
+        del level.orders[order.order_id]
+        if not level.orders:
             del levels[order.price_ticks]
             self._prices[order.side].remove(order.price_ticks)
-        elif len(level.queue) > 2 * level.count:
-            level.queue = deque(self.level_orders(order.side, order.price_ticks))

@@ -220,6 +220,12 @@ class SyntheticFlowConfig:
             raise ValueError("initial_mid_ticks must exceed one tick and stay below 2**62")
         if self.session_start_ns >= self.session_end_ns:
             raise ValueError("session start must precede end")
+        # the generator holds every event in memory; a default day draws ~47k
+        seconds = (self.session_end_ns - self.session_start_ns) / NANOS_PER_SECOND
+        expected = 2 * self.arrival_rate_per_side * seconds
+        if expected > 10**8:
+            raise ValueError(f"arrival_rate_per_side: expects {expected:.2g} events over "
+                             "the session, more than the 1e8 allowed")
 
 
 def generate_synthetic(config: SyntheticFlowConfig) -> FlowColumns:

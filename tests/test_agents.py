@@ -38,9 +38,9 @@ from lobsim.messages import (
     OrderExecuted,
 )
 from lobsim.agents.base import ORDER_ID_BAND
-from lobsim.agents.momentum import momentum_decide
 from lobsim.agents.twap import twap_schedule
 
+from momentum_reference import momentum_decide
 from replay_oracle import OracleBook
 
 

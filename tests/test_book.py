@@ -1,5 +1,7 @@
 """Matching engine: spec'd behaviors plus randomized oracle equivalence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from lobsim.book import (
     OrderNotFoundError,
     Side,
 )
+from lobsim.lobster import EventType, SyntheticFlowConfig, generate_synthetic
 
 from book_ops import real_state, run_lockstep
 
@@ -101,8 +104,11 @@ class TestSubmit:
         book = OrderBook()
         book.submit(limit(9, Side.ASK, 100.00, 10, placed_at=5))
         book.submit(limit(4, Side.ASK, 100.00, 10, placed_at=5))
-        result = book.submit(market(10, Side.BID, 15))
-        assert [f.maker_order_id for f in result.fills] == [4, 9]
+        book.submit(limit(2, Side.ASK, 100.00, 10, placed_at=5))  # ahead of both
+        book.submit(limit(1, Side.ASK, 100.00, 10, placed_at=6))
+        assert [o.order_id for o in book.level_orders(Side.ASK, 100_0000)] == [2, 4, 9, 1]
+        result = book.submit(market(10, Side.BID, 35))
+        assert [f.maker_order_id for f in result.fills] == [2, 4, 9, 1]
 
 
 class TestCancelReduce:
@@ -380,6 +386,8 @@ class TestSnapshotReuse:
 
 
 class TestLazyRemoval:
+    """Orders removed from the middle or the head of one deep level."""
+
     PRICE = 100_0000
 
     def deep_level(self, n):
@@ -389,16 +397,14 @@ class TestLazyRemoval:
         return book
 
     def test_submit_cancel_churn_keeps_the_queue_bounded(self):
+        # after every cancel the level holds exactly its live orders
         book = self.deep_level(100)
-        longest = 0
+        live = list(range(1, 101))
         for i in range(101, 10_101):
             book.submit(Order(i, 0, Side.ASK, self.PRICE, 10, OrderKind.LIMIT, i))
             assert book.cancel(i) == 10
-            longest = max(longest, len(book._levels[Side.ASK][self.PRICE].queue))
-        assert longest <= 2 * 101
-        assert book.side_levels(Side.ASK) == [(self.PRICE, 1_000, 100)]
-        assert [o.order_id for o in book.level_orders(Side.ASK, self.PRICE)] == \
-            list(range(1, 101))
+            assert book.side_levels(Side.ASK) == [(self.PRICE, 1_000, 100)]
+            assert [o.order_id for o in book.level_orders(Side.ASK, self.PRICE)] == live
 
     def test_matching_skips_removed_orders_at_the_head(self):
         book = self.deep_level(10)
@@ -419,3 +425,36 @@ class TestLazyRemoval:
         assert [(f.maker_order_id, f.quantity) for f in result.fills] == [(2, 10), (3, 10), (1, 4)]
         assert book.side_levels(Side.ASK) == []
         assert book.level_orders(Side.ASK, self.PRICE) == []
+
+
+class TestMemory:
+    @staticmethod
+    def bytes_per_resting_order() -> float:
+        """The seed-0 default day applied to a bare book: what the book holds
+        at the close, per resting order.  The rows are Python ints before
+        tracing starts, so the count is the book's own: its orders, levels
+        and id map."""
+        rows = list(zip(*generate_synthetic(SyntheticFlowConfig()).columns()))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            book = OrderBook()
+            for time_ns, event_type, order_id, size, price, direction in rows:
+                if event_type == EventType.NEW_LIMIT:
+                    side = Side.BID if direction == 1 else Side.ASK
+                    book.submit(Order(order_id, 0, side, price, size, OrderKind.LIMIT, time_ns))
+                elif event_type == EventType.PARTIAL_CANCEL:
+                    book.reduce(order_id, size)
+                elif event_type == EventType.DELETE:
+                    book.cancel(order_id)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        resting = sum(count for side in Side for _, _, count in book.side_levels(side))
+        assert resting == 33_170
+        return held / resting
+
+    def test_a_resting_order_costs_under_256_bytes(self):
+        # an Order is 88 bytes, its entry in its level's OrderedDict about
+        # 83 and its entry in the id map about 40
+        assert self.bytes_per_resting_order() < 256

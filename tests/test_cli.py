@@ -340,6 +340,27 @@ class TestConfigHandling:
         with pytest.raises(ConfigError, match="data.synthetic: arrival_rate_per_side"):
             build_flow_config(cfg)
 
+    @pytest.mark.parametrize("rate", [2137, 1e12])
+    def test_rate_past_1e8_events_names_its_key(self, tmp_path, capsys, rate):
+        # over the default 23,400 s session 2137 per side expects 100,011,600
+        # events and 1e12 expects 4.7e16; gen-data ran until it was killed.
+        # The rate goes through build_flow_config first: a build that
+        # accepts it fails the test before any run starts
+        user = {"data": {"synthetic": {"arrival_rate_per_side": rate}}}
+        with pytest.raises(ConfigError, match="data.synthetic: arrival_rate_per_side"):
+            build_flow_config(resolve_config(user, out_dir=str(tmp_path)))
+        path = write_config(tmp_path, user)
+        assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "data.synthetic: arrival_rate_per_side" in err
+
+    def test_rate_at_1e8_events_is_accepted(self, tmp_path):
+        # 2 x 2136 x 23,400 s = 99,964,800 expected events; only the config is built
+        cfg = resolve_config({"data": {"synthetic": {"arrival_rate_per_side": 2136}}},
+                             out_dir=str(tmp_path))
+        assert build_flow_config(cfg).arrival_rate_per_side == 2136
+
     @pytest.mark.parametrize("mode, dotted, settings", [
         ("gen-data", "data.synthetic.session_end", {"data.synthetic.session_end": "25:00:00"}),
         ("gen-data", "data.synthetic.session_end", {"data.synthetic.session_end": "24:00:00"}),

@@ -68,6 +68,11 @@ from .base import TradingAgent
 CHECKPOINT_MAGIC = b"DDQC"
 CHECKPOINT_VERSION = 1
 
+# At 8 bytes a float64 parameter a network this size takes 80 MB, and the
+# learner holds about five copies: the two networks, the RMSprop averages,
+# a gradient and a step.
+MAX_NETWORK_PARAMETERS = 10**7
+
 
 @dataclass
 class DDQLConfig:
@@ -114,6 +119,11 @@ class DDQLConfig:
             raise ValueError("need 0 < min_experience <= max_experience")
         if any(size <= 0 for size in self.hidden_sizes):
             raise ValueError("hidden_sizes must all be positive")
+        sizes = self.layer_sizes
+        parameters = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
+        if parameters > MAX_NETWORK_PARAMETERS:
+            raise ValueError(f"hidden_sizes: the network would have {parameters:,} parameters, "
+                             f"more than the {MAX_NETWORK_PARAMETERS:,} allowed")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
         if not 0.0 < self.learning_rate < math.inf:
@@ -124,6 +134,7 @@ class DDQLConfig:
             raise ValueError("multipliers must include 1.0, the TWAP action")
         if not all(math.isfinite(m) for m in self.multipliers):
             raise ValueError("multipliers must be finite")
+        ActionSpace(self.multipliers)  # refuses duplicates, which break its bijection
 
     @property
     def twap_child_quantity(self) -> float:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..book import BookError, Order, OrderBook, OrderKind
+from ..book import LIMIT, MARKET, BookError, Order, OrderBook, OrderKind
 from ..kernel import Agent, SimTime
 from ..messages import (
     CancelOrder,
@@ -43,41 +43,43 @@ class ExchangeAgent(Agent):
         self._reply: Optional[MarketDataReply] = None
 
     def on_message(self, now: SimTime, sender_id: int, payload) -> None:
-        # queries are most of the traffic, so they are tested first
-        if isinstance(payload, MarketDataQuery):
+        # queries are most of the traffic, so they are tested first, and by
+        # exact type before isinstance, which costs more
+        if type(payload) is MarketDataQuery or isinstance(payload, MarketDataQuery):
             snapshot = self.book.snapshot(payload.depth)
             reply = self._reply
             if reply is None or reply.snapshot is not snapshot:
                 reply = self._reply = MarketDataReply(snapshot)
             self.kernel.send(self.agent_id, sender_id, reply)
-            return
-        if isinstance(payload, LimitOrder):
-            self._handle_order(now, sender_id, payload, OrderKind.LIMIT)
+        elif isinstance(payload, LimitOrder):
+            self._handle_order(now, sender_id, payload, LIMIT)
         elif isinstance(payload, MarketOrder):
-            self._handle_order(now, sender_id, payload, OrderKind.MARKET)
+            self._handle_order(now, sender_id, payload, MARKET)
         elif isinstance(payload, CancelOrder):
             self._handle_cancel(sender_id, payload)
         else:
             self._send(sender_id, OrderCancelled(-1, 0, "rejected:unsupported_payload"))
 
     def _handle_order(self, now: SimTime, sender_id: int, payload, kind: OrderKind) -> None:
-        price = payload.price if kind is OrderKind.LIMIT else 0
-        order = Order(payload.order_id, sender_id, payload.side, price,
-                      payload.quantity, kind, now)
+        book = self.book
+        order = Order(payload.order_id, sender_id, payload.side,
+                      payload.price if kind is LIMIT else 0, payload.quantity, kind, now)
         try:
-            fills, resting = self.book.submit(order)
+            fills, resting = book.submit(order)
         except BookError as exc:
             self._send(sender_id, OrderCancelled(payload.order_id, payload.quantity,
                                                  f"rejected:{exc}"))
             return
-        for cancelled in self.book.self_trade_cancels:
-            self._send(cancelled.agent_id,
-                       OrderCancelled(cancelled.order_id, cancelled.quantity,
-                                      "self_trade_prevented"))
-        self._notify_fills(sender_id, fills)
+        if not book.allow_self_trade:
+            for cancelled in book.self_trade_cancels:
+                self._send(cancelled.agent_id,
+                           OrderCancelled(cancelled.order_id, cancelled.quantity,
+                                          "self_trade_prevented"))
+        if fills:
+            self._notify_fills(sender_id, fills)
         if resting is not None:
-            self._send(sender_id, OrderAccepted(payload.order_id))
-        elif kind is OrderKind.MARKET:
+            self.kernel.send(self.agent_id, sender_id, OrderAccepted(payload.order_id))
+        elif kind is MARKET:
             unfilled = payload.quantity - sum(f.quantity for f in fills)
             if unfilled > 0:
                 self._send(sender_id, OrderCancelled(payload.order_id, unfilled, "unfilled"))

@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from ..book import Side
+from ..book import ASK, BID
 from ..kernel import NANOS_PER_SECOND, SimTime
 from ..messages import MarketDataReply, OrderCancelled, OrderExecuted
 from .base import TradingAgent
@@ -61,13 +61,15 @@ class MomentumAgent(TradingAgent):
         self.kernel.schedule_wakeup(self.agent_id, kernel.config.start_time + self.poll_offset)
 
     def on_wakeup(self, now: SimTime) -> None:
-        self.query_market_data(depth=1)
+        self.query_market_data(1)
         next_poll = now + self.config.poll_interval
-        if next_poll <= self.kernel.config.stop_time:
-            self.kernel.schedule_wakeup(self.agent_id, next_poll)
+        kernel = self.kernel
+        if next_poll <= kernel.config.stop_time:
+            kernel.schedule_wakeup(self.agent_id, next_poll)
 
     def on_message(self, now: SimTime, sender_id: int, payload) -> None:
-        if isinstance(payload, MarketDataReply):
+        # replies are most of the traffic; an exact type test costs less than isinstance
+        if type(payload) is MarketDataReply or isinstance(payload, MarketDataReply):
             self._on_quote(payload)
         elif isinstance(payload, OrderExecuted):
             # the exchange sends an agent only its own executions, those
@@ -100,8 +102,8 @@ class MomentumAgent(TradingAgent):
         lead = short_sum * long_window - long_sum * short_window
         if lead == 0:
             return
-        side = Side.BID if lead > 0 else Side.ASK
-        touch = bids[0] if side is Side.BID else asks[0]
+        side = BID if lead > 0 else ASK
+        touch = bids[0] if side is BID else asks[0]
         if self.open_order_id is not None:
             self.send_cancel(self.open_order_id)
         self.open_order_id = self.send_limit(side, config.order_size, touch[0])

@@ -16,11 +16,16 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..book import Side
+from ..book import ASK, BID
 from ..kernel import SimTime
 from ..lobster import EventType, FlowColumns, LobsterEvent
 from ..messages import EXCHANGE_ID, CancelOrder, LimitOrder, MarketOrder
 from .base import TradingAgent
+
+# the event types as plain ints, read once: `EventType.NEW_LIMIT` is an enum
+# class-attribute lookup, which would be paid on every row
+NEW_LIMIT, PARTIAL_CANCEL, DELETE, EXECUTE_VISIBLE = map(int, (
+    EventType.NEW_LIMIT, EventType.PARTIAL_CANCEL, EventType.DELETE, EventType.EXECUTE_VISIBLE))
 
 
 class MarketReplayAgent(TradingAgent):
@@ -37,23 +42,26 @@ class MarketReplayAgent(TradingAgent):
 
     def on_wakeup(self, now: SimTime) -> None:
         times = self.flow.time
-        while self._cursor < len(times) and times[self._cursor] <= now:
-            self._submit(self._cursor)
-            self._cursor += 1
-        if self._cursor < len(times) and times[self._cursor] <= self.kernel.config.stop_time:
-            self.kernel.schedule_wakeup(self.agent_id, times[self._cursor])
+        end = len(times)
+        cursor = self._cursor
+        while cursor < end and times[cursor] <= now:
+            self._submit(cursor)
+            cursor += 1
+        self._cursor = cursor
+        if cursor < end and times[cursor] <= self.kernel.config.stop_time:
+            self.kernel.schedule_wakeup(self.agent_id, times[cursor])
 
     def _submit(self, row: int) -> None:
         flow = self.flow
         event_type = flow.type[row]
-        side = Side.BID if flow.direction[row] == 1 else Side.ASK
-        if event_type == EventType.NEW_LIMIT:
+        side = BID if flow.direction[row] == 1 else ASK
+        if event_type == NEW_LIMIT:
             payload = LimitOrder(flow.id[row], side, flow.size[row], flow.price[row])
-        elif event_type == EventType.PARTIAL_CANCEL:
+        elif event_type == PARTIAL_CANCEL:
             payload = CancelOrder(flow.id[row], flow.size[row])
-        elif event_type == EventType.DELETE:
+        elif event_type == DELETE:
             payload = CancelOrder(flow.id[row])
-        elif event_type == EventType.EXECUTE_VISIBLE:
+        elif event_type == EXECUTE_VISIBLE:
             # the aggressor of a visible execution sits opposite the resting
             # order the event describes
             payload = MarketOrder(self.next_order_id(), side.opposite, flow.size[row])

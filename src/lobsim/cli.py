@@ -26,6 +26,7 @@ from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
 import yaml
 
 from .agents import DDQLConfig, DDQLExecutionAgent, LearnerState, MomentumConfig
@@ -49,6 +50,7 @@ from .rl import ActionSpace
 from .training import (
     CheckpointWriteError,
     DataSource,
+    LearnerDivergedError,
     RunSetup,
     evaluate,
     latest_checkpoint,
@@ -346,7 +348,10 @@ def cmd_replay(cfg: dict, args: argparse.Namespace, out_dir: Path) -> int:
 
 def cmd_train(cfg: dict, args: argparse.Namespace, out_dir: Path) -> int:
     setup = build_setup(cfg)
-    outcome = train(setup, resume=bool(args.resume))
+    # a diverging learner overflows on its way to a non-finite loss or
+    # parameter, which train reports once, as LearnerDivergedError
+    with np.errstate(over="ignore", invalid="ignore"):
+        outcome = train(setup, resume=bool(args.resume))
     traces = out_dir / "traces"
     traces.mkdir(parents=True, exist_ok=True)
     space = ActionSpace(setup.ddql.multipliers)
@@ -481,7 +486,8 @@ def main(argv: Optional[list] = None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         status = COMMANDS[args.mode](cfg, args, out_dir)
-    except (ConfigError, LobsterParseError, CheckpointError, CheckpointWriteError) as exc:
+    except (ConfigError, LobsterParseError, CheckpointError, CheckpointWriteError,
+            LearnerDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if status == 0:

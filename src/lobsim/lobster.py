@@ -209,6 +209,12 @@ class SyntheticFlowConfig:
             raise ValueError("arrival_rate_per_side must be positive and finite")
         if not (0 < self.size_gamma_shape < math.inf and 0 < self.size_gamma_scale < math.inf):
             raise ValueError("size_gamma_shape and size_gamma_scale must be positive and finite")
+        # a gamma(k, theta) draw exceeds theta * (2k + 100) with probability
+        # below 1e-34 (Chernoff), so every size fits the int64 size column
+        largest = self.size_gamma_scale * (2 * self.size_gamma_shape + 100)
+        if not largest < 2**63:
+            raise ValueError("size_gamma_scale * (2 * size_gamma_shape + 100) must stay below "
+                             f"2**63, so that every size fits int64, got {largest:.3g}")
         # an offset draw stays below about 45 / p ticks (4.5e10 at the
         # floor), and a mid below 2**62 leaves about 4.6e18 ticks for its
         # walk, so every price stays inside the int64 price column
@@ -239,6 +245,14 @@ def generate_synthetic(config: SyntheticFlowConfig) -> FlowColumns:
     config.validate()
     rng = np.random.default_rng(config.seed)
     exponential, random, integers = rng.exponential, rng.random, rng.integers
+    gamma, geometric = rng.gamma, rng.geometric
+    # everything the loop reads that stays the same, read once: config
+    # fields and enum members are attribute lookups on every event
+    shape, scale = config.size_gamma_shape, config.size_gamma_scale
+    placement_p, cancel_probability = config.placement_geometric_p, config.cancel_probability
+    start_ns, mid = config.session_start_ns, config.initial_mid_ticks
+    new_limit, partial_cancel, delete = map(int, (
+        EventType.NEW_LIMIT, EventType.PARTIAL_CANCEL, EventType.DELETE))
     flow = FlowColumns()
     add_time, add_type, add_id, add_size, add_price, add_direction = (
         column.append for column in flow.columns())
@@ -249,19 +263,19 @@ def generate_synthetic(config: SyntheticFlowConfig) -> FlowColumns:
     next_id = 1
     gap_scale = 1.0 / (2.0 * config.arrival_rate_per_side)
     t_seconds = 0.0
-    session_seconds = (config.session_end_ns - config.session_start_ns) / NANOS_PER_SECOND
+    session_seconds = (config.session_end_ns - start_ns) / NANOS_PER_SECOND
     while True:
         t_seconds += exponential(gap_scale)
         if t_seconds > session_seconds:
             return flow
-        add_time(config.session_start_ns + int(round(t_seconds * NANOS_PER_SECOND)))
-        if live and random() < config.cancel_probability:
+        add_time(start_ns + int(round(t_seconds * NANOS_PER_SECOND)))
+        if live and random() < cancel_probability:
             order_id = live[int(integers(len(live)))]
             direction, price, quantity, slot = entry = orders[order_id]
             if quantity > 1 and random() < 0.5:
                 size = int(integers(1, quantity))
                 entry[2] = quantity - size
-                add_type(EventType.PARTIAL_CANCEL)
+                add_type(partial_cancel)
             else:
                 size = quantity
                 live[slot] = last = live[-1]  # swap-remove, the last id moving into the slot
@@ -272,15 +286,15 @@ def generate_synthetic(config: SyntheticFlowConfig) -> FlowColumns:
                 if not level_orders[price]:
                     del level_orders[price]
                     (bids if direction == 1 else asks).remove(price)
-                add_type(EventType.DELETE)
+                add_type(delete)
         else:
             direction = 1 if random() < 0.5 else -1
-            size = max(1, math.ceil(rng.gamma(config.size_gamma_shape, config.size_gamma_scale)))
-            offset = int(rng.geometric(config.placement_geometric_p))
+            size = max(1, math.ceil(gamma(shape, scale)))
+            offset = int(geometric(placement_p))
             if direction == 1:
-                price = max(1, (asks[0] if asks else config.initial_mid_ticks + 1) - offset)
+                price = max(1, (asks[0] if asks else mid + 1) - offset)
             else:
-                price = (bids[-1] if bids else config.initial_mid_ticks - 1) + offset
+                price = (bids[-1] if bids else mid - 1) + offset
             order_id = next_id
             next_id += 1
             orders[order_id] = [direction, price, size, len(live)]
@@ -289,7 +303,7 @@ def generate_synthetic(config: SyntheticFlowConfig) -> FlowColumns:
             if level_orders[price] == 1:
                 insort(bids if direction == 1 else asks, price)
             assert not (bids and asks and bids[-1] >= asks[0]), "placement crossed the book"
-            add_type(EventType.NEW_LIMIT)
+            add_type(new_limit)
         add_id(order_id)
         add_size(size)
         add_price(price)

@@ -31,7 +31,7 @@ class CheckpointError(ValueError):
 
 
 class NumericalError(Exception):
-    pass
+    """A loss or a parameter left the finite floats: the learner diverged."""
 
 
 @dataclass
@@ -55,7 +55,7 @@ class MLPParams:
                 raise ValueError(f"inconsistent layer shapes: {w.shape} vs bias {b.shape}")
             previous = w.shape[1]
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValueError("parameters must be finite")
+                raise NumericalError("parameters must be finite")
 
 
 def init_params(
@@ -298,6 +298,6 @@ def params_from_bytes(data: bytes, expected_sizes: Optional[Sequence[int]] = Non
     params = MLPParams(weights, biases, dropout_rate)
     try:
         params.validate()
-    except ValueError as exc:
+    except (ValueError, NumericalError) as exc:
         raise CheckpointError(f"bad network ({exc})") from None
     return params

@@ -60,6 +60,8 @@ class ActionSpace:
     def __init__(self, multipliers: Sequence[float] = MULTIPLIERS):
         self.multipliers = tuple(multipliers)
         self._rank = {m: i for i, m in enumerate(self.multipliers)}
+        if len(self._rank) < len(self.multipliers):
+            raise ValueError(f"multipliers must be distinct, got {list(self.multipliers)}")
 
     def __len__(self) -> int:
         return len(self.multipliers) * NUM_PLACEMENTS

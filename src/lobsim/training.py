@@ -28,9 +28,10 @@ from .agents import (
     TradingAgent,
     TWAPExecutionAgent,
 )
-from .kernel import Agent, KernelConfig, SimTime, SimulationLog, build_kernel, seconds
+from .kernel import Agent, AgentFault, KernelConfig, SimTime, SimulationLog, build_kernel, seconds
 from .lobster import FlowColumns, SyntheticFlowConfig, generate_synthetic, parse_message_file
 from .metrics import ExecutionComparison, execution_report
+from .mlp import NumericalError
 from .rl import ActionSpace, EpisodeResult
 
 # stream tags for per-episode seed derivation
@@ -174,6 +175,16 @@ class CheckpointWriteError(Exception):
         self.last_good = last_good
 
 
+class LearnerDivergedError(Exception):
+    """Training stopped because a loss or a network parameter became
+    non-finite; no checkpoint is written for the episode."""
+
+    def __init__(self, episode: int, cause: NumericalError):
+        super().__init__(f"the learner diverged in episode {episode} ({cause}); "
+                         "lower ddql.learning_rate")
+        self.episode = episode
+
+
 def train(setup: RunSetup, resume: bool = False) -> TrainOutcome:
     """Run the configured number of episodes, checkpointing after each one.
     With resume=True, picks up from the newest checkpoint in out_dir."""
@@ -196,7 +207,12 @@ def train(setup: RunSetup, resume: bool = False) -> TrainOutcome:
         executor = DDQLExecutionAgent(setup.ddql, learner)
         # the outcome is dropped: held, it would keep the episode's log,
         # book and flow alive through the next episode
-        run_episode(setup, episode, executor)
+        try:
+            run_episode(setup, episode, executor)
+        except AgentFault as exc:
+            if isinstance(exc.__cause__, NumericalError):  # the loss check in train_step
+                raise LearnerDivergedError(episode, exc.__cause__) from exc
+            raise
         result = executor.result
         learner.episode_index = episode + 1
         path = checkpoint_path(out_dir, episode)
@@ -205,6 +221,8 @@ def train(setup: RunSetup, resume: bool = False) -> TrainOutcome:
             shutil.copyfile(path, out_dir / "checkpoints" / "latest.ckpt")
         except OSError as exc:
             raise CheckpointWriteError(exc, last_good) from exc
+        except NumericalError as exc:  # save refuses non-finite parameters
+            raise LearnerDivergedError(episode, exc) from exc
         last_good = path
         results.append(result)
         rows.append(_curve_row(result))

@@ -110,6 +110,14 @@ class TestSubmit:
         result = book.submit(market(10, Side.BID, 35))
         assert [f.maker_order_id for f in result.fills] == [2, 4, 9, 1]
 
+    def test_an_earlier_placed_at_goes_ahead_of_later_orders(self):
+        # a strictly later arrival is appended at once; an earlier one
+        # moves ahead of every later order, whatever their ids
+        book = OrderBook()
+        for order_id, placed_at in [(1, 5), (2, 7), (3, 9), (4, 6), (5, 9), (6, 12)]:
+            book.submit(limit(order_id, Side.BID, 100.00, 10, placed_at=placed_at))
+        assert [o.order_id for o in book.level_orders(Side.BID, 100_0000)] == [1, 4, 2, 3, 5, 6]
+
 
 class TestCancelReduce:
     def test_cancel_returns_remaining(self):

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -207,16 +208,52 @@ class TestConfigHandling:
                                             ("max_experience", 3),
                                             ("reward_scale", 0.0),
                                             ("hidden_sizes", [0]),
-                                            ("learning_rate", -1.0)])
+                                            ("learning_rate", -1.0),
+                                            ("multipliers", [1.0, 1.0]),
+                                            ("multipliers", [0.5, 1.0, 0.5])])
     def test_invalid_learner_setting_names_its_key(self, tmp_path, capsys, key, value):
-        # each used to end mid-run in a traceback, or (learning_rate) to
-        # train silently; max_experience 3 is below min_experience 4
+        # each used to end mid-run in a traceback, or (learning_rate,
+        # multipliers) to train silently; max_experience 3 is below
+        # min_experience 4, and a repeated multiplier left its first copy
+        # unreachable through ActionSpace.encode
         cfg = base_config()
         cfg["ddql"][key] = value
         path = write_config(tmp_path, cfg)
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error:") and key in err
+
+    @pytest.mark.parametrize("rate", [1e308, 1e150])
+    def test_diverging_learner_exits_with_one_line(self, tmp_path, capsys, rate):
+        # 1e308 used to end in a ValueError from the checkpoint save, and
+        # 1e150 in an AgentFault wrapping the loss check's NumericalError
+        cfg = base_config()
+        cfg["ddql"]["learning_rate"] = rate
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "diverged" in err and "ddql.learning_rate" in err
+
+    @pytest.mark.parametrize("hidden, refused", [([1_099_511_627_776], True),
+                                                 ([322_580], True), ([322_579], False),
+                                                 ([3000, 3000], False), ([3000, 3500], True)])
+    def test_network_past_ten_million_parameters_names_its_key(self, tmp_path, hidden,
+                                                               refused):
+        # [2**40] used to end in a MemoryError (48 TiB).  Six inputs and 24
+        # outputs: one hidden layer of h units has 31h + 24 parameters,
+        # 9,999,973 at h = 322,579.  Only the config is built
+        cfg = base_config()
+        cfg["ddql"]["hidden_sizes"] = hidden
+        resolved = resolve_config(cfg, out_dir=str(tmp_path / "out"))
+        if refused:
+            with pytest.raises(ConfigError, match="ddql: hidden_sizes: .* than the 10,000,000"):
+                build_setup(resolved)
+        else:
+            assert build_setup(resolved).ddql.hidden_sizes == tuple(hidden)
 
     @pytest.mark.parametrize("mode, dotted, value", [
         ("train", "seed", -1),
@@ -354,6 +391,25 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "data.synthetic: arrival_rate_per_side" in err
+
+    @pytest.mark.parametrize("shape, scale", [(2.0, 1e300), (1e300, 1.0), (2.0, 8.9e16)])
+    def test_size_law_past_int64_names_its_key(self, tmp_path, capsys, shape, scale):
+        # a scale of 1e300 used to end in an OverflowError at the size
+        # column's append; 8.9e16 * (2 * 2 + 100) passes 2**63
+        user = {"data": {"synthetic": {"size_gamma_shape": shape, "size_gamma_scale": scale}}}
+        with pytest.raises(ConfigError, match="data.synthetic: size_gamma_scale"):
+            build_flow_config(resolve_config(user, out_dir=str(tmp_path)))
+        path = write_config(tmp_path, user)
+        assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "data.synthetic: size_gamma_scale" in err and "int64" in err
+
+    def test_size_law_below_int64_is_accepted(self, tmp_path):
+        # 8.8e16 * 104 = 9.15e18 < 2**63; only the config is built
+        user = {"data": {"synthetic": {"size_gamma_scale": 8.8e16}}}
+        assert build_flow_config(resolve_config(user, out_dir=str(tmp_path))) \
+            .size_gamma_scale == 8.8e16
 
     def test_rate_at_1e8_events_is_accepted(self, tmp_path):
         # 2 x 2136 x 23,400 s = 99,964,800 expected events; only the config is built

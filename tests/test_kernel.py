@@ -1,5 +1,6 @@
 """Kernel event loop: delivery order, timing arithmetic, and failure modes."""
 
+import collections
 import gc
 import json
 import tracemalloc
@@ -449,6 +450,90 @@ class TestHeapOracle:
         assert list(zip(got.times, got.senders, got.recipients)) == [
             (100, 0, 0), (100 + GRID, 1, 1), (100 + GRID, 0, 1), (100 + GRID, 0, 0),
             (100 + 2 * GRID, 1, 0)]
+
+
+class TestCallbackBinding:
+    """`run` binds each agent's `on_message` and `on_wakeup` once, after
+    every `on_start`: a wrapper on the class installed before the run (as
+    the benchmark's tracer installs its spans) or on the instance by
+    `on_start` sees every delivery, and a fault inside a wrapped callback
+    still names its agent."""
+
+    SPEC = [([10, 20], [([(1, Ping(0))], [5]), ([(1, Ping(1)), (0, Ping(2))], [])]),
+            ([15], [([(0, Ping(3))], [1]), ([], [])])]
+
+    @staticmethod
+    def counting(counts, kind, callback):
+        def wrapped(self, *args):
+            counts[kind, self.agent_id] += 1
+            return callback(self, *args)
+        return wrapped
+
+    def expected_counts(self, log):
+        counts = collections.Counter()
+        for record in log.records:
+            kind = "wakeup" if isinstance(record.payload, Wakeup) else "message"
+            counts[kind, record.recipient_id] += 1
+        return counts
+
+    def test_class_wrapper_installed_before_run_sees_every_delivery(self, monkeypatch):
+        class Wrapped(ReplyAgent):
+            pass
+
+        counts = collections.Counter()
+        monkeypatch.setattr(Wrapped, "on_message",
+                            self.counting(counts, "message", ReplyAgent.on_message))
+        monkeypatch.setattr(Wrapped, "on_wakeup",
+                            self.counting(counts, "wakeup", ReplyAgent.on_wakeup))
+        agents = [Wrapped(wakeups, answers) for wakeups, answers in self.SPEC]
+        kernel = build_kernel(config(latency_nanos=3), agents)
+        log = kernel.run()
+        assert counts == self.expected_counts(log)
+        assert sum(counts.values()) == len(log) == sum(len(agent.seen) for agent in agents)
+
+    def test_instance_wrapper_installed_by_on_start_sees_every_delivery(self):
+        counts = collections.Counter()
+        counting = self.counting
+
+        class SelfWrapping(ReplyAgent):
+            def on_start(self, kernel):
+                super().on_start(kernel)
+                cls = type(self)
+                self.on_message = counting(counts, "message", cls.on_message).__get__(self)
+                self.on_wakeup = counting(counts, "wakeup", cls.on_wakeup).__get__(self)
+
+        agents = [SelfWrapping(wakeups, answers) for wakeups, answers in self.SPEC]
+        log = build_kernel(config(latency_nanos=3), agents).run()
+        assert counts == self.expected_counts(log) and sum(counts.values()) == len(log)
+
+    def test_a_callback_replaced_during_the_run_is_not_called(self):
+        late = []
+
+        class Replacing(ReplyAgent):
+            def on_wakeup(self, now):
+                self.on_message = lambda *args: late.append(args)
+                super().on_wakeup(now)
+
+        agents = [Replacing(wakeups, answers) for wakeups, answers in self.SPEC]
+        build_kernel(config(latency_nanos=3), agents).run()
+        assert late == [] and any(len(entry) == 3 for entry in agents[0].seen)
+
+    @pytest.mark.parametrize("branch", ["on_wakeup", "on_message"])
+    def test_a_fault_inside_a_class_wrapper_names_the_agent(self, monkeypatch, branch):
+        class Faulty(ReplyAgent):
+            pass
+
+        def broken(self, *args):
+            raise ValueError("broken")
+
+        monkeypatch.setattr(Faulty, branch, broken)
+        # agent 0 pings agent 1 at its first wakeup; agent 1 also wakes itself
+        agents = [ReplyAgent([10], [([(1, Ping(0))], [])]), Faulty([50], [])]
+        agents[1].name = "bad-actor"
+        with pytest.raises(AgentFault) as excinfo:
+            build_kernel(config(latency_nanos=3), agents).run()
+        assert excinfo.value.agent_id == 1 and excinfo.value.agent_name == "bad-actor"
+        assert isinstance(excinfo.value.__cause__, ValueError)
 
 
 class TestLogRecord:

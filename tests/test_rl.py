@@ -126,6 +126,11 @@ class TestActionSpace:
             action = space.decode(index)
             assert space.encode(action.multiplier, action.placement) == index
 
+    def test_repeated_multiplier_rejected(self):
+        # encode(1.0, p) used to reach only the second copy of 1.0
+        with pytest.raises(ValueError, match="distinct"):
+            ActionSpace((0.5, 1.0, 1.0))
+
     def test_bad_inputs_rejected(self):
         space = ActionSpace()
         with pytest.raises(ValueError):

@@ -519,14 +519,15 @@ class TestCallbackBinding:
         assert late == [] and any(len(entry) == 3 for entry in agents[0].seen)
 
     @pytest.mark.parametrize("branch", ["on_wakeup", "on_message"])
-    def test_a_fault_inside_a_class_wrapper_names_the_agent(self, monkeypatch, branch):
+    def test_a_fault_under_a_class_wrapper_names_the_agent(self, monkeypatch, branch):
         class Faulty(ReplyAgent):
             pass
 
         def broken(self, *args):
             raise ValueError("broken")
 
-        monkeypatch.setattr(Faulty, branch, broken)
+        counts = collections.Counter()
+        monkeypatch.setattr(Faulty, branch, self.counting(counts, branch, broken))
         # agent 0 pings agent 1 at its first wakeup; agent 1 also wakes itself
         agents = [ReplyAgent([10], [([(1, Ping(0))], [])]), Faulty([50], [])]
         agents[1].name = "bad-actor"
@@ -534,6 +535,7 @@ class TestCallbackBinding:
             build_kernel(config(latency_nanos=3), agents).run()
         assert excinfo.value.agent_id == 1 and excinfo.value.agent_name == "bad-actor"
         assert isinstance(excinfo.value.__cause__, ValueError)
+        assert counts == {(branch, 1): 1}
 
 
 class TestLogRecord:

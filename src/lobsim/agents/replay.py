@@ -10,6 +10,13 @@ Event mapping:
   types 5 and 7 -> skipped, counted
 Events stamped at or before the kernel start time are submitted in one
 burst at start (fast-forward warmup).
+
+The agent reads a flow that may still be growing.  In an episode, a forked
+helper makes the synthetic day (`lobster.stream_synthetic`) and the rows it
+has sent so far are in the columns.  `on_wakeup` waits on the helper, with
+`flow.pull()`, only when its cursor reaches the end of those rows.
+`on_stop` waits for the rest of the day and so reaps the helper: the day is
+whole afterwards, for `events_total` and for a second run on the same day.
 """
 
 from __future__ import annotations
@@ -41,15 +48,22 @@ class MarketReplayAgent(TradingAgent):
         self.kernel.schedule_wakeup(self.agent_id, kernel.config.start_time)
 
     def on_wakeup(self, now: SimTime) -> None:
-        times = self.flow.time
-        end = len(times)
+        flow = self.flow
+        times = flow.time
         cursor = self._cursor
-        while cursor < end and times[cursor] <= now:
-            self._submit(cursor)
-            cursor += 1
+        while True:
+            end = len(times)
+            while cursor < end and times[cursor] <= now:
+                self._submit(cursor)
+                cursor += 1
+            if cursor < end or not flow.pull():
+                break
         self._cursor = cursor
         if cursor < end and times[cursor] <= self.kernel.config.stop_time:
             self.kernel.schedule_wakeup(self.agent_id, times[cursor])
+
+    def on_stop(self) -> None:
+        self.flow.finish()
 
     def _submit(self, row: int) -> None:
         flow = self.flow

@@ -32,7 +32,7 @@ import yaml
 from .agents import DDQLConfig, DDQLExecutionAgent, LearnerState, MomentumConfig
 from .book import Side
 from .kernel import MAX_AGENTS, NANOS_PER_SECOND, seconds, time_from_str, time_to_str
-from .lobster import LobsterParseError, SyntheticFlowConfig, generate_to_file
+from .lobster import FlowHelperError, LobsterParseError, SyntheticFlowConfig, generate_to_file
 from .metrics import (
     FitRefusal,
     FlowSeries,
@@ -487,7 +487,7 @@ def main(argv: Optional[list] = None) -> int:
     try:
         status = COMMANDS[args.mode](cfg, args, out_dir)
     except (ConfigError, LobsterParseError, CheckpointError, CheckpointWriteError,
-            LearnerDivergedError) as exc:
+            LearnerDivergedError, FlowHelperError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if status == 0:

@@ -11,21 +11,26 @@ flow: the same six fields as int64 columns, time in nanoseconds.  A
 
 Synthetic flow substitutes for proprietary exchange data: a merged Poisson
 event stream whose per-side arrivals, gamma order sizes, and geometric
-price offsets are all recoverable by the realism metrics.
+price offsets are all recoverable by the realism metrics.  `stream_synthetic`
+makes a day in a forked helper while its reader replays the rows already
+made (see `StreamedFlow`).
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import os
 import re
+import tempfile
 import warnings
 from array import array
 from bisect import insort
 from dataclasses import asdict, dataclass, field
 from enum import IntEnum
 from functools import partial
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -95,6 +100,17 @@ class FlowColumns:
     def __iter__(self) -> Iterator[LobsterEvent]:
         for time_ns, event_type, *rest in zip(*self.columns()):
             yield LobsterEvent(time_ns, EventType(event_type), *rest)
+
+    # A FlowColumns holds its whole flow; a StreamedFlow is still being made.
+    def pull(self) -> bool:
+        """Waits for more rows; True when some came, False at the flow's end."""
+        return False
+
+    def finish(self) -> None:
+        """Waits for the rest of the flow."""
+
+    def close(self) -> None:
+        """Stops whatever is still making the flow."""
 
 
 # The grammar of a message-file row, column by column: ASCII digits, with
@@ -234,8 +250,10 @@ class SyntheticFlowConfig:
                              "the session, more than the 1e8 allowed")
 
 
-def generate_synthetic(config: SyntheticFlowConfig) -> FlowColumns:
-    """Seeded synthetic LOBSTER flow, as columns.
+def generate_synthetic(config: SyntheticFlowConfig,
+                       on_chunk: Optional[Callable[[FlowColumns], None]] = None) -> FlowColumns:
+    """Seeded synthetic LOBSTER flow, as columns.  `on_chunk(flow)`, when
+    given, is called each time CHUNK_ROWS more rows have been made.
 
     A cancel picks a live order uniformly and cuts or deletes it; with no
     live order a new limit order is placed instead, behind the opposite
@@ -262,6 +280,7 @@ def generate_synthetic(config: SyntheticFlowConfig) -> FlowColumns:
     bids, asks = [], []
     next_id = 1
     gap_scale = 1.0 / (2.0 * config.arrival_rate_per_side)
+    rows, chunk_end = 0, CHUNK_ROWS if on_chunk is not None else -1
     t_seconds = 0.0
     session_seconds = (config.session_end_ns - start_ns) / NANOS_PER_SECOND
     while True:
@@ -308,6 +327,158 @@ def generate_synthetic(config: SyntheticFlowConfig) -> FlowColumns:
         add_size(size)
         add_price(price)
         add_direction(direction)
+        rows += 1
+        if rows == chunk_end:
+            on_chunk(flow)
+            chunk_end += CHUNK_ROWS
+
+
+# A synthetic day streamed from a forked helper.  Every CHUNK_ROWS rows the
+# helper appends the new rows of the six columns, one column after another,
+# to an unlinked temporary file, then writes the chunk's row count as 8
+# bytes to a pipe; a zero count ends the day, and a negative count -n is
+# followed by an n-byte reason for a failure.  Each count, with its reason,
+# goes in one write of at most PIPE_BUF bytes, so a read of a count returns
+# all of it or, once the helper is gone, nothing.  The helper never waits
+# on its reader while the pipe has room: 64 KiB on Linux holds 8,192
+# counts, 16.7M rows, and a default day is about 47k.
+CHUNK_ROWS = 2048
+_COUNT_BYTES = 8
+
+
+class FlowHelperError(Exception):
+    """The helper making a synthetic day failed, or was lost, before the
+    day's end; no row after the last chunk is known."""
+
+
+def stream_synthetic(config: SyntheticFlowConfig) -> FlowColumns:
+    """`generate_synthetic(config)`, made by a forked helper.  Returns once
+    the first chunk or the end of the day is in; the rows arrive as the
+    reader calls `pull`, and `finish` waits for the rest.  A host without
+    `os.fork` makes the whole day in this process."""
+    config.validate()  # a bad config fails here, as generate_synthetic's would
+    if not hasattr(os, "fork"):
+        return generate_synthetic(config)
+    data, path = tempfile.mkstemp(prefix="lobsim-day-")
+    os.unlink(path)
+    counts_in, counts_out = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        _make_day(config, data, counts_out)  # exits the helper
+    os.close(counts_out)
+    flow = StreamedFlow(pid, counts_in, data)
+    try:
+        flow.pull()
+    except BaseException:
+        flow.close()
+        raise
+    return flow
+
+
+def _make_day(config: SyntheticFlowConfig, data: int, counts: int) -> None:
+    """The helper's whole life: make the day, streaming its chunks, then
+    leave with os._exit, so nothing of the parent's (exit handlers,
+    buffered output, a test runner's frames) runs here.  The collector is
+    off: the helper makes no garbage worth a pass, and a pass would walk
+    the heap it shares with the parent, and so copy its pages.  The parent
+    may have idle BLAS threads, which fork does not copy; the helper calls
+    only a random generator it makes itself, so it takes no lock they hold."""
+    status = 1
+    try:
+        gc.disable()
+        out = open(data, "wb", closefd=False)
+        sent = 0
+
+        def send(flow: FlowColumns) -> None:
+            nonlocal sent
+            for column in flow.columns():
+                column[sent:].tofile(out)
+            out.flush()
+            os.write(counts, (len(flow) - sent).to_bytes(_COUNT_BYTES, "little", signed=True))
+            sent = len(flow)
+
+        flow = generate_synthetic(config, on_chunk=send)
+        if len(flow) > sent:
+            send(flow)
+        os.write(counts, bytes(_COUNT_BYTES))
+        status = 0
+    except BaseException as exc:
+        reason = f"{type(exc).__name__}: {exc}".encode()[:1024]
+        try:
+            os.write(counts, (-len(reason)).to_bytes(_COUNT_BYTES, "little", signed=True)
+                     + reason)
+        except OSError:  # the reader is gone
+            pass
+    finally:
+        os._exit(status)
+
+
+class StreamedFlow(FlowColumns):
+    """The columns of a day that a forked helper is making.  `pull` waits
+    on the helper's pipe for the next chunk and appends it; at the end of
+    the day it reaps the helper.  If the helper fails or is lost, `pull`
+    reaps it and raises FlowHelperError, and so does every later `pull`:
+    a cut day never reads as a whole one.  `close` kills and reaps a helper
+    that is still running, and leaves the day cut."""
+
+    def __init__(self, pid: int, counts: int, data: int):
+        super().__init__()
+        self._pid, self._counts, self._data = pid, counts, data
+        self._offset = 0
+        self._error: Optional[FlowHelperError] = None
+
+    def pull(self) -> bool:
+        if self._error is not None:
+            raise self._error
+        if self._pid is None:
+            return False
+        head = os.read(self._counts, _COUNT_BYTES)
+        if not head:  # the pipe closed before the end of the day
+            status = self._reap()
+            self._fail(f"killed by signal {-status}" if status < 0 else f"exit status {status}")
+        rows = int.from_bytes(head, "little", signed=True)
+        if rows < 0:
+            reason = os.read(self._counts, -rows).decode(errors="replace")
+            self._reap()
+            self._fail(reason)
+        if rows == 0:
+            self._reap()
+            return False
+        size = rows * 8
+        block = os.pread(self._data, 6 * size, self._offset)
+        if len(block) != 6 * size:
+            self.close()
+            self._fail(f"a chunk of {rows} rows ends at byte {len(block)}")
+        self._offset += 6 * size
+        view = memoryview(block)
+        for i, column in enumerate(self.columns()):
+            column.frombytes(view[i * size:(i + 1) * size])
+        return True
+
+    def finish(self) -> None:
+        while self.pull():
+            pass
+
+    def close(self) -> None:
+        if self._pid is not None:
+            import signal  # here: `import lobsim.cli` loads no signal module
+
+            os.kill(self._pid, signal.SIGKILL)
+            self._reap()
+            self._error = FlowHelperError(f"the day was stopped after {len(self)} rows")
+
+    def _reap(self) -> int:
+        """Closes the pipe and the file and waits for the helper; returns
+        its exit code, negative for the signal that ended it."""
+        pid, self._pid = self._pid, None
+        os.close(self._counts)
+        os.close(self._data)
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+    def _fail(self, reason: str) -> None:
+        self._error = FlowHelperError(f"the synthetic-flow helper failed after {len(self)} "
+                                      f"rows: {reason}")
+        raise self._error
 
 
 def generate_to_file(config: SyntheticFlowConfig, path) -> dict:

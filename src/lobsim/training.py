@@ -5,6 +5,16 @@ Reproducibility contract: every stochastic stream is derived from the run
 seed with a fixed stream tag and the episode index, so episode k sees the
 same data and kernel behavior whether the run got there directly or through
 a checkpoint resume.
+
+An episode's synthetic day is made beside the simulation.  When the episode
+starts, `DataSource` forks a helper that runs `generate_synthetic` and
+streams its rows (`lobster.stream_synthetic`); `run_episode` builds its
+roster once the first chunk is in, and the replay agent fills the rest of
+the columns as it reads, waiting on the helper only when it has replayed
+every row received.  The replay agent's `on_stop` reads the rest of the day
+and reaps the helper, so the day is whole for `events_total` and for a
+second run on it.  If the run ends any other way, `run_episode` kills and
+reaps the helper before the exception goes on, and the cut day is dropped.
 """
 
 from __future__ import annotations
@@ -29,7 +39,13 @@ from .agents import (
     TWAPExecutionAgent,
 )
 from .kernel import Agent, AgentFault, KernelConfig, SimTime, SimulationLog, build_kernel, seconds
-from .lobster import FlowColumns, SyntheticFlowConfig, generate_synthetic, parse_message_file
+from .lobster import (
+    FlowColumns,
+    FlowHelperError,
+    SyntheticFlowConfig,
+    parse_message_file,
+    stream_synthetic,
+)
 from .metrics import ExecutionComparison, execution_report
 from .mlp import NumericalError
 from .rl import ActionSpace, EpisodeResult
@@ -60,9 +76,12 @@ class DataSource:
         if self.kind not in ("synthetic", "lobster", "none"):
             raise ValueError(f"unknown data source kind {self.kind!r}")
 
-    def events_for_episode(self, episode: int, base_seed: int) -> FlowColumns:
+    def events_for_episode(self, episode: int, base_seed: int,
+                           streamed: bool = False) -> FlowColumns:
         """The episode's flow.  The last one is kept for a command that runs
-        its day twice, and dropped before the next is made."""
+        its day twice, and dropped before the next is made.  A synthetic day
+        comes from a forked helper: with `streamed` it is returned holding
+        its first chunk and grows as its reader pulls, else whole."""
         self.validate()
         if self.kind == "none":
             return FlowColumns()
@@ -71,10 +90,19 @@ class DataSource:
         else:
             key = replace(self.synthetic, seed=derive_seed(base_seed, FLOW_STREAM, episode))
         if self._last is None or self._last[0] != key:
-            self._last = None  # frees the last day before the next is made
+            self.drop()  # frees the last day before the next is made
             self._last = (key, parse_message_file(key) if self.kind == "lobster"
-                          else generate_synthetic(key))
-        return self._last[1]
+                          else stream_synthetic(key))
+        flow = self._last[1]
+        if not streamed:
+            flow.finish()
+        return flow
+
+    def drop(self) -> None:
+        """Forgets the last day, killing its helper if it is still making it."""
+        if self._last is not None:
+            self._last[1].close()
+            self._last = None
 
 
 @dataclass
@@ -115,22 +143,32 @@ def run_episode(setup: RunSetup, episode: int,
     given, whose result is stamped with the episode index.  A TWAP twin
     trades beside a training DDQL executor when setup.include_twap_twin is
     set: training episodes carry it, greedy evaluation and paired realism
-    runs do not."""
-    events = setup.data.events_for_episode(episode, setup.seed)
-    agents: list[Agent] = [ExchangeAgent()]
-    if events:
-        agents.append(MarketReplayAgent(events))
-    stagger = setup.momentum.poll_interval // max(1, setup.momentum_count)
-    for i in range(setup.momentum_count):
-        agents.append(MomentumAgent(replace(setup.momentum), poll_offset=i * stagger,
-                                    name=f"momentum-{i}"))
-    if executor is not None:
-        executor.result.episode = episode
-        if setup.include_twap_twin and isinstance(executor, DDQLExecutionAgent) \
-                and executor.train_enabled:
-            agents.append(TWAPExecutionAgent(setup.ddql, name="twap-benchmark"))
-        agents.append(executor)
-    log = build_kernel(setup.kernel_config(episode), agents).run()
+    runs do not.
+
+    The day arrives as the run goes (see the module docstring).  A run that
+    raises kills and reaps the day's helper first, and a helper's failure
+    is raised as its FlowHelperError, not as the replay agent's fault."""
+    events = setup.data.events_for_episode(episode, setup.seed, streamed=True)
+    try:
+        agents: list[Agent] = [ExchangeAgent()]
+        if events:
+            agents.append(MarketReplayAgent(events))
+        stagger = setup.momentum.poll_interval // max(1, setup.momentum_count)
+        for i in range(setup.momentum_count):
+            agents.append(MomentumAgent(replace(setup.momentum), poll_offset=i * stagger,
+                                        name=f"momentum-{i}"))
+        if executor is not None:
+            executor.result.episode = episode
+            if setup.include_twap_twin and isinstance(executor, DDQLExecutionAgent) \
+                    and executor.train_enabled:
+                agents.append(TWAPExecutionAgent(setup.ddql, name="twap-benchmark"))
+            agents.append(executor)
+        log = build_kernel(setup.kernel_config(episode), agents).run()
+    except BaseException as exc:
+        setup.data.drop()
+        if isinstance(exc, AgentFault) and isinstance(exc.__cause__, FlowHelperError):
+            raise exc.__cause__ from None
+        raise
     return EpisodeOutcome(log, agents[0])
 
 

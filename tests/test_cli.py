@@ -18,7 +18,7 @@ import yaml
 
 import lobsim
 from checkpoint_bytes import corrupt_first_network
-from lobsim import DDQLConfig, MomentumConfig, SyntheticFlowConfig
+from lobsim import DDQLConfig, MomentumConfig, SyntheticFlowConfig, lobster
 from lobsim.cli import (
     ConfigError,
     build_data_source,
@@ -222,6 +222,30 @@ class TestConfigHandling:
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error:") and key in err
+
+    @pytest.mark.parametrize("failure", ["raise", "sigkill"])
+    def test_a_lost_flow_helper_exits_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                                    failure):
+        generate = lobster.generate_synthetic
+
+        def failing(config, on_chunk):  # runs in the helper: the second chunk is never sent
+            def send(flow):
+                if len(flow) > lobster.CHUNK_ROWS:
+                    if failure == "sigkill":
+                        os.kill(os.getpid(), 9)
+                    raise RuntimeError("helper fault")
+                on_chunk(flow)
+            return generate(config, on_chunk=send)
+
+        monkeypatch.setattr(lobster, "generate_synthetic", failing)
+        cfg = base_config()
+        cfg["data"]["synthetic"]["arrival_rate_per_side"] = 600.0  # about 14k rows
+        path = write_config(tmp_path, cfg)
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "synthetic-flow helper failed after 2048 rows" in err
+        assert not (tmp_path / "out" / "checkpoints" / "episode_0000.ckpt").exists()
 
     @pytest.mark.parametrize("rate", [1e308, 1e150])
     def test_diverging_learner_exits_with_one_line(self, tmp_path, capsys, rate):

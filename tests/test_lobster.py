@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from lobsim import (
 )
 from lobsim.book import Order, OrderBook
 from lobsim.kernel import time_from_str
-from lobsim.lobster import FlowColumns
+from lobsim import lobster
+from lobsim.lobster import CHUNK_ROWS, FlowColumns, FlowHelperError, StreamedFlow, stream_synthetic
 
 import lobster_reference
 from replay_oracle import OracleBook
@@ -328,6 +330,100 @@ class TestColumnarGenerator:
         assert event.event_type is EventType.NEW_LIMIT
         assert [type(value) for value in (event.time_ns, event.order_id, event.size,
                                           event.price, event.direction)] == [int] * 5
+
+
+def column_bytes(flow) -> list:
+    return [column.tobytes() for column in flow.columns()]
+
+
+class TestStreamedFlow:
+    """`stream_synthetic` makes the day in a forked helper; whole, its
+    columns are `generate_synthetic`'s byte for byte."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    def test_streamed_columns_equal_the_generator(self, seed):
+        config = hour_config(seed=seed)  # about 14,400 rows: seven chunks
+        flow = stream_synthetic(config)
+        assert isinstance(flow, StreamedFlow)
+        assert 0 < len(flow) <= CHUNK_ROWS  # the first chunk, or the whole day when short
+        flow.finish()
+        assert column_bytes(flow) == column_bytes(generate_synthetic(config))
+        assert not flow.pull()
+
+    def test_pull_adds_one_chunk(self):
+        flow = stream_synthetic(hour_config(seed=3))
+        assert len(flow) == CHUNK_ROWS
+        assert flow.pull()
+        assert len(flow) == 2 * CHUNK_ROWS
+        flow.finish()
+
+    def test_an_empty_day(self):
+        config = hour_config(session_end_ns=1_000)  # a microsecond: no arrival
+        assert len(generate_synthetic(config)) == 0
+        flow = stream_synthetic(config)
+        assert len(flow) == 0
+        assert not flow.pull()
+
+    def test_a_day_shorter_than_one_chunk(self):
+        config = hour_config(seed=5, session_end_ns=seconds(60))
+        expected = generate_synthetic(config)
+        assert 0 < len(expected) < CHUNK_ROWS
+        flow = stream_synthetic(config)
+        flow.finish()
+        assert column_bytes(flow) == column_bytes(expected)
+
+    def test_a_day_of_exactly_one_chunk(self):
+        # the draws do not depend on the session's end, so a day ending
+        # between the chunk's last row and the next keeps exactly the chunk
+        times = generate_synthetic(hour_config(seed=8)).time
+        config = hour_config(seed=8, session_end_ns=(times[CHUNK_ROWS - 1]
+                                                     + times[CHUNK_ROWS]) // 2)
+        expected = generate_synthetic(config)
+        assert len(expected) == CHUNK_ROWS
+        flow = stream_synthetic(config)
+        assert len(flow) == CHUNK_ROWS
+        assert not flow.pull()
+        assert column_bytes(flow) == column_bytes(expected)
+
+    def test_without_fork_the_day_is_made_in_process(self, monkeypatch):
+        config = hour_config(seed=9)
+        expected = generate_synthetic(config)
+        monkeypatch.delattr(os, "fork")
+        flow = stream_synthetic(config)
+        assert type(flow) is FlowColumns
+        assert column_bytes(flow) == column_bytes(expected)
+
+    def test_a_bad_config_fails_before_the_fork(self):
+        with pytest.raises(ValueError, match="arrival_rate_per_side"):
+            stream_synthetic(hour_config(arrival_rate_per_side=0.0))
+
+    def test_close_kills_the_helper_and_leaves_the_day_cut(self):
+        flow = stream_synthetic(hour_config(seed=4, arrival_rate_per_side=500.0))
+        flow.close()
+        with pytest.raises(FlowHelperError, match="stopped"):
+            flow.pull()
+
+    @pytest.mark.parametrize("failure", ["raise", "sigkill"])
+    def test_a_failing_helper_raises_on_every_pull(self, monkeypatch, failure):
+        generate = lobster.generate_synthetic
+
+        def failing(config, on_chunk):  # runs in the helper
+            def second_chunk_fails(flow):
+                if len(flow) > CHUNK_ROWS:
+                    if failure == "sigkill":
+                        os.kill(os.getpid(), 9)
+                    raise RuntimeError("no second chunk")
+                on_chunk(flow)
+            return generate(config, on_chunk=second_chunk_fails)
+
+        monkeypatch.setattr(lobster, "generate_synthetic", failing)
+        flow = stream_synthetic(hour_config(seed=2))
+        assert len(flow) == CHUNK_ROWS
+        reason = "killed by signal 9" if failure == "sigkill" else "RuntimeError: no second chunk"
+        for _ in range(2):
+            with pytest.raises(FlowHelperError, match=reason):
+                flow.pull()
+        assert len(flow) == CHUNK_ROWS
 
 
 class TestGenerateToFile:

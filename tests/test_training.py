@@ -8,12 +8,13 @@ well under a second of wall time.
 import csv
 import gc
 import hashlib
+import os
 import weakref
 from dataclasses import replace
 
 import pytest
 
-from lobsim import training
+from lobsim import lobster, training
 from lobsim.agents import (
     DDQLConfig,
     DDQLExecutionAgent,
@@ -22,8 +23,16 @@ from lobsim.agents import (
     TWAPExecutionAgent,
 )
 from lobsim.book import BookSnapshot, Fill, Order, OrderKind, PriceLevel, Side
-from lobsim.kernel import seconds
-from lobsim.lobster import EventType, LobsterEvent, SyntheticFlowConfig, parse_message_file
+from lobsim.kernel import AgentFault, seconds
+from lobsim.lobster import (
+    CHUNK_ROWS,
+    EventType,
+    FlowHelperError,
+    LobsterEvent,
+    SyntheticFlowConfig,
+    generate_synthetic,
+    parse_message_file,
+)
 from lobsim.messages import (
     CancelOrder,
     LimitOrder,
@@ -283,6 +292,80 @@ class TestRunEpisode:
         agent = TWAPExecutionAgent(small_ddql())
         run_episode(make_setup(tmp_path), 2, agent)
         assert agent.result.episode == 2
+
+
+def assert_no_child() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class FailingTWAP(TWAPExecutionAgent):
+    """Raises at its second period, after the replay has begun."""
+
+    def on_wakeup(self, now):
+        if self.result.action_trace:
+            raise RuntimeError("mid-episode")
+        super().on_wakeup(now)
+
+
+class TestHelperLifetime:
+    """The day's helper is reaped at the end of every run, and a run that
+    aborts neither hangs nor keeps a cut day."""
+
+    def dense_setup(self, tmp_path) -> RunSetup:
+        flow = replace(small_flow(), arrival_rate_per_side=1000.0)  # about 14k rows
+        return make_setup(tmp_path, data=DataSource("synthetic", synthetic=flow))
+
+    def replayed_total(self, outcome) -> int:
+        return outcome.log.final_states[1]["events_total"]
+
+    def test_a_finished_run_replays_the_whole_day(self, tmp_path):
+        setup = self.dense_setup(tmp_path)
+        outcome = run_episode(setup, 0)
+        assert_no_child()
+        day = replace(setup.data.synthetic, seed=derive_seed(7, FLOW_STREAM, 0))
+        assert self.replayed_total(outcome) == len(generate_synthetic(day)) > 2 * CHUNK_ROWS
+
+    def test_an_empty_day_registers_no_replay_agent(self, tmp_path):
+        flow = replace(small_flow(), session_end_ns=seconds(99) + 1_000)
+        setup = make_setup(tmp_path, data=DataSource("synthetic", synthetic=flow))
+        outcome = run_episode(setup, 0)
+        assert_no_child()
+        assert "events_total" not in str(outcome.log.final_states)
+        assert len(outcome.log.final_states) == 3  # exchange, 2 momentum
+
+    def test_an_agent_fault_reaps_the_helper_and_drops_the_day(self, tmp_path):
+        setup = self.dense_setup(tmp_path)
+        with pytest.raises(AgentFault) as excinfo:
+            run_episode(setup, 0, FailingTWAP(small_ddql(), name="failing"))
+        assert excinfo.value.agent_name == "failing"
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
+        assert_no_child()
+        assert setup.data._last is None
+        assert self.replayed_total(run_episode(setup, 0)) == \
+            self.replayed_total(run_episode(self.dense_setup(tmp_path), 0))
+
+    @pytest.mark.parametrize("failure, reason", [("raise", "RuntimeError: helper fault"),
+                                                 ("sigkill", "killed by signal 9")])
+    def test_a_lost_helper_ends_the_run_with_its_error(self, tmp_path, monkeypatch,
+                                                       failure, reason):
+        generate = lobster.generate_synthetic
+
+        def failing(config, on_chunk):  # runs in the helper: the second chunk is never sent
+            def send(flow):
+                if len(flow) > CHUNK_ROWS:
+                    if failure == "sigkill":
+                        os.kill(os.getpid(), 9)
+                    raise RuntimeError("helper fault")
+                on_chunk(flow)
+            return generate(config, on_chunk=send)
+
+        monkeypatch.setattr(lobster, "generate_synthetic", failing)
+        setup = self.dense_setup(tmp_path)
+        with pytest.raises(FlowHelperError, match=reason):
+            run_episode(setup, 0)
+        assert_no_child()
+        assert setup.data._last is None
 
 
 class TestSeedAlignment:

@@ -19,6 +19,7 @@ order whose fills fold into the final period's reward.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -69,8 +70,8 @@ CHECKPOINT_MAGIC = b"DDQC"
 CHECKPOINT_VERSION = 1
 
 # At 8 bytes a float64 parameter a network this size takes 80 MB, and the
-# learner holds about five copies: the two networks, the RMSprop averages,
-# a gradient and a step.
+# learner holds four copies (the two networks, the RMSprop averages and the
+# gradient), plus three more while a step runs.
 MAX_NETWORK_PARAMETERS = 10**7
 
 
@@ -170,6 +171,21 @@ def compute_target(batch: Batch, gamma: float, eval_params: MLPParams,
     return rows[:, REWARD] + gamma * next_q * (rows[:, TERMINAL] == 0.0)
 
 
+def replace_file(path, data: bytes) -> None:
+    """Writes `data` to a temporary file beside `path` and renames it over
+    `path`, so that a stop leaves either the old file or the new one whole."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               prefix=os.path.basename(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):  # gone if the stop came after the rename
+            os.unlink(tmp)
+        raise
+
+
 class LearnerState:
     """Everything that persists across episodes in one training run:
     both networks, optimizer state, replay buffer, exploration rng, and
@@ -207,10 +223,8 @@ class LearnerState:
     # header (counters, epsilon, rng state), then length-prefixed blobs for
     # the two networks, the RMSprop tensors, and the packed replay buffer.
 
-    def save(self, path) -> None:
-        """Writes the checkpoint to a temporary file beside `path` and
-        renames it over `path`, so an interrupted save leaves the previous
-        file whole."""
+    def to_bytes(self) -> bytes:
+        """The checkpoint; raises NumericalError for non-finite parameters."""
         header = {
             "epsilon": self.epsilon,
             "episode_index": self.episode_index,
@@ -237,15 +251,10 @@ class LearnerState:
         rows = self.buffer.oldest_first()
         chunks.append(struct.pack("<Q", len(rows)))
         chunks.append(rows.astype("<f8", copy=False).tobytes())
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                   prefix=os.path.basename(path), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(b"".join(chunks))
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        return b"".join(chunks)
+
+    def save(self, path) -> None:
+        replace_file(path, self.to_bytes())
 
     @classmethod
     def load(cls, path, config: DDQLConfig, seed: int = 0) -> "LearnerState":

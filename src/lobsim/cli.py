@@ -352,12 +352,6 @@ def cmd_train(cfg: dict, args: argparse.Namespace, out_dir: Path) -> int:
     # parameter, which train reports once, as LearnerDivergedError
     with np.errstate(over="ignore", invalid="ignore"):
         outcome = train(setup, resume=bool(args.resume))
-    traces = out_dir / "traces"
-    traces.mkdir(parents=True, exist_ok=True)
-    space = ActionSpace(setup.ddql.multipliers)
-    for result in outcome.results:
-        write_action_trace(result, traces / f"episode_{result.episode:04d}_actions.csv",
-                           space)
     print(f"trained {len(outcome.results)} episodes; "
           f"learning curve at {outcome.learning_curve_path}")
     return 0
@@ -490,6 +484,11 @@ def main(argv: Optional[list] = None) -> int:
             LearnerDivergedError, FlowHelperError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        last_good = latest_checkpoint(out_dir)
+        print("interrupted; " + (f"last good checkpoint: {last_good}" if last_good
+                                 else "no checkpoint yet"), file=sys.stderr)
+        return 130
     if status == 0:
         write_manifest(args.mode, cfg, out_dir)
     return status

@@ -2,6 +2,29 @@
 inverted dropout, a linear output head, MSE on the taken action's output,
 and RMSprop.  Gradients are hand-derived; no autodiff framework.
 
+A network is one flat vector, `MLPParams.theta`: every layer's weights,
+then every layer's biases.  The RMSprop averages and the step's gradient
+share that layout, so a copy or a load fills one array and an update is
+one `theta -= step`.
+
+Subnormal averages.  A weight into a dead ReLU unit gets a zero gradient
+at every step, so its RMSprop average s shrinks by rho a step into the
+subnormal floats, and there it stops: at rho 0.9, 5 ulp * 0.9 is 4.5 ulp
+plus a little (0.9 is stored just above 0.9), which rounds back to 5 ulp.
+On x86 a multiply or a square root with a subnormal operand takes a
+microcode assist that costs tens of times a normal one.  Two identities
+keep such averages away from both, and every bit of the update the same:
+
+- fl(s * rho) == s for every s in [0, F], where F is the largest subnormal
+  for which this holds (`rho_fixed_point`; 5 ulp at rho 0.9).  A product
+  that lands among the subnormals is rounded to the uniform grid of
+  2**-1074, and s - s * rho grows with s, so the fixed points below F are
+  all of them.  Averages at or below F skip the multiply.
+- sqrt(max(s, T)) + eps == sqrt(s) + eps for T = (spacing(eps) / 4)**2:
+  T is exact, so s <= T gives sqrt(s) <= spacing(eps) / 4, under half an
+  ulp of eps, and both sums round to eps.  At eps 1e-8, T is about 1.7e-49,
+  a normal float, so no subnormal reaches the square root.
+
 Checkpoint format (little-endian): magic b"QMLP", u32 version, f64
 dropout_rate, u32 layer count, u32 layer sizes, then per weight layer the
 row-major f64 weight matrix (in x out) followed by the f64 bias vector.
@@ -10,6 +33,7 @@ Serialization is bitwise deterministic: saving twice yields identical bytes.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -34,11 +58,49 @@ class NumericalError(Exception):
     """A loss or a parameter left the finite floats: the learner diverged."""
 
 
-@dataclass
+def _layer_views(flat: np.ndarray, layer_sizes: Sequence[int]) -> tuple:
+    """Per-layer weight (fan_in, fan_out) and bias (fan_out,) views of
+    `flat`, laid out as every layer's weights, then every layer's biases."""
+    pairs = list(zip(layer_sizes[:-1], layer_sizes[1:]))
+    weights, biases, offset = [], [], 0
+    for fan_in, fan_out in pairs:
+        weights.append(flat[offset:offset + fan_in * fan_out].reshape(fan_in, fan_out))
+        offset += fan_in * fan_out
+    for _, fan_out in pairs:
+        biases.append(flat[offset:offset + fan_out])
+        offset += fan_out
+    if offset != flat.size:
+        raise ValueError(f"{flat.size} parameters do not fit layer sizes {list(layer_sizes)}")
+    return weights, biases
+
+
 class MLPParams:
-    weights: list  # per layer, shape (fan_in, fan_out)
-    biases: list  # per layer, shape (fan_out,)
-    dropout_rate: float = 0.0
+    """A network's parameters.  `weights` (per layer, (fan_in, fan_out)) and
+    `biases` (per layer, (fan_out,)) are views of the flat vector `theta`,
+    which training updates.  Write into the views; an array put in their
+    place would not be trained, and `validate` refuses it."""
+
+    def __init__(self, weights: Sequence, biases: Sequence, dropout_rate: float = 0.0):
+        """A network holding copies of `weights` and `biases`."""
+        if not len(weights) or len(weights) != len(biases):
+            raise ValueError("weights and biases must pair up")
+        sizes = [np.shape(weights[0])[0]] + [np.shape(w)[1] for w in weights]
+        self._adopt(np.zeros(_parameter_count(sizes)), sizes, dropout_rate)
+        for view, tensor in zip(self.weights + self.biases, [*weights, *biases]):
+            view[...] = tensor
+
+    @classmethod
+    def from_theta(cls, theta: np.ndarray, layer_sizes: Sequence[int],
+                   dropout_rate: float) -> "MLPParams":
+        """A network over `theta` itself, which it takes over without a copy."""
+        params = cls.__new__(cls)
+        params._adopt(theta, layer_sizes, dropout_rate)
+        return params
+
+    def _adopt(self, theta: np.ndarray, layer_sizes: Sequence[int], dropout_rate: float) -> None:
+        self.theta = theta
+        self.weights, self.biases = _layer_views(theta, layer_sizes)
+        self.dropout_rate = dropout_rate
 
     @property
     def layer_sizes(self) -> list:
@@ -54,8 +116,14 @@ class MLPParams:
             if w.ndim != 2 or b.ndim != 1 or w.shape != (previous, b.shape[0]):
                 raise ValueError(f"inconsistent layer shapes: {w.shape} vs bias {b.shape}")
             previous = w.shape[1]
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise NumericalError("parameters must be finite")
+        if any(t.base is not self.theta for t in self.weights + self.biases):
+            raise ValueError("weights and biases must be views of theta")
+        if not np.isfinite(self.theta).all():
+            raise NumericalError("parameters must be finite")
+
+
+def _parameter_count(layer_sizes: Sequence[int]) -> int:
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]))
 
 
 def init_params(
@@ -66,55 +134,60 @@ def init_params(
     """He-style uniform init: W ~ U(-sqrt(6/fan_in), +sqrt(6/fan_in)), b = 0."""
     if len(layer_sizes) < 2:
         raise ValueError("need at least input and output sizes")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        limit = np.sqrt(6.0 / fan_in)
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    params = MLPParams(weights, biases, dropout_rate)
+    params = MLPParams.from_theta(np.zeros(_parameter_count(layer_sizes)), layer_sizes,
+                                  dropout_rate)
+    for w in params.weights:
+        limit = np.sqrt(6.0 / w.shape[0])
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
     params.validate()
     return params
 
 
 def copy_params(src: MLPParams) -> MLPParams:
-    return MLPParams(
-        [w.copy() for w in src.weights],
-        [b.copy() for b in src.biases],
-        src.dropout_rate,
-    )
+    return MLPParams.from_theta(src.theta.copy(), src.layer_sizes, src.dropout_rate)
 
 
-def _forward_cached(
-    params: MLPParams,
-    inputs: np.ndarray,
-    mode: Mode,
-    rng: Optional[np.random.Generator],
-):
-    """Returns (outputs, activations per layer, pre-activations, dropout masks)."""
+def _as_batch(params: MLPParams, inputs) -> np.ndarray:
     x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     if x.shape[1] != params.weights[0].shape[0]:
         raise ValueError(f"input width {x.shape[1]} != {params.weights[0].shape[0]}")
-    keep = 1.0 - params.dropout_rate
-    use_dropout = mode is Mode.TRAIN and params.dropout_rate > 0.0
-    if use_dropout and rng is None:
+    return x
+
+
+def _dropout_rng(params: MLPParams, mode: Mode,
+                 rng: Optional[np.random.Generator]) -> Optional[np.random.Generator]:
+    """The generator that draws dropout masks, or None when none are drawn."""
+    if mode is not Mode.TRAIN or params.dropout_rate == 0.0:
+        return None
+    if rng is None:
         raise ValueError("TRAIN mode with dropout needs an rng")
-    activations = [x]
-    pre_activations = []
-    masks = []
-    hidden_count = len(params.weights) - 1
-    for i in range(hidden_count):
-        z = activations[-1] @ params.weights[i] + params.biases[i]
-        pre_activations.append(z)
-        h = np.maximum(z, 0.0)
-        if use_dropout:
-            mask = (rng.random(h.shape) < keep) / keep
-            h = h * mask
-        else:
-            mask = None
-        masks.append(mask)
-        activations.append(h)
-    outputs = activations[-1] @ params.weights[-1] + params.biases[-1]
-    return outputs, activations, pre_activations, masks
+    return rng
+
+
+def _forward(params: MLPParams, x: np.ndarray, dropout_rng: Optional[np.random.Generator],
+             tape: Optional[list] = None) -> np.ndarray:
+    """Outputs for the batch `x`, with each layer's bias, ReLU and dropout
+    applied in place.  With a `tape`, appends per layer its input and, for
+    the hidden layer that made that input, the ReLU's z > 0 and the dropout
+    mask (None for the first layer and without dropout)."""
+    keep = 1.0 - params.dropout_rate
+    h, positive, mask = x, None, None
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        if tape is not None:
+            tape.append((h, positive, mask))
+        h = np.matmul(h, w)
+        h += b
+        if tape is not None:
+            positive = h > 0.0
+        np.maximum(h, 0.0, out=h)
+        if dropout_rng is not None:
+            mask = (dropout_rng.random(h.shape) < keep) / keep
+            h *= mask
+    if tape is not None:
+        tape.append((h, positive, mask))
+    outputs = np.matmul(h, params.weights[-1])
+    outputs += params.biases[-1]
+    return outputs
 
 
 def forward(
@@ -124,9 +197,41 @@ def forward(
     rng: Optional[np.random.Generator] = None,
 ) -> np.ndarray:
     """Q-values for one state (shape (6,) -> (24,)) or a batch (B,6) -> (B,24)."""
-    single = np.asarray(inputs).ndim == 1
-    outputs, _, _, _ = _forward_cached(params, inputs, mode, rng)
-    return outputs[0] if single else outputs
+    outputs = _forward(params, _as_batch(params, inputs), _dropout_rng(params, mode, rng))
+    return outputs[0] if np.ndim(inputs) == 1 else outputs
+
+
+def _backprop(params: MLPParams, x: np.ndarray, actions: np.ndarray, targets: np.ndarray,
+              dropout_rng: Optional[np.random.Generator], grad_w: list, grad_b: list) -> float:
+    """Loss of the action-masked MSE mean_i (Q(s_i, a_i) - y_i)^2, whose
+    gradients it writes into the views grad_w and grad_b; other output
+    units carry no error."""
+    tape: list = []
+    outputs = _forward(params, x, dropout_rng, tape)
+    batch = outputs.shape[0]
+    rows = np.arange(batch)
+    errors = outputs[rows, actions]
+    errors -= targets
+    loss = float(np.add.reduce(np.square(errors))) / batch  # np.mean's sum and division
+    if not math.isfinite(loss):
+        raise NumericalError(
+            f"non-finite loss {loss}; |q|max={np.abs(outputs).max()}, "
+            f"|y|max={np.abs(targets).max()}"
+        )
+    errors *= 2.0
+    errors /= batch
+    delta = np.zeros_like(outputs)
+    delta[rows, actions] = errors
+    for i in range(len(tape) - 1, -1, -1):
+        layer_input, positive, mask = tape[i]
+        np.matmul(layer_input.T, delta, out=grad_w[i])
+        np.add.reduce(delta, axis=0, out=grad_b[i])
+        if i > 0:
+            delta = np.matmul(delta, params.weights[i].T)
+            if mask is not None:
+                delta *= mask
+            delta *= positive
+    return loss
 
 
 def compute_gradients(
@@ -137,49 +242,35 @@ def compute_gradients(
     mode: Mode = Mode.TRAIN,
     rng: Optional[np.random.Generator] = None,
 ):
-    """Loss and parameter gradients for the action-masked MSE
-    mean_i (Q(s_i, a_i) - y_i)^2; other output units carry no error."""
-    actions = np.asarray(actions, dtype=np.int64)
-    targets = np.asarray(targets, dtype=np.float64)
-    outputs, activations, pre_activations, masks = _forward_cached(params, inputs, mode, rng)
-    batch = outputs.shape[0]
-    rows = np.arange(batch)
-    taken = outputs[rows, actions]
-    errors = taken - targets
-    loss = float(np.mean(errors**2))
-    if not np.isfinite(loss):
-        raise NumericalError(
-            f"non-finite loss {loss}; |q|max={np.abs(outputs).max()}, "
-            f"|y|max={np.abs(targets).max()}"
-        )
-    d_out = np.zeros_like(outputs)
-    d_out[rows, actions] = 2.0 * errors / batch
-    grad_w = [None] * len(params.weights)
-    grad_b = [None] * len(params.biases)
-    delta = d_out
-    for i in range(len(params.weights) - 1, -1, -1):
-        grad_w[i] = activations[i].T @ delta
-        grad_b[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = delta @ params.weights[i].T
-            if masks[i - 1] is not None:
-                delta = delta * masks[i - 1]
-            delta = delta * (pre_activations[i - 1] > 0.0)
+    """(loss, grad_w, grad_b) for the action-masked MSE; the gradients are
+    per-layer views of one flat vector laid out like `params.theta`."""
+    grad = np.empty_like(params.theta)
+    grad_w, grad_b = _layer_views(grad, params.layer_sizes)
+    loss = _backprop(params, _as_batch(params, inputs), np.asarray(actions, dtype=np.int64),
+                     np.asarray(targets, dtype=np.float64), _dropout_rng(params, mode, rng),
+                     grad_w, grad_b)
     return loss, grad_w, grad_b
 
 
 @dataclass
 class RMSpropState:
-    """Running squared-gradient averages in one flat vector, laid out as
-    every layer's weights then every layer's biases; square_avg_w and
-    square_avg_b are per-layer views into it."""
+    """Running squared-gradient averages in one flat vector laid out like
+    `MLPParams.theta`; square_avg_w and square_avg_b are per-layer views
+    into it.  `grad` is where each step writes its gradient, with its own
+    per-layer views grad_w and grad_b.  `fixed_point` and `sqrt_floor` are
+    F and T of the module docstring, worked out from decay and epsilon."""
 
     square_avg: np.ndarray
     square_avg_w: list
     square_avg_b: list
-    learning_rate: float = 0.01
-    decay: float = 0.9
-    epsilon: float = 1e-8
+    grad: np.ndarray
+    grad_w: list
+    grad_b: list
+    learning_rate: float
+    decay: float
+    epsilon: float
+    fixed_point: float
+    sqrt_floor: float
 
 
 def init_rmsprop(
@@ -188,20 +279,33 @@ def init_rmsprop(
     decay: float = 0.9,
     epsilon: float = 1e-8,
 ) -> RMSpropState:
-    tensors = params.weights + params.biases
-    square_avg = np.zeros(sum(t.size for t in tensors))
-    views = _views_like(square_avg, tensors)
-    half = len(params.weights)
-    return RMSpropState(square_avg, views[:half], views[half:], learning_rate, decay, epsilon)
+    if not (0.0 <= decay < 1.0 and epsilon > 0.0):
+        raise ValueError("RMSprop needs a decay in [0, 1) and a positive epsilon")
+    sizes = params.layer_sizes
+    square_avg = np.zeros_like(params.theta)
+    grad = np.zeros_like(params.theta)
+    quarter = float(np.spacing(epsilon)) / 4  # a power of two, so T is exact or 0.0
+    return RMSpropState(square_avg, *_layer_views(square_avg, sizes),
+                        grad, *_layer_views(grad, sizes), learning_rate, decay, epsilon,
+                        rho_fixed_point(decay), quarter * quarter)
 
 
-def _views_like(flat: np.ndarray, tensors: list) -> list:
-    """Consecutive views of `flat` shaped like `tensors`."""
-    views, offset = [], 0
-    for tensor in tensors:
-        views.append(flat[offset:offset + tensor.size].reshape(tensor.shape))
-        offset += tensor.size
-    return views
+def rho_fixed_point(rho: float) -> float:
+    """The largest subnormal F such that fl(s * rho) == s for every s in
+    [0, F]; 0.0 when only zero is its own product.  The module docstring
+    says why the fixed points form one interval; this bisects for its end."""
+    def fixed(ulps: int) -> bool:
+        s = math.ldexp(ulps, -1074)
+        return s * rho == s
+
+    low, high = 0, 1 << 52  # fixed(low) holds; fixed(high), the least normal, is not asked
+    while high - low > 1:
+        middle = (low + high) // 2
+        if fixed(middle):
+            low = middle
+        else:
+            high = middle
+    return math.ldexp(low, -1074)
 
 
 def train_step(
@@ -212,20 +316,29 @@ def train_step(
 ) -> float:
     """One RMSprop update in place from a (inputs, actions, targets) batch;
     returns the pre-update loss.  Per element: s = rho * s + (1 - rho) * g**2,
-    then p -= lr * g / (sqrt(s) + eps)."""
+    then p -= lr * g / (sqrt(s) + eps), computed as the module docstring
+    says so that no subnormal average reaches a multiply or a square root."""
     inputs, actions, targets = batch
     if len(np.atleast_1d(actions)) == 0:
         raise ValueError("batch must be non-empty")
-    loss, grad_w, grad_b = compute_gradients(params, inputs, actions, targets, Mode.TRAIN, rng)
-    tensors = params.weights + params.biases
-    grad = np.concatenate([g.ravel() for g in grad_w + grad_b])
-    rho = optstate.decay
+    loss = _backprop(params, _as_batch(params, inputs), np.asarray(actions, dtype=np.int64),
+                     np.asarray(targets, dtype=np.float64),
+                     _dropout_rng(params, Mode.TRAIN, rng), optstate.grad_w, optstate.grad_b)
+    grad = optstate.grad
     square_avg = optstate.square_avg
-    square_avg *= rho
-    square_avg += (1 - rho) * grad**2
-    step = optstate.learning_rate * grad / (np.sqrt(square_avg) + optstate.epsilon)
-    for tensor, delta in zip(tensors, _views_like(step, tensors)):
-        tensor -= delta
+    rho = optstate.decay
+    fresh = np.square(grad)
+    fresh *= 1 - rho
+    fixed = square_avg <= optstate.fixed_point
+    decayed = np.where(fixed, 1.0, square_avg)  # 1.0 stands in for the fixed averages
+    decayed *= rho
+    np.add(np.where(fixed, square_avg, decayed), fresh, out=square_avg)
+    denominator = np.maximum(square_avg, optstate.sqrt_floor, out=decayed)
+    np.sqrt(denominator, out=denominator)
+    denominator += optstate.epsilon
+    step = np.multiply(grad, optstate.learning_rate, out=fresh)
+    step /= denominator
+    params.theta -= step
     return loss
 
 
@@ -290,12 +403,14 @@ def params_from_bytes(data: bytes, expected_sizes: Optional[Sequence[int]] = Non
     sizes = list(reader.unpack(f"<{n_layers + 1}I", "layer sizes"))
     if expected_sizes is not None and list(expected_sizes) != sizes:
         raise CheckpointError(f"layer sizes {sizes} do not match expected {list(expected_sizes)}")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(reader.floats(fan_in * fan_out, "weights").reshape(fan_in, fan_out).copy())
-        biases.append(reader.floats(fan_out, "biases").copy())
+    stored = reader.floats(_parameter_count(sizes), "weights and biases")
     reader.finish()
-    params = MLPParams(weights, biases, dropout_rate)
+    params = MLPParams.from_theta(np.empty(stored.size), sizes, dropout_rate)
+    offset = 0
+    for w, b in zip(params.weights, params.biases):  # stored layer by layer
+        for tensor in (w, b):
+            tensor[...] = stored[offset:offset + tensor.size].reshape(tensor.shape)
+            offset += tensor.size
     try:
         params.validate()
     except (ValueError, NumericalError) as exc:

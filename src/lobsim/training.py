@@ -20,7 +20,7 @@ reaps the helper before the exception goes on, and the cut day is dropped.
 from __future__ import annotations
 
 import csv
-import shutil
+import io
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -38,6 +38,7 @@ from .agents import (
     TradingAgent,
     TWAPExecutionAgent,
 )
+from .agents.ddql import replace_file
 from .kernel import Agent, AgentFault, KernelConfig, SimTime, SimulationLog, build_kernel, seconds
 from .lobster import (
     FlowColumns,
@@ -183,11 +184,16 @@ def _curve_row(result: EpisodeResult) -> list:
             slippage, result.final_epsilon, loss_mean]
 
 
+def _csv_bytes(header, rows) -> bytes:
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue().encode()
+
+
 def write_learning_curve(rows: list, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LEARNING_CURVE_COLUMNS)
-        writer.writerows(rows)
+    replace_file(path, _csv_bytes(LEARNING_CURVE_COLUMNS, rows))
 
 
 def checkpoint_path(out_dir: Path, episode: int) -> Path:
@@ -225,21 +231,33 @@ class LearnerDivergedError(Exception):
 
 def train(setup: RunSetup, resume: bool = False) -> TrainOutcome:
     """Run the configured number of episodes, checkpointing after each one.
-    With resume=True, picks up from the newest checkpoint in out_dir."""
+    With resume=True, picks up from the newest checkpoint in out_dir.
+
+    Each episode commits its output in one order: its action trace, the
+    learning curve with its row, its checkpoint, then latest.ckpt, each
+    written whole through a temporary file.  A run stopped anywhere and
+    resumed therefore writes the straight run's bytes: a resume redoes the
+    episodes after the newest checkpoint and rewrites their traces and rows."""
     out_dir = Path(setup.out_dir)
     (out_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
+    (out_dir / "traces").mkdir(exist_ok=True)
     curve_path = out_dir / "learning_curve.csv"
+    latest_path = out_dir / "checkpoints" / "latest.ckpt"
     learner = None
     rows: list = []
+    last_good = None
     if resume:
-        existing = latest_checkpoint(out_dir)
-        if existing is not None:
-            learner = LearnerState.load(existing, setup.ddql, setup.seed)
+        last_good = latest_checkpoint(out_dir)
+        if last_good is not None:
+            learner = LearnerState.load(last_good, setup.ddql, setup.seed)
             rows = _read_curve_rows(curve_path, learner.episode_index)
+            try:  # the stop may have come before latest.ckpt caught up
+                replace_file(latest_path, last_good.read_bytes())
+            except OSError as exc:
+                raise CheckpointWriteError(exc, last_good) from exc
     if learner is None:
         learner = LearnerState(setup.ddql, setup.seed)
     results = []
-    last_good = latest_checkpoint(out_dir) if resume else None
     for episode in range(learner.episode_index, setup.ddql.episodes):
         learner.epsilon = setup.ddql.epsilon_for_episode(episode)
         executor = DDQLExecutionAgent(setup.ddql, learner)
@@ -253,18 +271,22 @@ def train(setup: RunSetup, resume: bool = False) -> TrainOutcome:
             raise
         result = executor.result
         learner.episode_index = episode + 1
+        try:
+            checkpoint = learner.to_bytes()
+        except NumericalError as exc:  # non-finite parameters
+            raise LearnerDivergedError(episode, exc) from exc
+        rows.append(_curve_row(result))
         path = checkpoint_path(out_dir, episode)
         try:
-            learner.save(path)
-            shutil.copyfile(path, out_dir / "checkpoints" / "latest.ckpt")
+            write_action_trace(result, out_dir / "traces" / f"episode_{episode:04d}_actions.csv",
+                               learner.action_space)
+            write_learning_curve(rows, curve_path)
+            replace_file(path, checkpoint)
+            replace_file(latest_path, checkpoint)
         except OSError as exc:
             raise CheckpointWriteError(exc, last_good) from exc
-        except NumericalError as exc:  # save refuses non-finite parameters
-            raise LearnerDivergedError(episode, exc) from exc
         last_good = path
         results.append(result)
-        rows.append(_curve_row(result))
-        write_learning_curve(rows, curve_path)
     return TrainOutcome(results, curve_path, last_good)
 
 
@@ -303,9 +325,8 @@ def evaluate(setup: RunSetup, checkpoint: Path,
 
 
 def write_action_trace(result: EpisodeResult, path: Path, action_space: ActionSpace) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["period", "action_index", "multiplier", "placement"])
-        for period, index in enumerate(result.action_trace):
-            action = action_space.decode(index)
-            writer.writerow([period, index, action.multiplier, action.placement])
+    rows = []
+    for period, index in enumerate(result.action_trace):
+        action = action_space.decode(index)
+        rows.append([period, index, action.multiplier, action.placement])
+    replace_file(path, _csv_bytes(["period", "action_index", "multiplier", "placement"], rows))

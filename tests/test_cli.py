@@ -18,7 +18,8 @@ import yaml
 
 import lobsim
 from checkpoint_bytes import corrupt_first_network
-from lobsim import DDQLConfig, MomentumConfig, SyntheticFlowConfig, lobster
+from lobsim import (DDQLConfig, DDQLExecutionAgent, MomentumConfig, SyntheticFlowConfig,
+                    lobster)
 from lobsim.cli import (
     ConfigError,
     build_data_source,
@@ -710,6 +711,68 @@ class TestTrain:
                      "--out", str(second)]) == 0
         rerun = json.loads((second / "manifest.json").read_text())
         assert rerun["artifacts"] == manifest["artifacts"]
+
+
+def stop_in_episode(monkeypatch, episode: int, stop: BaseException) -> None:
+    """The DDQL executor raises `stop` at its third period of `episode`,
+    while the kernel runs and the day's helper may still be alive."""
+    original = DDQLExecutionAgent._period_step
+
+    def period_step(self, snapshot):
+        if self.result.episode == episode and len(self.result.action_trace) == 2:
+            raise stop
+        original(self, snapshot)
+
+    monkeypatch.setattr(DDQLExecutionAgent, "_period_step", period_step)
+
+
+def tree_bytes(root) -> dict:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file() and p.name != "manifest.json"}
+
+
+class TestInterruptedTrain:
+    def four_episodes(self, tmp_path):
+        cfg = base_config()
+        cfg["ddql"]["episodes"] = 4
+        return write_config(tmp_path, cfg)
+
+    def test_resume_after_a_stop_in_episode_2_writes_every_trace(self, tmp_path,
+                                                                 monkeypatch):
+        # traces used to be written after train returned, and only for the
+        # episodes of that invocation: the resumed run lacked episodes 0 and 1
+        config = self.four_episodes(tmp_path)
+        straight = tmp_path / "straight"
+        assert main(["train", "--config", str(config), "--out", str(straight)]) == 0
+        resumed = tmp_path / "resumed"
+        with monkeypatch.context() as patch:
+            stop_in_episode(patch, 2, SystemExit("stopped"))
+            with pytest.raises(SystemExit):
+                main(["train", "--config", str(config), "--out", str(resumed)])
+        assert sorted(p.name for p in (resumed / "traces").iterdir()) == \
+            ["episode_0000_actions.csv", "episode_0001_actions.csv"]
+        assert main(["train", "--config", str(config), "--out", str(resumed),
+                     "--resume"]) == 0
+        assert tree_bytes(resumed) == tree_bytes(straight)
+        manifests = [json.loads((d / "manifest.json").read_text()) for d in (straight, resumed)]
+        assert manifests[0]["artifacts"] == manifests[1]["artifacts"]
+
+    @pytest.mark.parametrize("episode, named", [(2, "episode_0001.ckpt"), (0, None)])
+    def test_ctrl_c_exits_130_with_one_line(self, tmp_path, monkeypatch, capsys, episode,
+                                            named):
+        # used to end in a KeyboardInterrupt traceback; the no_child_left
+        # fixture checks that the day's helper was reaped
+        config = self.four_episodes(tmp_path)
+        out = tmp_path / "run"
+        stop_in_episode(monkeypatch, episode, KeyboardInterrupt())
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 130
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("interrupted; ")
+        if named:
+            assert f"last good checkpoint: {out / 'checkpoints' / named}" in err
+        else:
+            assert "no checkpoint yet" in err
+        assert not (out / "manifest.json").exists()
 
 
 class TestEvaluate:

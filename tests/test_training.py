@@ -472,6 +472,67 @@ class TestTrain:
         assert row[header.index("filled_quantity")] == "0"
 
 
+def output_bytes(out_dir) -> dict:
+    return {p.relative_to(out_dir).as_posix(): p.read_bytes()
+            for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+
+class TestStopAndResume:
+    """A run stopped between two of its writes and then resumed writes the
+    straight run's bytes: the learning curve, every checkpoint, latest.ckpt
+    and every action trace."""
+
+    WRITES = 12  # per episode: its trace, the curve, its checkpoint, latest.ckpt
+
+    @pytest.fixture(scope="class")
+    def straight(self, tmp_path_factory):
+        setup = make_setup(tmp_path_factory.mktemp("straight"), ddql=small_ddql(episodes=3))
+        train(setup)
+        return output_bytes(setup.out_dir)
+
+    @pytest.mark.parametrize("stop_after", range(1, WRITES))
+    def test_stop_after_a_write_then_resume(self, tmp_path, monkeypatch, straight,
+                                            stop_after):
+        # only checkpoints used to go through os.replace, and the save's
+        # clean-up turned a stop right after one into a FileNotFoundError
+        real_replace, writes = os.replace, []
+
+        def replace_then_stop(src, dst):
+            real_replace(src, dst)
+            writes.append(dst)
+            if len(writes) == stop_after:
+                raise SystemExit(f"stopped after write {stop_after}")
+
+        setup = make_setup(tmp_path / "run", ddql=small_ddql(episodes=3))
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", replace_then_stop)
+            with pytest.raises(SystemExit):
+                train(setup)
+        train(setup, resume=True)
+        assert output_bytes(setup.out_dir) == straight
+
+    def test_stop_in_place_of_episode_1_curve_row_keeps_the_row(self, tmp_path, monkeypatch,
+                                                                straight):
+        # the checkpoint used to be saved before the curve row, so this stop
+        # left episode 1 checkpointed without its row, and a resume lost it
+        real_write = training.write_learning_curve
+
+        def write_or_stop(rows, path):
+            if len(rows) == 2:
+                raise SystemExit("stopped")
+            real_write(rows, path)
+
+        setup = make_setup(tmp_path / "run", ddql=small_ddql(episodes=3))
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "write_learning_curve", write_or_stop)
+            with pytest.raises(SystemExit):
+                train(setup)
+        train(setup, resume=True)
+        with open(setup.out_dir / "learning_curve.csv", newline="") as fh:
+            assert [row[0] for row in csv.reader(fh)][1:] == ["0", "1", "2"]
+        assert output_bytes(setup.out_dir) == straight
+
+
 class TestMemory:
     """Episodes free what they made: no cycles, no finished episode held."""
 

@@ -42,6 +42,7 @@ from ..mlp import (
     forward,
     init_params,
     init_rmsprop,
+    parameter_count,
     params_from_bytes,
     params_to_bytes,
     train_step,
@@ -120,8 +121,7 @@ class DDQLConfig:
             raise ValueError("need 0 < min_experience <= max_experience")
         if any(size <= 0 for size in self.hidden_sizes):
             raise ValueError("hidden_sizes must all be positive")
-        sizes = self.layer_sizes
-        parameters = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
+        parameters = parameter_count(self.layer_sizes)
         if parameters > MAX_NETWORK_PARAMETERS:
             raise ValueError(f"hidden_sizes: the network would have {parameters:,} parameters, "
                              f"more than the {MAX_NETWORK_PARAMETERS:,} allowed")

@@ -85,7 +85,7 @@ class MLPParams:
         if not len(weights) or len(weights) != len(biases):
             raise ValueError("weights and biases must pair up")
         sizes = [np.shape(weights[0])[0]] + [np.shape(w)[1] for w in weights]
-        self._adopt(np.zeros(_parameter_count(sizes)), sizes, dropout_rate)
+        self._adopt(np.zeros(parameter_count(sizes)), sizes, dropout_rate)
         for view, tensor in zip(self.weights + self.biases, [*weights, *biases]):
             view[...] = tensor
 
@@ -122,7 +122,7 @@ class MLPParams:
             raise NumericalError("parameters must be finite")
 
 
-def _parameter_count(layer_sizes: Sequence[int]) -> int:
+def parameter_count(layer_sizes: Sequence[int]) -> int:
     return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]))
 
 
@@ -134,7 +134,7 @@ def init_params(
     """He-style uniform init: W ~ U(-sqrt(6/fan_in), +sqrt(6/fan_in)), b = 0."""
     if len(layer_sizes) < 2:
         raise ValueError("need at least input and output sizes")
-    params = MLPParams.from_theta(np.zeros(_parameter_count(layer_sizes)), layer_sizes,
+    params = MLPParams.from_theta(np.zeros(parameter_count(layer_sizes)), layer_sizes,
                                   dropout_rate)
     for w in params.weights:
         limit = np.sqrt(6.0 / w.shape[0])
@@ -298,7 +298,7 @@ def rho_fixed_point(rho: float) -> float:
         s = math.ldexp(ulps, -1074)
         return s * rho == s
 
-    low, high = 0, 1 << 52  # fixed(low) holds; fixed(high), the least normal, is not asked
+    low, high = 0, 1 << 52  # fixed(low) holds; high, the least normal, is never asked
     while high - low > 1:
         middle = (low + high) // 2
         if fixed(middle):
@@ -403,7 +403,7 @@ def params_from_bytes(data: bytes, expected_sizes: Optional[Sequence[int]] = Non
     sizes = list(reader.unpack(f"<{n_layers + 1}I", "layer sizes"))
     if expected_sizes is not None and list(expected_sizes) != sizes:
         raise CheckpointError(f"layer sizes {sizes} do not match expected {list(expected_sizes)}")
-    stored = reader.floats(_parameter_count(sizes), "weights and biases")
+    stored = reader.floats(parameter_count(sizes), "weights and biases")
     reader.finish()
     params = MLPParams.from_theta(np.empty(stored.size), sizes, dropout_rate)
     offset = 0

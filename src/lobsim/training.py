@@ -215,7 +215,7 @@ class TrainOutcome:
 
 class CheckpointWriteError(Exception):
     def __init__(self, cause: BaseException, last_good: Optional[Path]):
-        super().__init__(f"checkpoint write failed ({cause}); last good: {last_good}")
+        super().__init__(f"writing training output failed ({cause}); last good: {last_good}")
         self.last_good = last_good
 
 

@@ -30,7 +30,6 @@ from .kernel import (
     UnknownRecipientError,
     Wakeup,
     build_kernel,
-    run_simulation,
     seconds,
     time_from_str,
     time_to_str,
@@ -109,7 +108,6 @@ __all__ = [
     "init_params",
     "parse_message_file",
     "run_episode",
-    "run_simulation",
     "schedule_orders",
     "seconds",
     "time_from_str",

@@ -37,7 +37,6 @@ from ..mlp import (
     ByteReader,
     CheckpointError,
     MLPParams,
-    Mode,
     copy_params,
     forward,
     init_params,
@@ -156,8 +155,7 @@ def select_action(state: StateVector, epsilon: float, rng: np.random.Generator,
         raise ValueError("epsilon must lie in [0, 1]")
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(num_actions))
-    q_values = forward(params, state.to_array(), Mode.EVAL)
-    return int(np.argmax(q_values))
+    return int(np.argmax(forward(params, state.to_array())))
 
 
 def compute_target(batch: Batch, gamma: float, eval_params: MLPParams,
@@ -166,8 +164,8 @@ def compute_target(batch: Batch, gamma: float, eval_params: MLPParams,
     the target network scores it.  Terminal rows are bare rewards."""
     rows = batch.rows
     next_states = np.ascontiguousarray(rows[:, NEXT_STATE])
-    greedy = np.argmax(forward(eval_params, next_states, Mode.EVAL), axis=1)
-    next_q = forward(target_params, next_states, Mode.EVAL)[np.arange(len(rows)), greedy]
+    greedy = np.argmax(forward(eval_params, next_states), axis=1)
+    next_q = forward(target_params, next_states)[np.arange(len(rows)), greedy]
     return rows[:, REWARD] + gamma * next_q * (rows[:, TERMINAL] == 0.0)
 
 
@@ -259,7 +257,7 @@ class LearnerState:
     @classmethod
     def load(cls, path, config: DDQLConfig, seed: int = 0) -> "LearnerState":
         """Raises CheckpointError naming `path` for any file that is not a
-        whole checkpoint of this config's network shape."""
+        whole checkpoint of this config's network shape and dropout rate."""
         try:
             with open(path, "rb") as fh:
                 data = fh.read()
@@ -289,6 +287,10 @@ class LearnerState:
         blobs = [reader.blob(reader.unpack("<Q", "weights")[0], "weights") for _ in range(2)]
         state.eval_params = params_from_bytes(blobs[0], config.layer_sizes)
         state.target_params = params_from_bytes(blobs[1], config.layer_sizes)
+        for params in (state.eval_params, state.target_params):
+            if params.dropout_rate != config.dropout_rate:
+                raise CheckpointError(f"dropout rate {params.dropout_rate} does not match "
+                                      f"the config's {config.dropout_rate}")
         state.optstate = init_rmsprop(state.eval_params, config.learning_rate)
         slots = state.optstate.square_avg_w + state.optstate.square_avg_b
         if reader.unpack("<I", "optimizer")[0] != len(slots):

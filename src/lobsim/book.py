@@ -38,11 +38,6 @@ class Side(Enum):
     def opposite(self) -> "Side":
         return Side.ASK if self is Side.BID else Side.BID
 
-    @property
-    def sign(self) -> int:
-        """+1 for BID, -1 for ASK (LOBSTER direction convention)."""
-        return 1 if self is Side.BID else -1
-
 
 class OrderKind(Enum):
     LIMIT = "LIMIT"

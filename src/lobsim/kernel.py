@@ -409,7 +409,3 @@ def build_kernel(config: KernelConfig, agents: list[Agent]) -> Kernel:
         agent.kernel = kernel
         agent.rng = np.random.default_rng(child)
     return kernel
-
-
-def run_simulation(config: KernelConfig, agents: list[Agent]) -> SimulationLog:
-    return build_kernel(config, agents).run()

@@ -2,10 +2,12 @@
 inverted dropout, a linear output head, MSE on the taken action's output,
 and RMSprop.  Gradients are hand-derived; no autodiff framework.
 
-A network is one flat vector, `MLPParams.theta`: every layer's weights,
-then every layer's biases.  The RMSprop averages and the step's gradient
-share that layout, so a copy or a load fills one array and an update is
-one `theta -= step`.
+A network is one flat vector, `MLPParams.theta`, laid out layer by layer:
+the first layer's row-major weight matrix (fan_in x fan_out), then its
+bias vector, then the next layer's.  That is the checkpoint's own order, so
+a save writes theta's bytes after the header and a load makes one copy.
+The RMSprop averages and the step's gradient share the layout, so an
+update is one `theta -= step`.
 
 Subnormal averages.  A weight into a dead ReLU unit gets a zero gradient
 at every step, so its RMSprop average s shrinks by rho a step into the
@@ -26,8 +28,7 @@ keep such averages away from both, and every bit of the update the same:
   a normal float, so no subnormal reaches the square root.
 
 Checkpoint format (little-endian): magic b"QMLP", u32 version, f64
-dropout_rate, u32 layer count, u32 layer sizes, then per weight layer the
-row-major f64 weight matrix (in x out) followed by the f64 bias vector.
+dropout_rate, u32 layer count, u32 layer sizes, then theta as f64.
 Serialization is bitwise deterministic: saving twice yields identical bytes.
 """
 
@@ -36,18 +37,12 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
 
 MAGIC = b"QMLP"
 FORMAT_VERSION = 1
-
-
-class Mode(Enum):
-    TRAIN = "TRAIN"
-    EVAL = "EVAL"
 
 
 class CheckpointError(ValueError):
@@ -60,13 +55,13 @@ class NumericalError(Exception):
 
 def _layer_views(flat: np.ndarray, layer_sizes: Sequence[int]) -> tuple:
     """Per-layer weight (fan_in, fan_out) and bias (fan_out,) views of
-    `flat`, laid out as every layer's weights, then every layer's biases."""
-    pairs = list(zip(layer_sizes[:-1], layer_sizes[1:]))
+    `flat`, laid out layer by layer: W0, b0, W1, b1, ..."""
+    if len(layer_sizes) < 2:
+        raise ValueError("need at least input and output sizes")
     weights, biases, offset = [], [], 0
-    for fan_in, fan_out in pairs:
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         weights.append(flat[offset:offset + fan_in * fan_out].reshape(fan_in, fan_out))
         offset += fan_in * fan_out
-    for _, fan_out in pairs:
         biases.append(flat[offset:offset + fan_out])
         offset += fan_out
     if offset != flat.size:
@@ -75,29 +70,13 @@ def _layer_views(flat: np.ndarray, layer_sizes: Sequence[int]) -> tuple:
 
 
 class MLPParams:
-    """A network's parameters.  `weights` (per layer, (fan_in, fan_out)) and
-    `biases` (per layer, (fan_out,)) are views of the flat vector `theta`,
-    which training updates.  Write into the views; an array put in their
-    place would not be trained, and `validate` refuses it."""
+    """A network over the flat vector `theta`, which it takes over without a
+    copy and which training updates.  `weights` (per layer, (fan_in,
+    fan_out)) and `biases` (per layer, (fan_out,)) are views of it.  Write
+    into the views; an array put in their place would not be trained, and
+    `validate` refuses it."""
 
-    def __init__(self, weights: Sequence, biases: Sequence, dropout_rate: float = 0.0):
-        """A network holding copies of `weights` and `biases`."""
-        if not len(weights) or len(weights) != len(biases):
-            raise ValueError("weights and biases must pair up")
-        sizes = [np.shape(weights[0])[0]] + [np.shape(w)[1] for w in weights]
-        self._adopt(np.zeros(parameter_count(sizes)), sizes, dropout_rate)
-        for view, tensor in zip(self.weights + self.biases, [*weights, *biases]):
-            view[...] = tensor
-
-    @classmethod
-    def from_theta(cls, theta: np.ndarray, layer_sizes: Sequence[int],
-                   dropout_rate: float) -> "MLPParams":
-        """A network over `theta` itself, which it takes over without a copy."""
-        params = cls.__new__(cls)
-        params._adopt(theta, layer_sizes, dropout_rate)
-        return params
-
-    def _adopt(self, theta: np.ndarray, layer_sizes: Sequence[int], dropout_rate: float) -> None:
+    def __init__(self, theta: np.ndarray, layer_sizes: Sequence[int], dropout_rate: float):
         self.theta = theta
         self.weights, self.biases = _layer_views(theta, layer_sizes)
         self.dropout_rate = dropout_rate
@@ -107,15 +86,8 @@ class MLPParams:
         return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
 
     def validate(self) -> None:
-        if not self.weights or len(self.weights) != len(self.biases):
-            raise ValueError("weights and biases must pair up")
         if not 0 <= self.dropout_rate < 1:
             raise ValueError("dropout_rate must be in [0, 1)")
-        previous = self.weights[0].shape[0]
-        for w, b in zip(self.weights, self.biases):
-            if w.ndim != 2 or b.ndim != 1 or w.shape != (previous, b.shape[0]):
-                raise ValueError(f"inconsistent layer shapes: {w.shape} vs bias {b.shape}")
-            previous = w.shape[1]
         if any(t.base is not self.theta for t in self.weights + self.biases):
             raise ValueError("weights and biases must be views of theta")
         if not np.isfinite(self.theta).all():
@@ -132,10 +104,7 @@ def init_params(
     rng: np.random.Generator,
 ) -> MLPParams:
     """He-style uniform init: W ~ U(-sqrt(6/fan_in), +sqrt(6/fan_in)), b = 0."""
-    if len(layer_sizes) < 2:
-        raise ValueError("need at least input and output sizes")
-    params = MLPParams.from_theta(np.zeros(parameter_count(layer_sizes)), layer_sizes,
-                                  dropout_rate)
+    params = MLPParams(np.zeros(parameter_count(layer_sizes)), layer_sizes, dropout_rate)
     for w in params.weights:
         limit = np.sqrt(6.0 / w.shape[0])
         w[...] = rng.uniform(-limit, limit, size=w.shape)
@@ -144,7 +113,7 @@ def init_params(
 
 
 def copy_params(src: MLPParams) -> MLPParams:
-    return MLPParams.from_theta(src.theta.copy(), src.layer_sizes, src.dropout_rate)
+    return MLPParams(src.theta.copy(), src.layer_sizes, src.dropout_rate)
 
 
 def _as_batch(params: MLPParams, inputs) -> np.ndarray:
@@ -152,16 +121,6 @@ def _as_batch(params: MLPParams, inputs) -> np.ndarray:
     if x.shape[1] != params.weights[0].shape[0]:
         raise ValueError(f"input width {x.shape[1]} != {params.weights[0].shape[0]}")
     return x
-
-
-def _dropout_rng(params: MLPParams, mode: Mode,
-                 rng: Optional[np.random.Generator]) -> Optional[np.random.Generator]:
-    """The generator that draws dropout masks, or None when none are drawn."""
-    if mode is not Mode.TRAIN or params.dropout_rate == 0.0:
-        return None
-    if rng is None:
-        raise ValueError("TRAIN mode with dropout needs an rng")
-    return rng
 
 
 def _forward(params: MLPParams, x: np.ndarray, dropout_rng: Optional[np.random.Generator],
@@ -190,14 +149,10 @@ def _forward(params: MLPParams, x: np.ndarray, dropout_rng: Optional[np.random.G
     return outputs
 
 
-def forward(
-    params: MLPParams,
-    inputs,
-    mode: Mode = Mode.EVAL,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Q-values for one state (shape (6,) -> (24,)) or a batch (B,6) -> (B,24)."""
-    outputs = _forward(params, _as_batch(params, inputs), _dropout_rng(params, mode, rng))
+def forward(params: MLPParams, inputs) -> np.ndarray:
+    """Q-values, without dropout, for one state (shape (6,) -> (24,)) or a
+    batch (B,6) -> (B,24)."""
+    outputs = _forward(params, _as_batch(params, inputs), None)
     return outputs[0] if np.ndim(inputs) == 1 else outputs
 
 
@@ -232,24 +187,6 @@ def _backprop(params: MLPParams, x: np.ndarray, actions: np.ndarray, targets: np
                 delta *= mask
             delta *= positive
     return loss
-
-
-def compute_gradients(
-    params: MLPParams,
-    inputs: np.ndarray,
-    actions: np.ndarray,
-    targets: np.ndarray,
-    mode: Mode = Mode.TRAIN,
-    rng: Optional[np.random.Generator] = None,
-):
-    """(loss, grad_w, grad_b) for the action-masked MSE; the gradients are
-    per-layer views of one flat vector laid out like `params.theta`."""
-    grad = np.empty_like(params.theta)
-    grad_w, grad_b = _layer_views(grad, params.layer_sizes)
-    loss = _backprop(params, _as_batch(params, inputs), np.asarray(actions, dtype=np.int64),
-                     np.asarray(targets, dtype=np.float64), _dropout_rng(params, mode, rng),
-                     grad_w, grad_b)
-    return loss, grad_w, grad_b
 
 
 @dataclass
@@ -321,9 +258,13 @@ def train_step(
     inputs, actions, targets = batch
     if len(np.atleast_1d(actions)) == 0:
         raise ValueError("batch must be non-empty")
+    if params.dropout_rate == 0.0:
+        rng = None  # no masks to draw
+    elif rng is None:
+        raise ValueError("training with dropout needs an rng")
     loss = _backprop(params, _as_batch(params, inputs), np.asarray(actions, dtype=np.int64),
-                     np.asarray(targets, dtype=np.float64),
-                     _dropout_rng(params, Mode.TRAIN, rng), optstate.grad_w, optstate.grad_b)
+                     np.asarray(targets, dtype=np.float64), rng,
+                     optstate.grad_w, optstate.grad_b)
     grad = optstate.grad
     square_avg = optstate.square_avg
     rho = optstate.decay
@@ -345,17 +286,12 @@ def train_step(
 def params_to_bytes(params: MLPParams) -> bytes:
     params.validate()
     sizes = params.layer_sizes
-    chunks = [
+    return b"".join([
         MAGIC,
-        struct.pack("<I", FORMAT_VERSION),
-        struct.pack("<d", params.dropout_rate),
-        struct.pack("<I", len(params.weights)),
+        struct.pack("<IdI", FORMAT_VERSION, params.dropout_rate, len(sizes) - 1),
         struct.pack(f"<{len(sizes)}I", *sizes),
-    ]
-    for w, b in zip(params.weights, params.biases):
-        chunks.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        chunks.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    return b"".join(chunks)
+        params.theta.astype("<f8", copy=False).tobytes(),
+    ])
 
 
 class ByteReader:
@@ -405,13 +341,8 @@ def params_from_bytes(data: bytes, expected_sizes: Optional[Sequence[int]] = Non
         raise CheckpointError(f"layer sizes {sizes} do not match expected {list(expected_sizes)}")
     stored = reader.floats(parameter_count(sizes), "weights and biases")
     reader.finish()
-    params = MLPParams.from_theta(np.empty(stored.size), sizes, dropout_rate)
-    offset = 0
-    for w, b in zip(params.weights, params.biases):  # stored layer by layer
-        for tensor in (w, b):
-            tensor[...] = stored[offset:offset + tensor.size].reshape(tensor.shape)
-            offset += tensor.size
     try:
+        params = MLPParams(np.array(stored, dtype=np.float64), sizes, dropout_rate)
         params.validate()
     except (ValueError, NumericalError) as exc:
         raise CheckpointError(f"bad network ({exc})") from None

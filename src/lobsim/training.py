@@ -236,8 +236,9 @@ def train(setup: RunSetup, resume: bool = False) -> TrainOutcome:
     Each episode commits its output in one order: its action trace, the
     learning curve with its row, its checkpoint, then latest.ckpt, each
     written whole through a temporary file.  A run stopped anywhere and
-    resumed therefore writes the straight run's bytes: a resume redoes the
-    episodes after the newest checkpoint and rewrites their traces and rows."""
+    resumed therefore writes the straight run's bytes: a resume drops what
+    the stop left past the newest checkpoint, then redoes the episodes after
+    it and rewrites their traces and rows."""
     out_dir = Path(setup.out_dir)
     (out_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
     (out_dir / "traces").mkdir(exist_ok=True)
@@ -251,10 +252,12 @@ def train(setup: RunSetup, resume: bool = False) -> TrainOutcome:
         if last_good is not None:
             learner = LearnerState.load(last_good, setup.ddql, setup.seed)
             rows = _read_curve_rows(curve_path, learner.episode_index)
-            try:  # the stop may have come before latest.ckpt caught up
+        try:
+            _drop_uncommitted(out_dir, 0 if learner is None else learner.episode_index)
+            if last_good is not None:  # the stop may have come before latest.ckpt caught up
                 replace_file(latest_path, last_good.read_bytes())
-            except OSError as exc:
-                raise CheckpointWriteError(exc, last_good) from exc
+        except OSError as exc:
+            raise CheckpointWriteError(exc, last_good) from exc
     if learner is None:
         learner = LearnerState(setup.ddql, setup.seed)
     results = []
@@ -288,6 +291,20 @@ def train(setup: RunSetup, resume: bool = False) -> TrainOutcome:
         last_good = path
         results.append(result)
     return TrainOutcome(results, curve_path, last_good)
+
+
+def _drop_uncommitted(out_dir: Path, episode: int) -> None:
+    """Deletes what a stopped run leaves past its newest checkpoint: the
+    temporary files of writes it never finished, which the manifest would
+    hash, and the action traces of `episode` on, which a resume to fewer
+    episodes would otherwise keep."""
+    for folder in (out_dir, out_dir / "checkpoints", out_dir / "traces"):
+        for path in folder.glob("*.tmp"):
+            path.unlink()
+    for path in (out_dir / "traces").glob("episode_*_actions.csv"):
+        number = path.name[len("episode_"):-len("_actions.csv")]
+        if number.isdigit() and int(number) >= episode:
+            path.unlink()
 
 
 def _read_curve_rows(path: Path, upto_episode: int) -> list:

@@ -4,7 +4,10 @@ and `lobsim.agents.ddql.compute_target`: per-layer arrays, a fresh array
 for every intermediate, and the RMSprop update written as its formula.
 
 Networks and averages are plain lists here, so the reference never shares
-memory with the `MLPParams` it is compared against."""
+memory with the `MLPParams` it is compared against.  The averages are kept
+per tensor in the order of `net.weights + net.biases`; a flat vector of them,
+read in or written out, goes layer by layer as `MLPParams.theta` does: the
+first layer's weights, then its biases, then the next layer's."""
 
 import numpy as np
 
@@ -22,24 +25,31 @@ class ReferenceNet:
         return cls(params.weights, params.biases, params.dropout_rate)
 
 
+def layer_order(layers: int) -> list:
+    """Indices into `weights + biases` of `layers` layers, layer by layer."""
+    return [i for layer in range(layers) for i in (layer, layers + layer)]
+
+
 class ReferenceRMSprop:
     def __init__(self, net: ReferenceNet, learning_rate=0.01, decay=0.9, epsilon=1e-8,
                  square_avg=None):
-        """`square_avg`, if given, is the flat vector laid out as every
-        layer's weights then every layer's biases."""
+        """`square_avg`, if given, is the flat vector laid out layer by layer."""
         tensors = net.weights + net.biases
         flat = (np.zeros(sum(t.size for t in tensors)) if square_avg is None
                 else np.array(square_avg, dtype=np.float64))
-        self.square_avg, offset = [], 0
-        for t in tensors:
-            self.square_avg.append(flat[offset:offset + t.size].reshape(t.shape).copy())
+        self.square_avg, offset = [None] * len(tensors), 0
+        for i in layer_order(len(net.weights)):
+            t = tensors[i]
+            self.square_avg[i] = flat[offset:offset + t.size].reshape(t.shape).copy()
             offset += t.size
         self.learning_rate = learning_rate
         self.decay = decay
         self.epsilon = epsilon
 
     def flat(self) -> np.ndarray:
-        return np.concatenate([s.ravel() for s in self.square_avg])
+        """The averages as one vector laid out layer by layer."""
+        order = layer_order(len(self.square_avg) // 2)
+        return np.concatenate([self.square_avg[i].ravel() for i in order])
 
 
 def forward_cached(net: ReferenceNet, inputs, train: bool, rng):
@@ -71,7 +81,7 @@ def forward(net: ReferenceNet, inputs) -> np.ndarray:
     return outputs[0] if single else outputs
 
 
-def compute_gradients(net: ReferenceNet, inputs, actions, targets, rng=None):
+def loss_and_gradients(net: ReferenceNet, inputs, actions, targets, rng=None):
     actions = np.asarray(actions, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.float64)
     outputs, activations, pre_activations, masks = forward_cached(net, inputs, True, rng)
@@ -98,7 +108,7 @@ def compute_gradients(net: ReferenceNet, inputs, actions, targets, rng=None):
 def train_step(net: ReferenceNet, opt: ReferenceRMSprop, batch, rng=None) -> float:
     """Per element: s = rho * s + (1 - rho) * g**2, then
     p -= lr * g / (sqrt(s) + eps)."""
-    loss, grad_w, grad_b = compute_gradients(net, *batch, rng)
+    loss, grad_w, grad_b = loss_and_gradients(net, *batch, rng)
     rho = opt.decay
     for param, s, g in zip(net.weights + net.biases, opt.square_avg, grad_w + grad_b):
         s *= rho

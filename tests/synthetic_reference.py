@@ -52,12 +52,14 @@ def reference_synthetic(config: SyntheticFlowConfig) -> Iterator[LobsterEvent]:
                 cut = int(rng.integers(1, target.quantity))
                 shadow.reduce(target_id, cut)
                 yield LobsterEvent(time_ns, EventType.PARTIAL_CANCEL, target_id,
-                                   cut, target.price_ticks, target.side.sign)
+                                   cut, target.price_ticks,
+                                   1 if target.side is Side.BID else -1)
             else:
                 removed = shadow.cancel(target_id)
                 drop(target_id)
                 yield LobsterEvent(time_ns, EventType.DELETE, target_id,
-                                   removed, target.price_ticks, target.side.sign)
+                                   removed, target.price_ticks,
+                                   1 if target.side is Side.BID else -1)
             continue
         side = Side.BID if rng.random() < 0.5 else Side.ASK
         size = max(1, math.ceil(rng.gamma(config.size_gamma_shape, config.size_gamma_scale)))
@@ -77,6 +79,7 @@ def reference_synthetic(config: SyntheticFlowConfig) -> Iterator[LobsterEvent]:
         assert not result.fills, "synthetic placement must not cross"
         alive_pos[next_id] = len(alive)
         alive.append(next_id)
-        yield LobsterEvent(time_ns, EventType.NEW_LIMIT, next_id, size, price, side.sign)
+        yield LobsterEvent(time_ns, EventType.NEW_LIMIT, next_id, size, price,
+                           1 if side is Side.BID else -1)
         next_id += 1
 

@@ -20,7 +20,7 @@ from lobsim import (
     SyntheticFlowConfig,
     TWAPExecutionAgent,
     generate_synthetic,
-    run_simulation,
+    build_kernel,
     seconds,
 )
 from lobsim.book import BookSnapshot, Order, OrderKind
@@ -239,7 +239,7 @@ def replay_setup(events, latency=0, stop=None, exchange=None):
     config = KernelConfig(start_time=0, stop_time=stop, latency_nanos=latency)
     exchange = exchange or ExchangeAgent()
     replay = MarketReplayAgent(events)
-    log = run_simulation(config, [exchange, replay])
+    log = build_kernel(config, [exchange, replay]).run()
     return exchange, replay, log
 
 
@@ -294,7 +294,7 @@ class TestMarketReplay:
             LobsterEvent(1_500, EventType.NEW_LIMIT, 3, 10, 998_000, 1),
         ]
         replay = MarketReplayAgent(events)
-        log = run_simulation(config, [ExchangeAgent(), replay])
+        log = build_kernel(config, [ExchangeAgent(), replay]).run()
         assert [(time, type(p), p.quantity) for time, p in inbound(log)] == [
             (1_000, LimitOrder, 10), (1_000, LimitOrder, 10), (1_500, LimitOrder, 10),
         ]
@@ -566,7 +566,7 @@ class TestTWAPAgent:
         exchange.book.submit(Order(1, 1, Side.ASK, wall_price, 10_000, OrderKind.LIMIT, 0))
         exchange.book.submit(Order(2, 1, Side.BID, 9_990, 10_000, OrderKind.LIMIT, 0))
         twap = TWAPExecutionAgent(parent_order(parent, periods, start=seconds(10), **grid))
-        log = run_simulation(config, [exchange, Agent("liquidity"), twap])
+        log = build_kernel(config, [exchange, Agent("liquidity"), twap]).run()
         return twap, log
 
     def test_constant_rate_execution(self):

@@ -5,11 +5,14 @@ All configs are built around a ten second trading window so full runs stay
 fast; `main` is invoked in-process to keep exit-code checks cheap.
 """
 
+import contextlib
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -712,6 +715,21 @@ class TestTrain:
         rerun = json.loads((second / "manifest.json").read_text())
         assert rerun["artifacts"] == manifest["artifacts"]
 
+    def test_resume_under_another_dropout_rate_exits_2_naming_both(self, tmp_path, capsys):
+        # the networks used to load at the saved rate while the learning rate
+        # followed the config
+        cfg = base_config()
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 0
+        cfg["ddql"].update(episodes=3, dropout_rate=0.2)
+        other = write_config(tmp_path, cfg, "other.yaml")
+        capsys.readouterr()
+        assert main(["train", "--config", str(other), "--out", str(out), "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "episode_0001.ckpt: dropout rate 0.0 does not match the config's 0.2" in err
+
 
 def stop_in_episode(monkeypatch, episode: int, stop: BaseException) -> None:
     """The DDQL executor raises `stop` at its third period of `episode`,
@@ -756,6 +774,38 @@ class TestInterruptedTrain:
         assert tree_bytes(resumed) == tree_bytes(straight)
         manifests = [json.loads((d / "manifest.json").read_text()) for d in (straight, resumed)]
         assert manifests[0]["artifacts"] == manifests[1]["artifacts"]
+
+    def test_resume_after_sigkill_writes_the_straight_run(self, tmp_path):
+        # the kill takes the synthetic day's helper with it: both are in the
+        # new session's process group
+        cfg = base_config()
+        cfg["ddql"].update(episodes=8, num_periods=100, session_end="00:05:20")
+        cfg["data"]["synthetic"].update(session_end="00:05:21", arrival_rate_per_side=20.0)
+        config = write_config(tmp_path, cfg)
+        straight = tmp_path / "straight"
+        assert main(["train", "--config", str(config), "--out", str(straight)]) == 0
+        killed = tmp_path / "killed"
+        src = str(Path(lobsim.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lobsim.cli", "train", "--config", str(config),
+             "--out", str(killed)],
+            env={**os.environ, "PYTHONPATH": src}, start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 120
+            while not (killed / "checkpoints" / "episode_0001.ckpt").exists():
+                assert proc.poll() is None, "train ended before its second checkpoint"
+                assert time.monotonic() < deadline, "no second checkpoint in time"
+                time.sleep(0.001)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert proc.returncode == -signal.SIGKILL
+        assert not (killed / "checkpoints" / "episode_0007.ckpt").exists()
+        assert main(["train", "--config", str(config), "--out", str(killed),
+                     "--resume"]) == 0
+        assert tree_bytes(killed) == tree_bytes(straight)
 
     @pytest.mark.parametrize("episode, named", [(2, "episode_0001.ckpt"), (0, None)])
     def test_ctrl_c_exits_130_with_one_line(self, tmp_path, monkeypatch, capsys, episode,

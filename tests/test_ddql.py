@@ -3,6 +3,7 @@ and learner checkpointing."""
 
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from lobsim import (
     LearnerState,
     MLPParams,
     StateVector,
+    build_kernel,
     forward,
-    run_simulation,
     seconds,
 )
 from lobsim.agents.ddql import compute_target, select_action
@@ -31,9 +32,9 @@ from replay_reference import ListReplayBuffer, pack
 
 def flat_net(bias=None) -> MLPParams:
     """Single linear 6->24 layer, all zeros unless a bias vector is given."""
-    params = MLPParams([np.zeros((6, 24))], [np.zeros(24)])
+    params = MLPParams(np.zeros(6 * 24 + 24), [6, 24], 0.0)
     if bias is not None:
-        params.biases[0] = np.asarray(bias, dtype=np.float64)
+        params.biases[0][:] = bias
     return params
 
 
@@ -161,7 +162,7 @@ def run_ddql_episode(config: DDQLConfig, learner: LearnerState, epsilon=0.0,
     exchange = ExchangeAgent()
     agent = DDQLExecutionAgent(config, learner, epsilon=epsilon,
                                train_enabled=train_enabled)
-    run_simulation(kernel_config, [exchange, agent])
+    build_kernel(kernel_config, [exchange, agent]).run()
     return agent
 
 
@@ -381,6 +382,16 @@ class TestLearnerCheckpoint:
         batch_a = learner.buffer.sample(8, learner.rng)
         batch_b = loaded.buffer.sample(8, loaded.rng)
         assert batch_a.rows.tobytes() == batch_b.rows.tobytes()
+
+    def test_other_dropout_rate_rejected_naming_both(self, tmp_path):
+        # used to load networks at the saved 0.2 under a config of 0.0
+        learner = self.trained_learner()
+        path = tmp_path / "learner.ckpt"
+        learner.save(path)
+        with pytest.raises(CheckpointError, match="dropout rate 0.2 does not match "
+                           "the config's 0.0") as excinfo:
+            LearnerState.load(path, replace(learner.config, dropout_rate=0.0))
+        assert str(path) in str(excinfo.value)
 
     def test_save_twice_identical_bytes(self, tmp_path):
         learner = self.trained_learner()

@@ -20,7 +20,6 @@ from lobsim import (
     SchedulingError,
     UnknownRecipientError,
     build_kernel,
-    run_simulation,
     seconds,
     time_from_str,
     time_to_str,
@@ -140,7 +139,7 @@ class TestDeliveryOrder:
         assert agents[1].seen == []
 
     def test_empty_roster_runs_clean(self):
-        log = run_simulation(config(), [])
+        log = build_kernel(config(), []).run()
         assert len(log) == 0
         assert log.final_states == {}
 
@@ -174,7 +173,7 @@ class TestFailureModes:
                 raise ValueError("broken")
 
         with pytest.raises(AgentFault) as excinfo:
-            run_simulation(config(), [Faulty(name="bad-actor")])
+            build_kernel(config(), [Faulty(name="bad-actor")]).run()
         assert excinfo.value.agent_id == 0
         assert "bad-actor" in str(excinfo.value)
         assert isinstance(excinfo.value.__cause__, ValueError)
@@ -186,7 +185,7 @@ class TestFailureModes:
 
         pinger = ReplyAgent([5], [([(1, Ping(0))], [])])
         with pytest.raises(AgentFault) as excinfo:
-            run_simulation(config(), [pinger, Faulty(name="bad-actor")])
+            build_kernel(config(), [pinger, Faulty(name="bad-actor")]).run()
         assert excinfo.value.agent_id == 1
         assert "bad-actor" in str(excinfo.value)
         assert isinstance(excinfo.value.__cause__, ValueError)
@@ -209,7 +208,7 @@ class TestFailureModes:
                 self.kernel.register(Agent())
 
         with pytest.raises(KernelError, match="while running"):
-            run_simulation(config(), [Sneaky()])
+            build_kernel(config(), [Sneaky()]).run()
 
     def test_agent_id_past_the_int16_log_columns_is_refused(self):
         # used to be accepted; the log's sender and recipient columns are int16
@@ -247,21 +246,21 @@ class TestGarbageCollector:
 
     def test_paused_during_delivery_and_enabled_after(self):
         probe = self.Probe()
-        run_simulation(config(), [probe])
+        build_kernel(config(), [probe]).run()
         assert probe.enabled_in_wakeup is False
         assert gc.isenabled()
 
     def test_enabled_again_after_an_agent_fault(self):
         probe = self.Probe(fail=True)
         with pytest.raises(AgentFault):
-            run_simulation(config(), [probe])
+            build_kernel(config(), [probe]).run()
         assert probe.enabled_in_wakeup is False
         assert gc.isenabled()
 
     def test_caller_that_disabled_it_finds_it_disabled(self):
         gc.disable()
         probe = self.Probe()
-        run_simulation(config(), [probe])
+        build_kernel(config(), [probe]).run()
         assert probe.enabled_in_wakeup is False
         assert not gc.isenabled()
 
@@ -302,7 +301,7 @@ class TestDeterminism:
             def state_summary(self):
                 return {"wakeups": self.n}
 
-        log = run_simulation(config(), [Counting()])
+        log = build_kernel(config(), [Counting()]).run()
         assert log.final_states == {0: {"wakeups": 2}}
 
     def test_log_jsonl_round_trip(self, tmp_path):

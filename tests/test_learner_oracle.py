@@ -219,14 +219,14 @@ class TestFlatLayout:
         loaded.train_once(loaded.buffer.sample(4, loaded.rng))
         assert not np.array_equal(before, loaded.eval_params.weights[0])
 
-    def test_constructor_copies_into_one_vector(self):
-        w = [np.ones((2, 3)), np.full((3, 1), 2.0)]
-        b = [np.zeros(3), np.full(1, 3.0)]
-        params = MLPParams(w, b)
-        assert params.theta.tolist() == [1.0] * 6 + [2.0] * 3 + [0.0] * 3 + [3.0]
-        assert self.views_theta(params)
-        w[0][0, 0] = 9.0
-        assert params.weights[0][0, 0] == 1.0
+    def test_constructor_views_theta_layer_by_layer(self):
+        theta = np.arange(13.0)
+        params = MLPParams(theta, [2, 3, 1], 0.0)
+        assert params.theta is theta and self.views_theta(params)
+        assert params.weights[0].tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+        assert params.biases[0].tolist() == [6.0, 7.0, 8.0]
+        assert params.weights[1].tolist() == [[9.0], [10.0], [11.0]]
+        assert params.biases[1].tolist() == [12.0]
 
     def test_array_put_in_place_of_a_view_is_refused(self):
         params = init_params((6, 8, 24), 0.0, np.random.default_rng(12))

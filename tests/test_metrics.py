@@ -14,7 +14,7 @@ from scipy import stats
 
 from lobsim.agents import ExchangeAgent, MarketReplayAgent, MomentumAgent, MomentumConfig
 from lobsim.book import Side
-from lobsim.kernel import NANOS_PER_SECOND, KernelConfig, LogRecord, SimulationLog, run_simulation
+from lobsim.kernel import NANOS_PER_SECOND, KernelConfig, LogRecord, SimulationLog, build_kernel
 from lobsim.lobster import EventType, LobsterEvent, SyntheticFlowConfig, generate_synthetic
 from lobsim.messages import (
     EXCHANGE_ID,
@@ -162,8 +162,8 @@ class TestFlowSeries:
         agents = [ExchangeAgent(), MarketReplayAgent(flow),
                   MomentumAgent(momentum, name="m0"),
                   MomentumAgent(momentum, poll_offset=seconds(0.1), name="m1")]
-        log = run_simulation(KernelConfig(seconds(98), seconds(107), latency_nanos=1_000_000),
-                             agents)
+        log = build_kernel(KernelConfig(seconds(98), seconds(107), latency_nanos=1_000_000),
+                           agents).run()
         read = [r for r in log.records if r.recipient_id == EXCHANGE_ID
                 and isinstance(r.payload, (LimitOrder, MarketOrder, CancelOrder))]
         limits = [r for r in read if isinstance(r.payload, LimitOrder)]

@@ -5,23 +5,31 @@ import struct
 import numpy as np
 import pytest
 
+import learner_reference as ref
 from lobsim import MLPParams, forward, init_params, train_step
 from lobsim.mlp import (
     CheckpointError,
-    Mode,
     NumericalError,
-    compute_gradients,
+    _forward,
     copy_params,
     init_rmsprop,
+    parameter_count,
     params_from_bytes,
     params_to_bytes,
 )
 
 
 def zero_net(sizes, dropout=0.0) -> MLPParams:
-    weights = [np.zeros((a, b)) for a, b in zip(sizes[:-1], sizes[1:])]
-    biases = [np.zeros(b) for b in sizes[1:]]
-    return MLPParams(weights, biases, dropout)
+    return MLPParams(np.zeros(parameter_count(sizes)), sizes, dropout)
+
+
+def gradients(params: MLPParams, inputs, actions, targets):
+    """(loss, grad_w, grad_b) at `params`, read off the optimizer after a
+    train step on a copy."""
+    trained = copy_params(params)
+    opt = init_rmsprop(trained)
+    loss = train_step(trained, opt, (inputs, actions, targets))
+    return loss, opt.grad_w, opt.grad_b
 
 
 def random_net(sizes=(6, 8, 24), dropout=0.0, seed=0) -> MLPParams:
@@ -49,7 +57,7 @@ class TestForward:
         assert np.array_equal(out[:6], x)
         assert np.all(out[6:] == 0.0)
 
-    def test_eval_mode_deterministic(self):
+    def test_deterministic_under_dropout(self):
         params = random_net(dropout=0.5)
         x = np.random.default_rng(1).normal(size=6)
         assert np.array_equal(forward(params, x), forward(params, x))
@@ -67,8 +75,9 @@ class TestForward:
             forward(random_net(), np.ones(5))
 
     def test_train_with_dropout_requires_rng(self):
-        with pytest.raises(ValueError):
-            forward(random_net(dropout=0.2), np.ones(6), Mode.TRAIN)
+        params = random_net(dropout=0.2)
+        with pytest.raises(ValueError, match="dropout needs an rng"):
+            train_step(params, init_rmsprop(params), (np.ones((1, 6)), [0], [0.0]))
 
     def test_relu_kills_negative_preactivations(self):
         params = zero_net([1, 1, 1])
@@ -86,17 +95,18 @@ class TestDropout:
         params.weights[1][0, 0] = 1.0
         rng = np.random.default_rng(0)
         n = 10_000
-        outs = np.array([forward(params, np.array([1.0]), Mode.TRAIN, rng)[0] for _ in range(n)])
+        outs = _forward(params, np.ones((n, 1)), rng)[:, 0]
         keep = 0.6
         sigma_mean = np.sqrt((1 - keep) / keep / n)
         assert abs(outs.mean() - 1.0) <= 3 * sigma_mean
         # realized values are either dropped or scaled by 1/keep
         assert set(np.round(np.unique(outs), 12)) <= {0.0, round(1 / keep, 12)}
 
-    def test_eval_ignores_dropout(self):
+    def test_forward_ignores_dropout(self):
         params = random_net(dropout=0.9)
+        without = MLPParams(params.theta, params.layer_sizes, 0.0)
         x = np.ones(6)
-        assert np.array_equal(forward(params, x, Mode.EVAL), forward(params, x))
+        assert np.array_equal(forward(params, x), forward(without, x))
 
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -109,9 +119,7 @@ class TestGradients:
         params = zero_net([1, 1])
         params.weights[0][0, 0] = 0.7
         params.biases[0][0] = 0.1
-        loss, grad_w, grad_b = compute_gradients(
-            params, np.array([[2.0]]), np.array([0]), np.array([1.0])
-        )
+        loss, grad_w, grad_b = gradients(params, np.array([[2.0]]), np.array([0]), np.array([1.0]))
         # pred 1.5, err 0.5: dL/dw = 2*err*x = 2.0, dL/db = 2*err = 1.0
         assert loss == pytest.approx(0.25)
         assert grad_w[0][0, 0] == pytest.approx(2.0)
@@ -123,7 +131,7 @@ class TestGradients:
         inputs = rng.normal(size=(4, 6))
         actions = rng.integers(0, 24, size=4)
         targets = rng.normal(size=4)
-        _, grad_w, grad_b = compute_gradients(params, inputs, actions, targets)
+        _, grad_w, grad_b = gradients(params, inputs, actions, targets)
         h = 1e-5
 
         def check(array, grad):
@@ -147,9 +155,7 @@ class TestGradients:
     def test_gradient_masked_to_taken_action(self):
         # single linear layer: weight columns for untaken actions get no gradient
         params = zero_net([6, 24])
-        _, grad_w, _ = compute_gradients(
-            params, np.ones((1, 6)), np.array([7]), np.array([1.0])
-        )
+        _, grad_w, _ = gradients(params, np.ones((1, 6)), np.array([7]), np.array([1.0]))
         touched = np.nonzero(np.any(grad_w[0] != 0.0, axis=0))[0]
         assert touched.tolist() == [7]
 
@@ -157,7 +163,7 @@ class TestGradients:
         params = zero_net([1, 1])
         params.weights[0][0, 0] = 1e308
         with np.errstate(over="ignore"), pytest.raises(NumericalError, match="non-finite"):
-            compute_gradients(params, np.array([[1e10]]), np.array([0]), np.array([0.0]))
+            gradients(params, np.array([[1e10]]), np.array([0]), np.array([0.0]))
 
 
 class TestTrainStep:
@@ -197,26 +203,19 @@ class TestTrainStep:
         # The reference keeps one square average per tensor and updates
         # tensor by tensor, as the optimizer did before its state was flat.
         params = random_net((6, 16, 8, 24), dropout=0.3, seed=11)
-        reference = copy_params(params)
+        reference = ref.ReferenceNet.of(params)
         opt = init_rmsprop(params, learning_rate=0.02)
-        ref_sq_w = [np.zeros_like(w) for w in reference.weights]
-        ref_sq_b = [np.zeros_like(b) for b in reference.biases]
+        ref_opt = ref.ReferenceRMSprop(reference, learning_rate=0.02)
         rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
         data = np.random.default_rng(13)
         for _ in range(6):
             batch = (data.normal(size=(32, 6)), data.integers(0, 24, size=32),
                      data.normal(size=32))
-            loss = train_step(params, opt, batch, rng)
-            ref_loss, grad_w, grad_b = compute_gradients(reference, *batch, Mode.TRAIN, ref_rng)
-            for i in range(len(reference.weights)):
-                ref_sq_w[i] = 0.9 * ref_sq_w[i] + (1 - 0.9) * grad_w[i] ** 2
-                ref_sq_b[i] = 0.9 * ref_sq_b[i] + (1 - 0.9) * grad_b[i] ** 2
-                reference.weights[i] -= 0.02 * grad_w[i] / (np.sqrt(ref_sq_w[i]) + 1e-8)
-                reference.biases[i] -= 0.02 * grad_b[i] / (np.sqrt(ref_sq_b[i]) + 1e-8)
-            assert loss == ref_loss
+            assert train_step(params, opt, batch, rng) == \
+                ref.train_step(reference, ref_opt, batch, ref_rng)
             for got, want in zip(params.weights + params.biases + opt.square_avg_w
                                  + opt.square_avg_b,
-                                 reference.weights + reference.biases + ref_sq_w + ref_sq_b):
+                                 reference.weights + reference.biases + ref_opt.square_avg):
                 assert got.tobytes() == want.tobytes()
 
     def test_empty_batch_rejected(self):
@@ -251,13 +250,23 @@ class TestCopyParams:
 class TestCheckpoints:
     def test_round_trip_bit_exact(self):
         params = random_net(seed=14, dropout=0.2)
+        params.biases[0][:] = np.random.default_rng(15).normal(size=8)
         loaded = params_from_bytes(params_to_bytes(params))
         assert loaded.dropout_rate == params.dropout_rate
         assert loaded.layer_sizes == params.layer_sizes
-        for a, b in zip(params.weights, loaded.weights):
-            assert np.array_equal(a, b)
-        x = np.random.default_rng(15).normal(size=6)
+        assert loaded.theta.tobytes() == params.theta.tobytes()
+        x = np.random.default_rng(16).normal(size=6)
         assert np.array_equal(forward(loaded, x), forward(params, x))
+
+    def test_blob_is_the_header_then_theta_layer_by_layer(self):
+        params = random_net(seed=17)
+        params.biases[1][:] = 0.5
+        data = params_to_bytes(params)
+        assert len(data) == 32 + params.theta.nbytes  # 20 header bytes and 3 sizes
+        assert data.endswith(params.theta.astype("<f8").tobytes())
+        assert data.endswith(b"".join(t.astype("<f8").tobytes() for t in
+                                      (params.weights[0], params.biases[0],
+                                       params.weights[1], params.biases[1])))
 
     def test_save_twice_identical_bytes(self):
         params = random_net(seed=16)
@@ -328,8 +337,6 @@ class TestInit:
         with pytest.raises(ValueError):
             init_params([6], 0.0, np.random.default_rng(0))
 
-    def test_inconsistent_shapes_rejected(self):
-        params = zero_net([6, 8, 24])
-        params.biases[0] = np.zeros(9)
-        with pytest.raises(ValueError, match="inconsistent"):
-            params.validate()
+    def test_theta_that_does_not_fit_the_sizes_rejected(self):
+        with pytest.raises(ValueError, match="do not fit"):
+            MLPParams(np.zeros(parameter_count([6, 8, 24]) + 1), [6, 8, 24], 0.0)

@@ -1,8 +1,10 @@
 """The package's exports: every advertised name resolves, so a name left in
 `__all__` after its definition is deleted fails here, not at a user's
 `from lobsim import *`.  Also that the command line and the commands that
-fit nothing never load scipy."""
+fit nothing never load scipy, and that no module keeps an import it no
+longer uses."""
 
+import ast
 import importlib
 import json
 import os
@@ -56,3 +58,49 @@ def test_cli_import_and_commands_leave_scipy_unloaded(tmp_path):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
     loaded = json.loads(proc.stdout.strip().splitlines()[-1])
     assert loaded == {step: [] for step in ("import", "gen-data", "replay", "train", "evaluate")}
+
+
+def names_used(tree: ast.Module) -> set:
+    """Every name a module reads, those in quoted annotations included."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        annotations = [getattr(node, "annotation", None), getattr(node, "returns", None)]
+        for annotation in filter(None, annotations):
+            for part in ast.walk(annotation):
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    used |= names_used(ast.parse(part.value, mode="eval"))
+    return used
+
+
+def unused_imports(path: Path) -> list:
+    """`line: name` for each module-level import whose name the module never
+    reads; `from __future__` imports excepted."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = names_used(tree)
+    unused = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{node.lineno}: {name}")
+    return unused
+
+
+def test_no_module_keeps_an_unused_import():
+    # a package's __init__.py imports to re-export
+    import lobsim
+    package = Path(lobsim.__file__).resolve().parent
+    found = {path.relative_to(package).as_posix(): unused_imports(path)
+             for path in sorted(package.rglob("*.py")) if path.name != "__init__.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_unused_import_check_sees_a_leftover(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("from __future__ import annotations\nimport os.path\n"
+                      "from enum import Enum\nfrom typing import Optional as Maybe\n\n"
+                      "def f(x: \"Maybe[int]\") -> None:\n    return os.path.join(x)\n")
+    assert unused_imports(module) == ["3: Enum"]

@@ -532,6 +532,37 @@ class TestStopAndResume:
             assert [row[0] for row in csv.reader(fh)][1:] == ["0", "1", "2"]
         assert output_bytes(setup.out_dir) == straight
 
+    def test_resume_deletes_temporary_files_a_kill_left(self, tmp_path, straight):
+        # a kill inside a write leaves its temporary file, which a resume
+        # used to keep and the manifest to hash
+        setup = make_setup(tmp_path / "run", ddql=small_ddql(episodes=1))
+        train(setup)
+        for name in ("checkpoints/episode_0001.ckptk1ll.tmp", "learning_curve.csvk1ll.tmp",
+                     "traces/episode_0001_actions.csvk1ll.tmp"):
+            (setup.out_dir / name).write_bytes(b"cut short")
+        train(replace(setup, ddql=small_ddql(episodes=3)), resume=True)
+        assert output_bytes(setup.out_dir) == straight
+
+    def test_resume_to_fewer_episodes_deletes_the_stopped_episode_trace(
+            self, tmp_path, monkeypatch, straight):
+        # episode 3 of 4 wrote its trace and stopped; a resume as a
+        # 3-episode run used to keep that trace
+        real_write = training.write_learning_curve
+
+        def write_or_stop(rows, path):
+            if len(rows) == 4:
+                raise SystemExit("stopped")
+            real_write(rows, path)
+
+        setup = make_setup(tmp_path / "run", ddql=small_ddql(episodes=4))
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "write_learning_curve", write_or_stop)
+            with pytest.raises(SystemExit):
+                train(setup)
+        assert (setup.out_dir / "traces" / "episode_0003_actions.csv").is_file()
+        train(replace(setup, ddql=small_ddql(episodes=3)), resume=True)
+        assert output_bytes(setup.out_dir) == straight
+
 
 class TestMemory:
     """Episodes free what they made: no cycles, no finished episode held."""

@@ -2,7 +2,7 @@ from .base import TradingAgent
 from .exchange import ExchangeAgent
 from .replay import MarketReplayAgent
 from .momentum import MomentumAgent, MomentumConfig
-from .twap import TWAPExecutionAgent, twap_schedule
+from .twap import TWAPExecutionAgent
 from .ddql import DDQLConfig, DDQLExecutionAgent, LearnerState, compute_target, select_action
 
 __all__ = [
@@ -12,7 +12,6 @@ __all__ = [
     "MomentumAgent",
     "MomentumConfig",
     "TWAPExecutionAgent",
-    "twap_schedule",
     "DDQLConfig",
     "DDQLExecutionAgent",
     "LearnerState",

@@ -30,9 +30,9 @@ from typing import Optional
 
 import numpy as np
 
-from ..book import OrderKind, Side
+from ..book import BookSnapshot, OrderKind, Side
 from ..kernel import SimTime, seconds, time_from_str
-from ..messages import MarketDataReply, OrderCancelled, OrderExecuted
+from ..messages import OrderCancelled, OrderExecuted
 from ..mlp import (
     ByteReader,
     CheckpointError,
@@ -367,8 +367,8 @@ class DDQLExecutionAgent(TradingAgent):
                     del self._open_orders[payload.order_id]
         elif isinstance(payload, OrderCancelled):
             self._open_orders.pop(payload.order_id, None)
-        elif isinstance(payload, MarketDataReply):
-            self._step(payload.snapshot)
+        elif isinstance(payload, BookSnapshot):
+            self._step(payload)
 
     # -- the period step ------------------------------------------------------
 

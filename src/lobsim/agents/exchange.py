@@ -12,14 +12,11 @@ Notification protocol, in emission order per inbound message:
     (reason "not_found" with quantity 0 when the id is not resting;
     "rejected:not_owner" when another agent's order rests under the id)
   * malformed or duplicate orders -> OrderCancelled(reason "rejected:...")
-  * MarketDataQuery -> MarketDataReply with a depth-k snapshot; while the
-    snapshot's value is unchanged every query of that depth gets the same
-    reply object
+  * MarketDataQuery -> the book's depth-k BookSnapshot itself; while its
+    value is unchanged every query of that depth gets the same object
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from ..book import LIMIT, MARKET, BookError, Order, OrderBook, OrderKind
 from ..kernel import Agent, SimTime
@@ -27,7 +24,6 @@ from ..messages import (
     CancelOrder,
     LimitOrder,
     MarketDataQuery,
-    MarketDataReply,
     MarketOrder,
     OrderAccepted,
     OrderCancelled,
@@ -39,18 +35,12 @@ class ExchangeAgent(Agent):
     def __init__(self, allow_self_trade: bool = True, name: str = "exchange"):
         super().__init__(name)
         self.book = OrderBook(allow_self_trade=allow_self_trade)
-        # the last reply sent; resent while the book returns the same snapshot
-        self._reply: Optional[MarketDataReply] = None
 
     def on_message(self, now: SimTime, sender_id: int, payload) -> None:
         # queries are most of the traffic, so they are tested first, and by
         # exact type before isinstance, which costs more
         if type(payload) is MarketDataQuery or isinstance(payload, MarketDataQuery):
-            snapshot = self.book.snapshot(payload.depth)
-            reply = self._reply
-            if reply is None or reply.snapshot is not snapshot:
-                reply = self._reply = MarketDataReply(snapshot)
-            self.kernel.send(self.agent_id, sender_id, reply)
+            self.kernel.send(self.agent_id, sender_id, self.book.snapshot(payload.depth))
         elif isinstance(payload, LimitOrder):
             self._handle_order(now, sender_id, payload, LIMIT)
         elif isinstance(payload, MarketOrder):

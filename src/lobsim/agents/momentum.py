@@ -17,9 +17,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from ..book import ASK, BID
+from ..book import ASK, BID, BookSnapshot
 from ..kernel import NANOS_PER_SECOND, SimTime
-from ..messages import MarketDataReply, OrderCancelled, OrderExecuted
+from ..messages import OrderCancelled, OrderExecuted
 from .base import TradingAgent
 
 
@@ -68,8 +68,8 @@ class MomentumAgent(TradingAgent):
             kernel.schedule_wakeup(self.agent_id, next_poll)
 
     def on_message(self, now: SimTime, sender_id: int, payload) -> None:
-        # replies are most of the traffic; an exact type test costs less than isinstance
-        if type(payload) is MarketDataReply or isinstance(payload, MarketDataReply):
+        # snapshots are most of the traffic; an exact type test costs less than isinstance
+        if type(payload) is BookSnapshot or isinstance(payload, BookSnapshot):
             self._on_quote(payload)
         elif isinstance(payload, OrderExecuted):
             # the exchange sends an agent only its own executions, those
@@ -79,8 +79,7 @@ class MomentumAgent(TradingAgent):
             if payload.order_id == self.open_order_id:
                 self.open_order_id = None
 
-    def _on_quote(self, payload: MarketDataReply) -> None:
-        snapshot = payload.snapshot
+    def _on_quote(self, snapshot: BookSnapshot) -> None:
         bids, asks = snapshot.bids, snapshot.asks
         if not (bids and asks):
             return

@@ -103,7 +103,10 @@ class SubmitResult(NamedTuple):
 @dataclass(frozen=True, slots=True)
 class BookSnapshot:
     """Top-k depth per side; bids best-first (descending price), asks
-    best-first (ascending)."""
+    best-first (ascending).  Also the exchange's answer to a market-data
+    query, sent as it is, so it carries that message's log tag."""
+
+    tag = "market_data_reply"
 
     bids: tuple
     asks: tuple

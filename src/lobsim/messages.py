@@ -1,5 +1,8 @@
 """Payload types exchanged between trading agents and the exchange.
 
+The exchange answers a MarketDataQuery with the book's `book.BookSnapshot`
+as the payload; the reply has no type of its own.
+
 Order ids are assigned by the sender.  Trading agents draw from a per-agent
 namespace (see agents.base.TradingAgent.next_order_id) so replayed
 historical ids and simulated ids never collide.
@@ -10,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .book import BookSnapshot, Side
+from .book import Side
 
 # The exchange's kernel id: every roster registers the exchange first.
 EXCHANGE_ID = 0
@@ -116,13 +119,3 @@ class MarketDataQuery:
 
     def summary(self) -> str:
         return f"depth={self.depth}"
-
-
-@dataclass(frozen=True, slots=True)
-class MarketDataReply:
-    tag = "market_data_reply"
-
-    snapshot: BookSnapshot
-
-    def summary(self) -> str:
-        return self.snapshot.summary()

@@ -31,14 +31,12 @@ from lobsim.messages import (
     CancelOrder,
     LimitOrder,
     MarketDataQuery,
-    MarketDataReply,
     MarketOrder,
     OrderAccepted,
     OrderCancelled,
     OrderExecuted,
 )
 from lobsim.agents.base import ORDER_ID_BAND
-from lobsim.agents.twap import twap_schedule
 
 from momentum_reference import momentum_decide
 from replay_oracle import OracleBook
@@ -90,8 +88,8 @@ class TestExchangeProtocol:
         kernel.sent.clear()
         exchange.on_message(11, 2, MarketDataQuery(depth=3))
         (reply,) = kernel.to(2)
-        assert isinstance(reply, MarketDataReply)
-        assert [p for p, _ in reply.snapshot.bids] == [9_990, 9_980, 9_970]
+        assert reply is exchange.book.snapshot(3)
+        assert [p for p, _ in reply.bids] == [9_990, 9_980, 9_970]
 
     def test_unchanged_book_resends_the_same_reply(self):
         exchange, kernel = make_exchange()
@@ -104,10 +102,24 @@ class TestExchangeProtocol:
         exchange.on_message(12, 1, LimitOrder(101, Side.BID, 5, 9_995))
         exchange.on_message(13, 2, MarketDataQuery(depth=1))
         third = kernel.to(2)[-1]
-        assert third is not first and third.snapshot.bids == ((9_995, 5),)
+        assert third is not first and third.bids == ((9_995, 5),)
         exchange.on_message(14, 2, MarketDataQuery(depth=3))
         deeper = kernel.to(2)[-1]
-        assert deeper is not third and deeper.snapshot.bids == ((9_995, 5), (9_990, 10))
+        assert deeper is not third and deeper.bids == ((9_995, 5), (9_990, 10))
+
+    def test_unchanged_book_answers_alternating_depths_without_new_objects(self):
+        # depth-1 pollers and depth-3 executors interleave on every paper day
+        exchange, kernel = make_exchange()
+        for i, price in enumerate((9_990, 9_980, 9_970, 9_960)):
+            exchange.on_message(10, 1, LimitOrder(100 + i, Side.BID, 10, price))
+        exchange.on_message(10, 1, LimitOrder(200, Side.ASK, 10, 10_010))
+        kernel.sent.clear()
+        for depth in (1, 3, 1, 3, 1, 3):
+            exchange.on_message(11, 2, MarketDataQuery(depth=depth))
+        replies = kernel.to(2)
+        assert replies[0].bids == ((9_990, 10),) and len(replies[1].bids) == 3
+        assert all(r is replies[0] for r in replies[0::2])
+        assert all(r is replies[1] for r in replies[1::2])
 
     def test_deep_cancel_between_queries_resends_the_same_reply(self):
         exchange, kernel = make_exchange()
@@ -362,8 +374,8 @@ class TestMomentumDecide:
 
 
 def reply(bid_price, ask_price, qty=100):
-    snapshot = BookSnapshot(bids=((bid_price, qty),), asks=((ask_price, qty),))
-    return MarketDataReply(snapshot)
+    """The exchange's answer to a query: a one-level snapshot."""
+    return BookSnapshot(bids=((bid_price, qty),), asks=((ask_price, qty),))
 
 
 def make_momentum(**kw):
@@ -422,7 +434,7 @@ class TestMomentumAgent:
         agent, kernel = make_momentum(short_window=2, long_window=4)
         snapshot = BookSnapshot(bids=(), asks=((10_010, 5),))
         for i in range(6):
-            agent.on_message(i, 0, MarketDataReply(snapshot))
+            agent.on_message(i, 0, snapshot)
         assert kernel.sent == []
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -473,7 +485,7 @@ def check_orders_follow_the_means(short, long, book_quotes) -> list:
         before = len(kernel.sent)
         payload = reply(bid, ask)
         agent.on_message(0, 0, payload)
-        float_mids.append(payload.snapshot.mid_price)
+        float_mids.append(payload.mid_price)
         exact_mids.append(Fraction(bid + ask, 2))
         inside.append(2 * sum(exact_mids[-long:]) * short * long < EXACT)
         side = momentum_decide(exact_mids, short, long)
@@ -524,36 +536,74 @@ def parent_order(parent, periods, start=0, **fields) -> DDQLConfig:
                       session_end=start + periods * seconds(30), **fields)
 
 
+class ClockKernel(FakeKernel):
+    """A FakeKernel that also records the wakeups agents ask for."""
+
+    def __init__(self):
+        super().__init__()
+        self.wakeups = []
+
+    def schedule_wakeup(self, agent_id, time):
+        self.wakeups.append(time)
+
+
+def twap_periods(config: DDQLConfig) -> list:
+    """(wakeup time, market order sizes sent) per period of a TWAP agent
+    answered with one quote per wakeup."""
+    agent = TWAPExecutionAgent(config)
+    agent.agent_id = 1
+    agent.kernel = kernel = ClockKernel()
+    agent.on_start(kernel)
+    periods = []
+    while len(kernel.wakeups) > len(periods):
+        time = kernel.wakeups[len(periods)]
+        kernel.sent.clear()
+        agent.on_wakeup(time)
+        agent.on_message(time, EXCHANGE_ID, reply(9_990, 10_010))
+        assert kernel.sent[0] == (EXCHANGE_ID, MarketDataQuery(1))
+        orders = [p for _, p in kernel.sent[1:]]
+        assert all(isinstance(p, MarketOrder) and p.side is config.side for p in orders)
+        periods.append((time, [p.quantity for p in orders]))
+    return periods
+
+
 class TestTWAPSchedule:
     def test_paper_scale_schedule(self):
-        schedule = twap_schedule(DDQLConfig())
-        assert len(schedule) == 660
-        assert all(quantity == 10 for _, quantity in schedule)
-        assert schedule[1][0] - schedule[0][0] == seconds(30)
+        config = DDQLConfig()
+        periods = twap_periods(config)
+        assert len(periods) == 660
+        assert all(sizes == [10] for _, sizes in periods)
+        assert [t for t, _ in periods] == [config.session_start + i * seconds(30)
+                                           for i in range(660)]
 
     def test_remainder_to_earliest_periods(self):
-        assert [q for _, q in twap_schedule(parent_order(7, 3))] == [3, 2, 2]
+        assert [sizes for _, sizes in twap_periods(parent_order(7, 3))] == [[3], [2], [2]]
 
     def test_zero_parent_rejected(self):
         with pytest.raises(ValueError):
             parent_order(0, 3).validate()
+        with pytest.raises(ValueError):
+            TWAPExecutionAgent(parent_order(0, 3))
 
     def test_indivisible_session_rejected(self):
         with pytest.raises(ValueError):
             replace(parent_order(10, 3), session_end=seconds(100)).validate()
 
     def test_tiny_parent_spreads_zeros_and_ones(self):
-        assert [q for _, q in twap_schedule(parent_order(2, 4))] == [1, 1, 0, 0]
+        # a zero-size period sends no order at all
+        assert [sizes for _, sizes in twap_periods(parent_order(2, 4))] == [[1], [1], [], []]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_sums_to_parent(self, seed):
         rng = np.random.default_rng(seed)
         periods = int(rng.integers(1, 40))
         parent = int(rng.integers(1, 5_000))
-        schedule = twap_schedule(parent_order(parent, periods))
-        assert sum(q for _, q in schedule) == parent
+        sizes = [sum(sent) for _, sent in twap_periods(parent_order(parent, periods))]
+        assert len(sizes) == periods
+        assert sum(sizes) == parent
         base = parent // periods
-        assert all(base <= q <= base + 1 for _, q in schedule)
+        assert all(base <= q <= base + 1 for q in sizes)
+        assert sizes == sorted(sizes, reverse=True)
 
 
 class TestTWAPAgent:

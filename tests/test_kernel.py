@@ -31,7 +31,6 @@ from lobsim.messages import (
     CancelOrder,
     LimitOrder,
     MarketDataQuery,
-    MarketDataReply,
     MarketOrder,
     OrderAccepted,
     OrderCancelled,
@@ -545,7 +544,7 @@ class TestLogRecord:
         LimitOrder(1, Side.BID, 10, 9_990), MarketOrder(2, Side.ASK, 5), CancelOrder(3),
         CancelOrder(3, 4), OrderAccepted(1), OrderExecuted(1, 10, 9_990),
         OrderCancelled(3, 4, "reduced"), MarketDataQuery(1),
-        MarketDataReply(BookSnapshot(((9_990, 10),), (), 9_990)), Wakeup(), Ping(7),
+        BookSnapshot(((9_990, 10),), (), 9_990), Wakeup(), Ping(7),
         "plain text",
     ]
 
@@ -575,8 +574,9 @@ class TestLogRecord:
             '{"detail": {"order_id": 1, "price": 9990, "quantity": 10, "side": "BID"}, '
             '"recipient": 0, "sender": 1, "summary": "#1 BID 10@9990", '
             '"tag": "limit_order", "time": 5}')
-        reply = LogRecord(6, 0, 1, MarketDataReply(BookSnapshot(((9_990, 10),), ())))
-        assert (reply.summary, reply.detail) == ("bid 10x9990 / ask -", None)
+        reply = LogRecord(6, 0, 1, BookSnapshot(((9_990, 10),), ()))
+        assert (reply.tag, reply.summary, reply.detail) == \
+            ("market_data_reply", "bid 10x9990 / ask -", None)
 
     def test_kernel_logs_the_payload_it_delivered(self):
         log, _ = run_scripts([[(5, [(0, 1)])]], config(latency_nanos=10))

@@ -1,7 +1,6 @@
 """Message-file parsing, canonical serialization, and synthetic flow statistics."""
 
 import hashlib
-import math
 import os
 
 import numpy as np
@@ -9,7 +8,6 @@ import pytest
 
 from lobsim import (
     EventType,
-    LobsterEvent,
     LobsterParseError,
     Side,
     SyntheticFlowConfig,

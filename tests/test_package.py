@@ -90,11 +90,14 @@ def unused_imports(path: Path) -> list:
 
 
 def test_no_module_keeps_an_unused_import():
-    # a package's __init__.py imports to re-export
+    # a package's __init__.py imports to re-export; the tests' own modules
+    # are checked too
     import lobsim
     package = Path(lobsim.__file__).resolve().parent
-    found = {path.relative_to(package).as_posix(): unused_imports(path)
-             for path in sorted(package.rglob("*.py")) if path.name != "__init__.py"}
+    tests = Path(__file__).resolve().parent
+    found = {path.relative_to(root.parent).as_posix(): unused_imports(path)
+             for root, paths in ((package, package.rglob("*.py")), (tests, tests.glob("*.py")))
+             for path in sorted(paths) if path.name != "__init__.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 

@@ -21,7 +21,6 @@ from lobsim import (
     schedule_orders,
 )
 from lobsim.rl import (
-    MULTIPLIERS,
     PLACEMENT_MARKET,
     PLACEMENT_SPLIT2,
     PLACEMENT_SPLIT3,

@@ -22,7 +22,7 @@ from lobsim.agents import (
     LearnerState,
     TWAPExecutionAgent,
 )
-from lobsim.book import BookSnapshot, Fill, Order, OrderKind, PriceLevel, Side
+from lobsim.book import BookSnapshot, Fill, Order, OrderBook, OrderKind, PriceLevel, Side
 from lobsim.kernel import AgentFault, seconds
 from lobsim.lobster import (
     CHUNK_ROWS,
@@ -37,7 +37,6 @@ from lobsim.messages import (
     CancelOrder,
     LimitOrder,
     MarketDataQuery,
-    MarketDataReply,
     MarketOrder,
     OrderAccepted,
     OrderCancelled,
@@ -283,8 +282,8 @@ class TestRunEpisode:
         setup = make_setup(tmp_path, data=DataSource("synthetic", synthetic=flow))
         agent = ddql_agent(setup, epsilon=1.0)
         outcome = run_episode(setup, 0, agent)
-        mids = [r.payload.snapshot.mid_price for r in outcome.log.records
-                if r.recipient_id == agent.agent_id and isinstance(r.payload, MarketDataReply)]
+        mids = [r.payload.mid_price for r in outcome.log.records
+                if r.recipient_id == agent.agent_id and isinstance(r.payload, BookSnapshot)]
         assert mids[0] is None
         assert agent.result.arrival_price == next(mid for mid in mids if mid is not None)
 
@@ -626,7 +625,7 @@ class TestMemory:
         lambda: OrderExecuted(1, 5, 100),
         lambda: OrderCancelled(1, 5),
         lambda: MarketDataQuery(),
-        lambda: MarketDataReply(TestMemory.SNAPSHOT),
+        pytest.param(lambda: OrderBook().snapshot(1), id="market_data_reply"),
         lambda: LobsterEvent(0, EventType.NEW_LIMIT, 1, 5, 100, 1),
         lambda: TestMemory.STATE,
         lambda: Experience(TestMemory.STATE, 0, 1.0, TestMemory.STATE, False),

@@ -35,8 +35,8 @@ class TradingAgent(Agent):
                          MarketOrder(order_id, side, quantity))
         return order_id
 
-    def send_cancel(self, order_id: int, quantity=None) -> None:
-        self.kernel.send(self.agent_id, EXCHANGE_ID, CancelOrder(order_id, quantity))
+    def send_cancel(self, order_id: int) -> None:
+        self.kernel.send(self.agent_id, EXCHANGE_ID, CancelOrder(order_id))
 
     def query_market_data(self, depth: int = 3) -> None:
         query = self._queries.get(depth)

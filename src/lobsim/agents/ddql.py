@@ -7,11 +7,9 @@ that reply, so no child order is open when the step sizes the next ones and
 inventory accounting inside the step is exact.
 
 Two networks: the evaluation network is trained every train_every periods
-and (by default) also picks greedy actions; the target network only scores
-the evaluation network's argmax when building targets and is overwritten
-from the evaluation network every target_sync_every trainings.  The
-act_with_target_net flag switches greedy action selection to the target
-network for the alternative literal reading of the training loop.
+and also picks greedy actions; the target network only scores the
+evaluation network's argmax when building targets and is overwritten from
+the evaluation network every target_sync_every trainings.
 
 At the session end any residual inventory goes out as a single market
 order whose fills fold into the final period's reward.
@@ -97,7 +95,6 @@ class DDQLConfig:
     dropout_rate: float = 0.2
     learning_rate: float = 0.01
     reward_scale: float = 1.0
-    act_with_target_net: bool = False
     multipliers: tuple = MULTIPLIERS
 
     def validate(self) -> None:
@@ -403,8 +400,7 @@ class DDQLExecutionAgent(TradingAgent):
             loss = learner.train_once(batch)
             result.losses.append(loss)
             result.train_steps += 1
-        acting = learner.target_params if config.act_with_target_net else learner.eval_params
-        action_index = select_action(state, self.epsilon, learner.rng, acting,
+        action_index = select_action(state, self.epsilon, learner.rng, learner.eval_params,
                                      len(learner.action_space))
         remaining = config.parent_quantity - result.filled_quantity
         children = schedule_orders(learner.action_space.decode(action_index), remaining,

@@ -2,7 +2,9 @@
 
 Every order the exchange rests carries its sender's id as `agent_id`, so
 every resting order's owner is a registered agent.  That field is the one
-record of ownership: fills, cancels and self-trade notices are routed by it.
+record of ownership: fills and cancels are routed by it.  An agent's order
+may trade against its own resting order: the replay agent owns both sides
+of every replayed trade.
 
 Notification protocol, in emission order per inbound message:
   * each fill -> OrderExecuted to the taker's owner and to the maker's owner
@@ -32,9 +34,9 @@ from ..messages import (
 
 
 class ExchangeAgent(Agent):
-    def __init__(self, allow_self_trade: bool = True, name: str = "exchange"):
+    def __init__(self, name: str = "exchange"):
         super().__init__(name)
-        self.book = OrderBook(allow_self_trade=allow_self_trade)
+        self.book = OrderBook()
 
     def on_message(self, now: SimTime, sender_id: int, payload) -> None:
         # queries are most of the traffic, so they are tested first, and by
@@ -51,20 +53,14 @@ class ExchangeAgent(Agent):
             self._send(sender_id, OrderCancelled(-1, 0, "rejected:unsupported_payload"))
 
     def _handle_order(self, now: SimTime, sender_id: int, payload, kind: OrderKind) -> None:
-        book = self.book
         order = Order(payload.order_id, sender_id, payload.side,
                       payload.price if kind is LIMIT else 0, payload.quantity, kind, now)
         try:
-            fills, resting = book.submit(order)
+            fills, resting = self.book.submit(order)
         except BookError as exc:
             self._send(sender_id, OrderCancelled(payload.order_id, payload.quantity,
                                                  f"rejected:{exc}"))
             return
-        if not book.allow_self_trade:
-            for cancelled in book.self_trade_cancels:
-                self._send(cancelled.agent_id,
-                           OrderCancelled(cancelled.order_id, cancelled.quantity,
-                                          "self_trade_prevented"))
         if fills:
             self._notify_fills(sender_id, fills)
         if resting is not None:

@@ -104,12 +104,11 @@ CLOCK = (_clock, lambda t: time_to_str(t).removesuffix(".000000000"))
 SIDE = (_side, lambda side: "buy" if side is Side.BID else "sell")
 
 # The keys that are not their field's name with its default's type:
-# (dataclass, YAML key) -> (field, (load, dump), or None to coerce as usual)
+# (dataclass, YAML key) -> (field, (load, dump))
 SPECIAL_KEYS = {
     (RunSetup, "out_dir"): ("out_dir", (Path, str)),
     (RunSetup, "warmup_seconds"): ("warmup", SECONDS),
     (RunSetup, "post_margin_seconds"): ("post_margin", SECONDS),
-    (RunSetup, "include_twap"): ("include_twap_twin", None),
     (MomentumConfig, "poll_interval_seconds"): ("poll_interval", SECONDS),
     (SyntheticFlowConfig, "session_start"): ("session_start_ns", CLOCK),
     (SyntheticFlowConfig, "session_end"): ("session_end_ns", CLOCK),
@@ -180,7 +179,6 @@ SCHEMA = {
                                                   "warmup", "post_margin"))),
     "roster": {
         **_non_negative(_keys(RunSetup, only=("momentum_count",))),
-        **_keys(RunSetup, only=("include_twap_twin",)),
         "momentum": _keys(MomentumConfig),
     },
     "ddql": _keys(DDQLConfig),
@@ -294,7 +292,7 @@ def build_setup(cfg: dict) -> RunSetup:
                           f"{least / NANOS_PER_SECOND:g} ({CLOSING_HOPS} x (latency + "
                           f"computation delay)), got {setup.post_margin / NANOS_PER_SECOND:g}")
     # beside the traders: the exchange, the replay agent, the executor and its twin
-    most = MAX_AGENTS - 3 - setup.include_twap_twin
+    most = MAX_AGENTS - 4
     if setup.momentum_count > most:
         raise ConfigError(f"roster.momentum_count: must be at most {most}, so the roster stays "
                           f"within {MAX_AGENTS} agents, got {setup.momentum_count}")
@@ -477,11 +475,13 @@ def main(argv: Optional[list] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         status = COMMANDS[args.mode](cfg, args, out_dir)
+        if status == 0:
+            write_manifest(args.mode, cfg, out_dir)
     except (ConfigError, LobsterParseError, CheckpointError, CheckpointWriteError,
-            LearnerDivergedError, FlowHelperError) as exc:
+            LearnerDivergedError, FlowHelperError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
@@ -489,8 +489,6 @@ def main(argv: Optional[list] = None) -> int:
         print("interrupted; " + (f"last good checkpoint: {last_good}" if last_good
                                  else "no checkpoint yet"), file=sys.stderr)
         return 130
-    if status == 0:
-        write_manifest(args.mode, cfg, out_dir)
     return status
 
 

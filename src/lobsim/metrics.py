@@ -387,8 +387,10 @@ class ExecutionComparison:
 
 
 def trace_distance(action_trace: Sequence[int], action_space: ActionSpace) -> float:
-    """Mean |a_i - 1| over the trace's multipliers: 0 means TWAP-identical
-    sizing, since |a*N - N|/N reduces to |a - 1|."""
+    """Mean |a_i - 1| over the trace's multipliers.  0 means every period
+    sized its orders at round(parent / periods) shares, which is TWAP's
+    sizing only when the period count divides the parent: TWAP sends the
+    remainder's extra shares in the earliest periods."""
     if not action_trace:
         return 0.0
     return float(np.mean([abs(action_space.decode(i).multiplier - 1.0) for i in action_trace]))

@@ -120,7 +120,6 @@ class RunSetup:
     computation_delay_nanos: int = 0
     momentum_count: int = 6
     momentum: MomentumConfig = field(default_factory=MomentumConfig)
-    include_twap_twin: bool = True
 
     def kernel_config(self, episode: int) -> KernelConfig:
         return KernelConfig(
@@ -142,9 +141,8 @@ def run_episode(setup: RunSetup, episode: int,
                 executor: Optional[TradingAgent] = None) -> EpisodeOutcome:
     """One full kernel session: the background roster, then `executor`, if
     given, whose result is stamped with the episode index.  A TWAP twin
-    trades beside a training DDQL executor when setup.include_twap_twin is
-    set: training episodes carry it, greedy evaluation and paired realism
-    runs do not.
+    trades beside a training DDQL executor: training episodes carry it,
+    greedy evaluation and paired realism runs do not.
 
     The day arrives as the run goes (see the module docstring).  A run that
     raises kills and reaps the day's helper first, and a helper's failure
@@ -160,8 +158,7 @@ def run_episode(setup: RunSetup, episode: int,
                                         name=f"momentum-{i}"))
         if executor is not None:
             executor.result.episode = episode
-            if setup.include_twap_twin and isinstance(executor, DDQLExecutionAgent) \
-                    and executor.train_enabled:
+            if isinstance(executor, DDQLExecutionAgent) and executor.train_enabled:
                 agents.append(TWAPExecutionAgent(setup.ddql, name="twap-benchmark"))
             agents.append(executor)
         log = build_kernel(setup.kernel_config(episode), agents).run()
@@ -200,10 +197,16 @@ def checkpoint_path(out_dir: Path, episode: int) -> Path:
     return Path(out_dir) / "checkpoints" / f"episode_{episode:04d}.ckpt"
 
 
+def _episode_of(path: Path, suffix: str) -> int:
+    """n for a file named episode_<n><suffix>, -1 for any other name."""
+    number = path.name[len("episode_"):-len(suffix)]
+    return int(number) if number.isdecimal() else -1
+
+
 def latest_checkpoint(out_dir: Path) -> Optional[Path]:
     folder = Path(out_dir) / "checkpoints"
-    candidates = sorted(folder.glob("episode_*.ckpt")) if folder.is_dir() else []
-    return candidates[-1] if candidates else None
+    candidates = folder.glob("episode_*.ckpt") if folder.is_dir() else ()
+    return max(candidates, key=lambda path: _episode_of(path, ".ckpt"), default=None)
 
 
 @dataclass
@@ -302,8 +305,7 @@ def _drop_uncommitted(out_dir: Path, episode: int) -> None:
         for path in folder.glob("*.tmp"):
             path.unlink()
     for path in (out_dir / "traces").glob("episode_*_actions.csv"):
-        number = path.name[len("episode_"):-len("_actions.csv")]
-        if number.isdigit() and int(number) >= episode:
+        if _episode_of(path, "_actions.csv") >= episode:
             path.unlink()
 
 
@@ -327,11 +329,10 @@ class EvaluationOutcome:
     baseline: TWAPExecutionAgent
 
 
-def evaluate(setup: RunSetup, checkpoint: Path,
-             episode: Optional[int] = None) -> EvaluationOutcome:
-    """Greedy DDQL run and a TWAP run on the same episode seeds, compared."""
+def evaluate(setup: RunSetup, checkpoint: Path) -> EvaluationOutcome:
+    """Greedy DDQL and TWAP runs of the episode after the checkpoint's, compared."""
     learner = LearnerState.load(checkpoint, setup.ddql, setup.seed)
-    index = learner.episode_index if episode is None else episode
+    index = learner.episode_index
     candidate = DDQLExecutionAgent(setup.ddql, learner, epsilon=0.0, train_enabled=False)
     baseline = TWAPExecutionAgent(setup.ddql)
     run_episode(setup, index, candidate)

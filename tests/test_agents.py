@@ -55,8 +55,8 @@ class FakeKernel:
         return [p for r, p in self.sent if r == recipient_id]
 
 
-def make_exchange(**kw):
-    exchange = ExchangeAgent(**kw)
+def make_exchange():
+    exchange = ExchangeAgent()
     exchange.agent_id = 0
     exchange.kernel = FakeKernel()
     return exchange, exchange.kernel
@@ -222,15 +222,6 @@ class TestExchangeProtocol:
             OrderCancelled(100, 35, "cancelled"),
         ]
         assert kernel.to(2) == [OrderExecuted(200, 10, 9_990)]
-
-    def test_self_trade_prevention_notifies_cancelled_maker(self):
-        exchange, kernel = make_exchange(allow_self_trade=False)
-        exchange.on_message(10, 1, LimitOrder(100, Side.ASK, 30, 1_000_000))
-        exchange.on_message(11, 2, LimitOrder(200, Side.ASK, 30, 1_000_000))
-        kernel.sent.clear()
-        exchange.on_message(12, 1, MarketOrder(300, Side.BID, 30))
-        assert OrderCancelled(100, 30, "self_trade_prevented") in kernel.to(1)
-        assert OrderExecuted(200, 30, 1_000_000) in kernel.to(2)
 
 
 class TopOfBookExchange(ExchangeAgent):

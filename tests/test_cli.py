@@ -152,9 +152,21 @@ class TestConfigHandling:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 99
 
+    def test_output_directory_that_cannot_be_made_is_one_line(self, tmp_path, capsys):
+        # mkdir under a regular file used to end in a NotADirectoryError traceback
+        path = write_config(tmp_path, base_config())
+        out = tmp_path / "file" / "sub"
+        out.parent.write_text("not a directory")
+        assert main(["gen-data", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and str(out) in err
+
     @pytest.mark.parametrize("dotted", ["ddql.epsilon_dacay",
                                         "roster.momentum.poll_intervall_seconds",
-                                        "data.synthetic.foo"])
+                                        "data.synthetic.foo",
+                                        # deleted keys that older manifests hold
+                                        "roster.include_twap",
+                                        "ddql.act_with_target_net"])
     def test_unknown_nested_key_names_its_path(self, tmp_path, capsys, dotted):
         cfg = base_config()
         *sections, key = dotted.split(".")
@@ -182,8 +194,8 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "ddql.episodes" in err
 
-    @pytest.mark.parametrize("dotted, value", [("roster.include_twap", "false"),
-                                               ("ddql.act_with_target_net", 1),
+    @pytest.mark.parametrize("dotted, value", [("realism.paired", "false"),
+                                               ("realism.paired", 1),
                                                ("ddql.episodes", 2.9),
                                                ("ddql.episodes", True),
                                                ("kernel.latency_nanos", 1.5),
@@ -202,7 +214,8 @@ class TestConfigHandling:
             node = node.setdefault(section, {})
         node[key] = value
         path = write_config(tmp_path, cfg)
-        assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        command = "realism" if sections == ["realism"] else "train"  # train reads no other bool
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and dotted in err
 
@@ -371,15 +384,13 @@ class TestConfigHandling:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert ".".join(sections) in err and key in err
 
-    @pytest.mark.parametrize("momentum_count, twin", [(2**40, True), (32_764, True),
-                                                      (32_765, False)])
-    def test_roster_past_the_agent_limit_names_its_key(self, tmp_path, capsys,
-                                                       momentum_count, twin):
+    @pytest.mark.parametrize("momentum_count", [2**40, 32_764])
+    def test_roster_past_the_agent_limit_names_its_key(self, tmp_path, capsys, momentum_count):
         # 2**40 traders used to run until the process was killed.  The count
         # goes through build_setup first: a build that accepts it fails the
         # test before any run starts
         cfg = base_config()
-        cfg["roster"].update(momentum_count=momentum_count, include_twap=twin)
+        cfg["roster"]["momentum_count"] = momentum_count
         with pytest.raises(ConfigError, match="roster.momentum_count"):
             build_setup(resolve_config(cfg, out_dir=str(tmp_path / "out")))
         path = write_config(tmp_path, cfg)
@@ -388,14 +399,13 @@ class TestConfigHandling:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "roster.momentum_count" in err and "32767 agents" in err
 
-    @pytest.mark.parametrize("momentum_count, twin", [(32_763, True), (32_764, False)])
-    def test_roster_at_the_agent_limit_is_accepted(self, tmp_path, momentum_count, twin):
-        # with the exchange, the replay agent, the executor and the twin
-        # (when there is one) the roster holds 32,767 agents
+    def test_roster_at_the_agent_limit_is_accepted(self, tmp_path):
+        # with the exchange, the replay agent, the executor and its twin the
+        # roster holds 32,767 agents
         cfg = base_config()
-        cfg["roster"].update(momentum_count=momentum_count, include_twap=twin)
+        cfg["roster"]["momentum_count"] = 32_763
         setup = build_setup(resolve_config(cfg, out_dir=str(tmp_path / "out")))
-        assert setup.momentum_count == momentum_count
+        assert setup.momentum_count == 32_763
 
     def test_infinite_arrival_rate_names_its_key(self, tmp_path):
         # gen-data used to loop forever: an exponential gap of 0 never

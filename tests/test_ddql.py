@@ -260,11 +260,6 @@ class TestActingNetwork:
         agent = run_ddql_episode(config, self.build_learner(config), train_enabled=False)
         assert agent.result.action_trace[0] == 2
 
-    def test_flag_acts_with_target_net(self):
-        config = mini_config(act_with_target_net=True)
-        agent = run_ddql_episode(config, self.build_learner(config), train_enabled=False)
-        assert agent.result.action_trace[0] == 5
-
 
 class TestEpisodeAccounting:
     def test_one_experience_per_transition(self):

@@ -249,12 +249,6 @@ class TestRunEpisode:
         assert len(twin.result.action_trace) == 5
         assert len(agent.result.action_trace) == 5
 
-    def test_twin_can_be_disabled(self, tmp_path, twins):
-        setup = make_setup(tmp_path)
-        setup.include_twap_twin = False
-        run_episode(setup, 0, ddql_agent(setup))
-        assert twins == []
-
     def test_vwaps_are_the_mean_of_the_executions_received(self, tmp_path, twins):
         # a parent large enough that both executors trade at several prices
         setup = make_setup(tmp_path, ddql=small_ddql(parent_quantity=500))
@@ -647,6 +641,14 @@ class TestLatestCheckpoint:
             (folder / name).write_bytes(b"x")
         assert latest_checkpoint(tmp_path) == folder / "episode_0010.ckpt"
 
+    def test_orders_by_episode_past_the_padding(self, tmp_path):
+        # the names sort as text with 9999 after 10000
+        folder = tmp_path / "checkpoints"
+        folder.mkdir()
+        for name in ("episode_9999.ckpt", "episode_10000.ckpt"):
+            (folder / name).touch()
+        assert latest_checkpoint(tmp_path) == folder / "episode_10000.ckpt"
+
 
 class TestEvaluate:
     def test_paired_runs_and_read_only_checkpoint(self, tmp_path):
@@ -661,6 +663,8 @@ class TestEvaluate:
         assert isinstance(evaluation.baseline, TWAPExecutionAgent)
         assert evaluation.candidate.result.final_epsilon == 0.0
         assert evaluation.candidate.result.train_steps == 0
+        # both run the episode after the checkpoint's last
+        assert evaluation.candidate.result.episode == evaluation.baseline.result.episode == 1
         assert evaluation.baseline.result.action_trace == [8] * 5
         assert evaluation.comparison.action_trace_distance >= 0.0
         body = evaluation.comparison.to_dict()
@@ -673,13 +677,6 @@ class TestEvaluate:
         flows_made.clear()
         evaluate(make_setup(tmp_path / "run", ddql=small_ddql(episodes=1)), ckpt)
         assert len(flows_made) == 1
-
-    def test_explicit_episode_override(self, tmp_path):
-        setup = make_setup(tmp_path / "run", ddql=small_ddql(episodes=1))
-        ckpt = train(setup).last_checkpoint
-        evaluation = evaluate(setup, ckpt, episode=5)
-        assert evaluation.candidate.result.episode == 5
-        assert evaluation.baseline.result.episode == 5
 
     def test_evaluation_is_deterministic(self, tmp_path):
         setup = make_setup(tmp_path / "run", ddql=small_ddql(episodes=1))

@@ -223,6 +223,19 @@ class TestExchangeProtocol:
         ]
         assert kernel.to(2) == [OrderExecuted(200, 10, 9_990)]
 
+    def test_an_owners_orders_trade_with_each_other(self):
+        # the replay agent owns both sides of every replayed trade; the
+        # exchange used to be able to cancel the maker instead
+        exchange, kernel = make_exchange()
+        exchange.on_message(10, 1, LimitOrder(100, Side.ASK, 30, 1_000_000))
+        exchange.on_message(11, 1, MarketOrder(300, Side.BID, 30))
+        assert kernel.to(1) == [
+            OrderAccepted(100),
+            OrderExecuted(300, 30, 1_000_000),
+            OrderExecuted(100, 30, 1_000_000),
+        ]
+        assert exchange.book.order(100) is None
+
 
 class TopOfBookExchange(ExchangeAgent):
     """Records (best bid, best ask) after each order, cancel or reduce."""

@@ -28,6 +28,7 @@ from lobsim.cli import (
     build_data_source,
     build_flow_config,
     build_setup,
+    default_config,
     load_config,
     main,
     resolve_config,
@@ -160,6 +161,12 @@ class TestConfigHandling:
         assert main(["gen-data", "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and str(out) in err
+
+    def test_default_config_holds_no_deleted_key(self):
+        # every run acts with the evaluation network and carries the TWAP twin
+        defaults = default_config()
+        assert "include_twap" not in defaults["roster"]
+        assert "act_with_target_net" not in defaults["ddql"]
 
     @pytest.mark.parametrize("dotted", ["ddql.epsilon_dacay",
                                         "roster.momentum.poll_intervall_seconds",

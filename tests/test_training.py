@@ -649,6 +649,16 @@ class TestLatestCheckpoint:
             (folder / name).touch()
         assert latest_checkpoint(tmp_path) == folder / "episode_10000.ckpt"
 
+    def test_resume_drops_traces_by_episode_past_the_padding(self, tmp_path):
+        # the traces share the checkpoints' names and their ordering
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        for name in ("episode_9999_actions.csv", "episode_10000_actions.csv",
+                     "episode_10001_actions.csv"):
+            (traces / name).touch()
+        training._drop_uncommitted(tmp_path, 10_000)
+        assert sorted(p.name for p in traces.iterdir()) == ["episode_9999_actions.csv"]
+
 
 class TestEvaluate:
     def test_paired_runs_and_read_only_checkpoint(self, tmp_path):

@@ -47,8 +47,8 @@ from ..mlp import (
 from ..rl import (
     ACTION,
     EXPERIENCE_WIDTH,
-    MULTIPLIERS,
     NEXT_STATE,
+    NUM_ACTIONS,
     REWARD,
     STATE,
     TERMINAL,
@@ -94,8 +94,6 @@ class DDQLConfig:
     hidden_sizes: tuple = (64, 64)
     dropout_rate: float = 0.2
     learning_rate: float = 0.01
-    reward_scale: float = 1.0
-    multipliers: tuple = MULTIPLIERS
 
     def validate(self) -> None:
         if self.session_end - self.session_start != self.num_periods * self.period:
@@ -125,13 +123,6 @@ class DDQLConfig:
             raise ValueError("dropout_rate must lie in [0, 1)")
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
-        if not 0.0 < self.reward_scale < math.inf:
-            raise ValueError("reward_scale must be positive and finite")
-        if 1.0 not in self.multipliers:
-            raise ValueError("multipliers must include 1.0, the TWAP action")
-        if not all(math.isfinite(m) for m in self.multipliers):
-            raise ValueError("multipliers must be finite")
-        ActionSpace(self.multipliers)  # refuses duplicates, which break its bijection
 
     @property
     def twap_child_quantity(self) -> float:
@@ -142,16 +133,16 @@ class DDQLConfig:
 
     @property
     def layer_sizes(self) -> list:
-        return [6, *self.hidden_sizes, len(self.multipliers) * 4]
+        return [6, *self.hidden_sizes, NUM_ACTIONS]
 
 
 def select_action(state: StateVector, epsilon: float, rng: np.random.Generator,
-                  params: MLPParams, num_actions: int = 24) -> int:
+                  params: MLPParams) -> int:
     """epsilon-greedy action index; greedy ties break to the lowest index."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
     if epsilon > 0.0 and rng.random() < epsilon:
-        return int(rng.integers(num_actions))
+        return int(rng.integers(NUM_ACTIONS))
     return int(np.argmax(forward(params, state.to_array())))
 
 
@@ -194,7 +185,7 @@ class LearnerState:
         self.target_params = copy_params(self.eval_params)
         self.optstate = init_rmsprop(self.eval_params, config.learning_rate)
         self.buffer = ReplayBuffer(config.max_experience, config.min_experience)
-        self.action_space = ActionSpace(config.multipliers)
+        self.action_space = ActionSpace()
         self.epsilon = config.epsilon_start
         self.episode_index = 0
         self.train_count = 0
@@ -400,8 +391,7 @@ class DDQLExecutionAgent(TradingAgent):
             loss = learner.train_once(batch)
             result.losses.append(loss)
             result.train_steps += 1
-        action_index = select_action(state, self.epsilon, learner.rng, learner.eval_params,
-                                     len(learner.action_space))
+        action_index = select_action(state, self.epsilon, learner.rng, learner.eval_params)
         remaining = config.parent_quantity - result.filled_quantity
         children = schedule_orders(learner.action_space.decode(action_index), remaining,
                                    config.twap_child_quantity, snapshot, config.side)
@@ -430,8 +420,7 @@ class DDQLExecutionAgent(TradingAgent):
         that period's fills."""
         config = self.config
         reward = compute_reward(self._period_filled, self._period_notional,
-                                self.result.arrival_price, config.parent_quantity,
-                                config.reward_scale)
+                                self.result.arrival_price, config.parent_quantity)
         self.result.total_reward += reward
         self.learner.buffer.push(Experience(self._prev_state, self.result.action_trace[-1],
                                             reward, next_state, terminal))

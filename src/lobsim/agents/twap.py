@@ -18,7 +18,7 @@ from .ddql import DDQLConfig
 
 class TWAPExecutionAgent(TradingAgent):
     """Trades the parent order of a DDQLConfig, reading only its side,
-    quantity, session start, period, period count and action grid.
+    quantity, session start, period and period count.
 
     Period i starts at session_start + i * period and sends base + (i <
     remainder) shares, base and remainder being the parent quantity's
@@ -31,7 +31,7 @@ class TWAPExecutionAgent(TradingAgent):
         self.config = config
         self._base, self._remainder = divmod(config.parent_quantity, config.num_periods)
         # every period is the same action: the TWAP child at multiplier 1.0
-        self.action = ActionSpace(config.multipliers).encode(1.0, PLACEMENT_MARKET)
+        self.action = ActionSpace().encode(1.0, PLACEMENT_MARKET)
         self._notional = 0  # sum of quantity * price over every fill, in ticks
         self.result = EpisodeResult(episode=0, parent_quantity=config.parent_quantity)
 

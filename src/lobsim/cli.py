@@ -6,11 +6,14 @@ resolved config, the seed, and a sha256 of every artifact; feeding that
 manifest back in as --config reproduces the run byte for byte.
 
 The format and its defaults are derived from the config dataclasses (see
-SCHEMA): a key is its field's name and its value is coerced to the type of
-the field's default, lists to tuples, except that bool and int keys accept
-only YAML values of their own type.  The few keys that differ are listed in
-SPECIAL_KEYS: `*_seconds` durations, "HH:MM:SS" or integer-nanosecond clock
-times, buy/sell sides.
+SCHEMA): a key is its field's name and takes only a YAML value of its
+default's type (a bool is not an int), except that a float key also takes
+an int or a numeric string (PyYAML reads 1e-3 as a string).  A list key
+takes a YAML list whose items follow the rule for the default's items,
+strings if it has none.  The few keys that differ are listed in
+SPECIAL_KEYS: `*_seconds` durations, which follow the float rule,
+"HH:MM:SS" or integer-nanosecond clock times, buy/sell sides, and out_dir,
+a string.
 An unknown key at any depth is an error that names its dotted path.
 """
 
@@ -46,7 +49,6 @@ from .metrics import (
     windowed_volume,
 )
 from .mlp import CheckpointError
-from .rl import ActionSpace
 from .training import (
     CheckpointWriteError,
     DataSource,
@@ -99,14 +101,14 @@ def _clock(value) -> int:
 
 
 # (load, dump): YAML value -> field value, field default -> YAML value
-SECONDS = (lambda value: seconds(float(value)), lambda t: t / NANOS_PER_SECOND)
+SECONDS = (lambda value: seconds(_coerce(float)(value)), lambda t: t / NANOS_PER_SECOND)
 CLOCK = (_clock, lambda t: time_to_str(t).removesuffix(".000000000"))
 SIDE = (_side, lambda side: "buy" if side is Side.BID else "sell")
 
 # The keys that are not their field's name with its default's type:
 # (dataclass, YAML key) -> (field, (load, dump))
 SPECIAL_KEYS = {
-    (RunSetup, "out_dir"): ("out_dir", (Path, str)),
+    (RunSetup, "out_dir"): ("out_dir", (lambda value: Path(_coerce(str)(value)), str)),
     (RunSetup, "warmup_seconds"): ("warmup", SECONDS),
     (RunSetup, "post_margin_seconds"): ("post_margin", SECONDS),
     (MomentumConfig, "poll_interval_seconds"): ("poll_interval", SECONDS),
@@ -119,19 +121,19 @@ SPECIAL_KEYS = {
 }
 
 
-def _coerce(kind: type):
-    """The load for a field whose default has type `kind`.  Bool and int
-    keys take only a YAML value of their own type (a bool is not an int):
-    coercing would read the string 'false' as True and truncate 2.9 to 2.
-    Other types coerce, so a float key takes an int."""
-    if kind not in (bool, int):
-        return kind
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+               list: "a list"}
 
+
+def _coerce(kind: type):
+    """The load for a field whose default has type `kind`: a YAML value of
+    that type, or for a float key also an int or a numeric string, never a
+    bool.  Coercing would read the string 'false' as True, truncate 2.9 to
+    2, read a bool as 0 or 1 and iterate a string given for a list."""
     def load(value):
-        if type(value) is not kind:
-            raise TypeError(f"expected {'a boolean' if kind is bool else 'an integer'}, "
-                            f"got {value!r}")
-        return value
+        if type(value) is not kind and not (kind is float and type(value) in (int, str)):
+            raise TypeError(f"expected {_TYPE_NAMES[kind]}, got {value!r}")
+        return float(value) if kind is float else value
     return load
 
 
@@ -145,9 +147,10 @@ def _keys(cls, only: Optional[tuple] = None, skip: tuple = ()) -> dict:
             continue
         default = f.default if f.default is not MISSING else f.default_factory()
         key, conversion = special.get(f.name, (f.name, None))
-        if conversion is None and isinstance(default, tuple):
-            item = _coerce(type(default[0]))
-            conversion = (lambda value, item=item: tuple(item(v) for v in value), list)
+        if conversion is None and isinstance(default, (tuple, list)):
+            item = _coerce(type(default[0]) if default else str)
+            conversion = (lambda value, item=item, kind=type(default):
+                          kind(map(item, _coerce(list)(value))), list)
         load, dump = conversion or (_coerce(type(default)), lambda value: value)
         keys[key] = (f.name, load, dump(default))
     return keys
@@ -363,9 +366,8 @@ def cmd_evaluate(cfg: dict, args: argparse.Namespace, out_dir: Path) -> int:
         return 2
     outcome = evaluate(setup, checkpoint)
     report_to_json({"comparison": outcome.comparison}, out_dir / "evaluation.json")
-    space = ActionSpace(setup.ddql.multipliers)
-    write_action_trace(outcome.candidate.result, out_dir / "ddql_actions.csv", space)
-    write_action_trace(outcome.baseline.result, out_dir / "twap_actions.csv", space)
+    write_action_trace(outcome.candidate.result, out_dir / "ddql_actions.csv")
+    write_action_trace(outcome.baseline.result, out_dir / "twap_actions.csv")
     print(f"action-trace distance {outcome.comparison.action_trace_distance:.4f}; "
           f"report at {out_dir / 'evaluation.json'}")
     return 0
@@ -471,10 +473,10 @@ def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(load_config(args.config), args.seed, args.out)
+        out_dir = _fields(cfg)["out_dir"]
     except (OSError, yaml.YAMLError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(cfg["out_dir"])
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         status = COMMANDS[args.mode](cfg, args, out_dir)

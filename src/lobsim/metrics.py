@@ -386,14 +386,14 @@ class ExecutionComparison:
         }
 
 
-def trace_distance(action_trace: Sequence[int], action_space: ActionSpace) -> float:
+def trace_distance(action_trace: Sequence[int]) -> float:
     """Mean |a_i - 1| over the trace's multipliers.  0 means every period
     sized its orders at round(parent / periods) shares, which is TWAP's
     sizing only when the period count divides the parent: TWAP sends the
     remainder's extra shares in the earliest periods."""
     if not action_trace:
         return 0.0
-    return float(np.mean([abs(action_space.decode(i).multiplier - 1.0) for i in action_trace]))
+    return float(np.mean([abs(ActionSpace().decode(i).multiplier - 1.0) for i in action_trace]))
 
 
 def _run_summary(result: EpisodeResult) -> dict:
@@ -407,8 +407,7 @@ def _run_summary(result: EpisodeResult) -> dict:
     }
 
 
-def execution_report(episode: EpisodeResult, twap_baseline: EpisodeResult,
-                     action_space: ActionSpace) -> ExecutionComparison:
+def execution_report(episode: EpisodeResult, twap_baseline: EpisodeResult) -> ExecutionComparison:
     """Side-by-side execution quality, candidate vs the TWAP baseline run on
     identical data and seeds."""
     if episode.parent_quantity != twap_baseline.parent_quantity:
@@ -418,7 +417,7 @@ def execution_report(episode: EpisodeResult, twap_baseline: EpisodeResult,
     return ExecutionComparison(
         candidate=_run_summary(episode),
         baseline=_run_summary(twap_baseline),
-        action_trace_distance=trace_distance(episode.action_trace, action_space),
+        action_trace_distance=trace_distance(episode.action_trace),
     )
 
 

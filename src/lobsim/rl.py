@@ -19,6 +19,7 @@ from .book import BookSnapshot, OrderKind, Side
 
 MULTIPLIERS = (0.1, 0.5, 1.0, 1.5, 2.0, 2.5)
 NUM_PLACEMENTS = 4
+NUM_ACTIONS = len(MULTIPLIERS) * NUM_PLACEMENTS
 PLACEMENT_MARKET = 0
 PLACEMENT_TOP = 1
 PLACEMENT_SPLIT2 = 2
@@ -54,32 +55,26 @@ class Action:
 
 
 class ActionSpace:
-    """Bijection between (multiplier, placement) pairs and indices
-    0..len-1, index = num_placements * multiplier_rank + placement."""
-
-    def __init__(self, multipliers: Sequence[float] = MULTIPLIERS):
-        self.multipliers = tuple(multipliers)
-        self._rank = {m: i for i, m in enumerate(self.multipliers)}
-        if len(self._rank) < len(self.multipliers):
-            raise ValueError(f"multipliers must be distinct, got {list(self.multipliers)}")
+    """The paper's fixed grid of 24 actions, each a (multiplier, placement)
+    pair: MULTIPLIERS times the TWAP child size, sent at one of the
+    NUM_PLACEMENTS placements.  Bijection with the indices 0..23,
+    index = NUM_PLACEMENTS * multiplier_rank + placement."""
 
     def __len__(self) -> int:
-        return len(self.multipliers) * NUM_PLACEMENTS
+        return NUM_ACTIONS
 
     def encode(self, multiplier: float, placement: int) -> int:
         if placement not in range(NUM_PLACEMENTS):
             raise ValueError(f"placement must be 0..3, got {placement}")
-        try:
-            rank = self._rank[multiplier]
-        except KeyError:
-            raise ValueError(f"unknown multiplier {multiplier}") from None
-        return NUM_PLACEMENTS * rank + placement
+        if multiplier not in MULTIPLIERS:
+            raise ValueError(f"unknown multiplier {multiplier}")
+        return NUM_PLACEMENTS * MULTIPLIERS.index(multiplier) + placement
 
     def decode(self, index: int) -> Action:
-        if not 0 <= index < len(self):
+        if not 0 <= index < NUM_ACTIONS:
             raise ValueError(f"action index out of range: {index}")
         rank, placement = divmod(index, NUM_PLACEMENTS)
-        return Action(self.multipliers[rank], placement)
+        return Action(MULTIPLIERS[rank], placement)
 
 
 def featurize(
@@ -187,12 +182,10 @@ def _placement_prices(snapshot: BookSnapshot, side: Side, depth: int) -> list:
 
 
 def compute_reward(filled: int, notional: int, arrival_price: float,
-                   parent_quantity: int, reward_scale: float) -> float:
-    """R = (1 - |P_fill - P_arrival| / P_arrival) * scale * N_t / N with
+                   parent_quantity: int) -> float:
+    """R = (1 - |P_fill - P_arrival| / P_arrival) * N_t / N, unscaled, with
     N_t the period's filled quantity and P_fill = notional / N_t its
     quantity-weighted fill price; 0 without fills."""
-    if reward_scale <= 0:
-        raise ValueError("reward_scale must be positive")
     if parent_quantity <= 0:
         raise ValueError("parent_quantity must be positive")
     if arrival_price <= 0:
@@ -201,7 +194,7 @@ def compute_reward(filled: int, notional: int, arrival_price: float,
         return 0.0
     fill_price = notional / filled
     slippage = abs(fill_price - arrival_price) / arrival_price
-    return (1.0 - slippage) * reward_scale * filled / parent_quantity
+    return (1.0 - slippage) * filled / parent_quantity
 
 
 @dataclass(frozen=True, slots=True)

@@ -284,8 +284,7 @@ def train(setup: RunSetup, resume: bool = False) -> TrainOutcome:
         rows.append(_curve_row(result))
         path = checkpoint_path(out_dir, episode)
         try:
-            write_action_trace(result, out_dir / "traces" / f"episode_{episode:04d}_actions.csv",
-                               learner.action_space)
+            write_action_trace(result, out_dir / "traces" / f"episode_{episode:04d}_actions.csv")
             write_learning_curve(rows, curve_path)
             replace_file(path, checkpoint)
             replace_file(latest_path, checkpoint)
@@ -337,14 +336,13 @@ def evaluate(setup: RunSetup, checkpoint: Path) -> EvaluationOutcome:
     baseline = TWAPExecutionAgent(setup.ddql)
     run_episode(setup, index, candidate)
     run_episode(setup, index, baseline)
-    comparison = execution_report(candidate.result, baseline.result,
-                                  ActionSpace(setup.ddql.multipliers))
+    comparison = execution_report(candidate.result, baseline.result)
     return EvaluationOutcome(comparison, candidate, baseline)
 
 
-def write_action_trace(result: EpisodeResult, path: Path, action_space: ActionSpace) -> None:
+def write_action_trace(result: EpisodeResult, path: Path) -> None:
     rows = []
     for period, index in enumerate(result.action_trace):
-        action = action_space.decode(index)
+        action = ActionSpace().decode(index)
         rows.append([period, index, action.multiplier, action.placement])
     replace_file(path, _csv_bytes(["period", "action_index", "multiplier", "placement"], rows))

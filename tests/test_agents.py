@@ -611,7 +611,7 @@ class TestTWAPSchedule:
 
 
 class TestTWAPAgent:
-    def run_against_wall(self, parent=30, periods=3, wall_price=10_010, **grid):
+    def run_against_wall(self, parent=30, periods=3, wall_price=10_010):
         """The TWAP agent against deep liquidity, so every child fills at one
         price.  A passive agent, registered second so its id is 1, owns the
         liquidity and gets the maker executions.  Returns the agent and the log."""
@@ -619,7 +619,7 @@ class TestTWAPAgent:
         exchange = ExchangeAgent()
         exchange.book.submit(Order(1, 1, Side.ASK, wall_price, 10_000, OrderKind.LIMIT, 0))
         exchange.book.submit(Order(2, 1, Side.BID, 9_990, 10_000, OrderKind.LIMIT, 0))
-        twap = TWAPExecutionAgent(parent_order(parent, periods, start=seconds(10), **grid))
+        twap = TWAPExecutionAgent(parent_order(parent, periods, start=seconds(10)))
         log = build_kernel(config, [exchange, Agent("liquidity"), twap]).run()
         return twap, log
 
@@ -641,10 +641,3 @@ class TestTWAPAgent:
         twap, _ = self.run_against_wall()
         assert twap.result.action_trace == [8, 8, 8]  # multiplier 1.0, market placement
 
-    def test_action_trace_uses_the_configured_grid(self):
-        twap, _ = self.run_against_wall(multipliers=(0.5, 1.0, 2.0))
-        assert twap.result.action_trace == [4, 4, 4]  # multiplier rank 1, market placement
-
-    def test_grid_without_the_twap_action_rejected(self):
-        with pytest.raises(ValueError, match="multiplier"):
-            self.run_against_wall(multipliers=(0.5, 2.0))

@@ -25,6 +25,9 @@ from lobsim import (DDQLConfig, DDQLExecutionAgent, MomentumConfig, SyntheticFlo
                     lobster)
 from lobsim.cli import (
     ConfigError,
+    RealismConfig,
+    _build,
+    _fields,
     build_data_source,
     build_flow_config,
     build_setup,
@@ -163,17 +166,21 @@ class TestConfigHandling:
         assert err.count("\n") == 1 and err.startswith("error: ") and str(out) in err
 
     def test_default_config_holds_no_deleted_key(self):
-        # every run acts with the evaluation network and carries the TWAP twin
+        # every run acts with the evaluation network, carries the TWAP twin,
+        # picks from the paper's 24 actions and takes the reward unscaled
         defaults = default_config()
         assert "include_twap" not in defaults["roster"]
-        assert "act_with_target_net" not in defaults["ddql"]
+        for key in ("act_with_target_net", "multipliers", "reward_scale"):
+            assert key not in defaults["ddql"]
 
     @pytest.mark.parametrize("dotted", ["ddql.epsilon_dacay",
                                         "roster.momentum.poll_intervall_seconds",
                                         "data.synthetic.foo",
                                         # deleted keys that older manifests hold
                                         "roster.include_twap",
-                                        "ddql.act_with_target_net"])
+                                        "ddql.act_with_target_net",
+                                        "ddql.multipliers",
+                                        "ddql.reward_scale"])
     def test_unknown_nested_key_names_its_path(self, tmp_path, capsys, dotted):
         cfg = base_config()
         *sections, key = dotted.split(".")
@@ -210,10 +217,17 @@ class TestConfigHandling:
                                                ("ddql.session_start", 120_000_000_000.5),
                                                ("ddql.session_end", True),
                                                ("data.synthetic.session_start", 119e9),
-                                               ("data.synthetic.session_end", False)])
+                                               ("data.synthetic.session_end", False),
+                                               ("data.paths", "/x/day.csv"),
+                                               ("ddql.hidden_sizes", "64"),
+                                               ("data.kind", 5),
+                                               ("ddql.gamma", True),
+                                               ("kernel.warmup_seconds", True),
+                                               ("data.synthetic.cancel_probability", False)])
     def test_value_of_another_yaml_type_names_its_key(self, tmp_path, capsys, dotted, value):
-        # coercing would read 'false' and 'no' as True, 2.9 as 2 and a clock
-        # time of True as 1 ns
+        # coercing would read 'false' and 'no' as True, 2.9 as 2, a clock
+        # time of True as 1 ns, a bool for a float or duration as 0 or 1,
+        # and a string given for a list as its characters
         cfg = base_config()
         *sections, key = dotted.split(".")
         node = cfg
@@ -230,16 +244,11 @@ class TestConfigHandling:
                                             ("batch_size", -3),
                                             ("dropout_rate", 1.0),
                                             ("max_experience", 3),
-                                            ("reward_scale", 0.0),
                                             ("hidden_sizes", [0]),
-                                            ("learning_rate", -1.0),
-                                            ("multipliers", [1.0, 1.0]),
-                                            ("multipliers", [0.5, 1.0, 0.5])])
+                                            ("learning_rate", -1.0)])
     def test_invalid_learner_setting_names_its_key(self, tmp_path, capsys, key, value):
-        # each used to end mid-run in a traceback, or (learning_rate,
-        # multipliers) to train silently; max_experience 3 is below
-        # min_experience 4, and a repeated multiplier left its first copy
-        # unreachable through ActionSpace.encode
+        # each used to end mid-run in a traceback, and learning_rate -1 to
+        # train silently; max_experience 3 is below min_experience 4
         cfg = base_config()
         cfg["ddql"][key] = value
         path = write_config(tmp_path, cfg)
@@ -364,8 +373,6 @@ class TestConfigHandling:
         ("train", "kernel.post_margin_seconds", float("inf")),
         ("train", "ddql.period_seconds", float("inf")),
         ("train", "roster.momentum.poll_interval_seconds", float("inf")),
-        ("train", "ddql.multipliers", [float("nan"), 1.0]),
-        ("train", "ddql.multipliers", [1.0, float("inf")]),
         ("gen-data", "data.synthetic.arrival_rate_per_side", float("nan")),
         ("gen-data", "data.synthetic.size_gamma_scale", float("nan")),
         # a geometric price offset of about 9.2e18 ticks overflowed int64
@@ -520,14 +527,32 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "seed" in err
 
+    @pytest.mark.parametrize("value", [None, 5, True, ["runs"], {"dir": "runs"}])
+    def test_out_dir_that_is_not_a_string_is_one_line(self, tmp_path, capsys, value):
+        # out_dir used to be read before any key was loaded, so each ended
+        # in a TypeError traceback
+        cfg = base_config()
+        cfg["out_dir"] = value
+        path = write_config(tmp_path, cfg)
+        assert main(["gen-data", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: out_dir: ")
+
     def test_int_for_a_float_key_is_accepted(self, tmp_path):
-        cfg = resolve_config({"ddql": {"epsilon_start": 1},
+        # so is a numeric string: PyYAML reads 1e-3, which has no decimal
+        # point, as a string
+        learning_rate = yaml.safe_load("1e-3")
+        assert learning_rate == "1e-3"
+        cfg = resolve_config({"ddql": {"epsilon_start": 1, "learning_rate": learning_rate},
                               "data": {"synthetic": {"arrival_rate_per_side": 2}},
-                              "kernel": {"warmup_seconds": 3}}, out_dir=str(tmp_path))
+                              "kernel": {"warmup_seconds": 3, "post_margin_seconds": "2e1"}},
+                             out_dir=str(tmp_path))
         setup = build_setup(cfg)
         assert setup.ddql.epsilon_start == 1.0
+        assert setup.ddql.learning_rate == 0.001
         assert setup.data.synthetic.arrival_rate_per_side == 2.0
         assert setup.warmup == 3 * 10**9
+        assert setup.post_margin == 20 * 10**9
 
     def test_defaults_are_the_dataclass_defaults(self, tmp_path):
         cfg = resolve_config({}, out_dir=str(tmp_path))
@@ -556,6 +581,62 @@ class TestConfigHandling:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def leaves(tree: dict, prefix: str = ""):
+    """(dotted key, YAML default) for every leaf of a config tree."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+def type_accepted(default, value) -> bool:
+    """Whether the type rule of the `lobsim.cli` docstring takes `value` for
+    a key whose YAML default is `default`.  A value it takes may still be
+    refused for what it is, such as an unknown side."""
+    if isinstance(default, list):
+        item_default = default[0] if default else ""
+        return type(value) is list and all(type_accepted(item_default, v) for v in value)
+    if type(default) is float:
+        if isinstance(value, bool):
+            return False
+        try:
+            float(value)
+        except (TypeError, ValueError):
+            return False
+        return True
+    return type(value) is type(default)
+
+
+WRONG_TYPES = [None, True, {"key": 1}, [], ["x"], "not a number"]
+
+
+class TestSchemaWalk:
+    @pytest.mark.parametrize("dotted", [dotted for dotted, _ in leaves(default_config())])
+    def test_wrong_type_is_taken_by_the_rule_or_named(self, dotted):
+        # builds every section the way the commands do, but starts no run
+        default = dict(leaves(default_config()))[dotted]
+        section = dotted.rpartition(".")[0]
+        for value in WRONG_TYPES:
+            cfg = {}
+            set_key(cfg, dotted, value)
+            try:
+                resolved = resolve_config(cfg)
+                _fields(resolved)
+                build_setup(resolved)
+                build_flow_config(resolved)
+                _build(RealismConfig, resolved, "realism")
+            except ConfigError as exc:
+                message = str(exc)
+                if type_accepted(default, value):  # refused for its value
+                    assert section in message and dotted.rpartition(".")[2] in message, \
+                        (value, message)
+                else:
+                    assert message.startswith(f"{dotted}: "), (value, message)
+            else:
+                assert type_accepted(default, value), f"{dotted}: {value!r} taken"
 
 
 class TestGenData:
@@ -874,30 +955,6 @@ class TestEvaluate:
         assert len(ddql_rows) == len(twap_rows) == 6
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["mode"] == "evaluate"
-
-    @pytest.mark.parametrize("grid", [[1.0, 2.0], [0.5, 1.0, 2.0]])
-    def test_custom_grid_records_twap_as_multiplier_one(self, tmp_path, grid):
-        cfg = base_config()
-        cfg["ddql"].update(episodes=1, multipliers=grid)
-        path = write_config(tmp_path, cfg)
-        out = tmp_path / "run"
-        assert main(["train", "--config", str(path), "--out", str(out)]) == 0
-        assert main(["evaluate", "--config", str(path), "--out", str(out)]) == 0
-        rows = (out / "twap_actions.csv").read_text().splitlines()[1:]
-        assert len(rows) == 5
-        for row in rows:
-            _, index, multiplier, placement = row.split(",")
-            assert (int(index), float(multiplier), int(placement)) == \
-                (4 * grid.index(1.0), 1.0, 0)
-
-    def test_grid_without_one_is_rejected_before_training(self, tmp_path, capsys):
-        cfg = base_config()
-        cfg["ddql"]["multipliers"] = [0.5, 2.0]
-        path = write_config(tmp_path, cfg)
-        out = tmp_path / "run"
-        assert main(["train", "--config", str(path), "--out", str(out)]) == 2
-        assert "multipliers must include 1.0" in capsys.readouterr().err
-        assert not (out / "checkpoints").exists()
 
     def test_truncated_checkpoint_is_one_line(self, tmp_path, capsys):
         path, out = self.train_once(tmp_path)

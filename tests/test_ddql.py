@@ -462,8 +462,7 @@ def frozen_day_learner(seed: int, **fields) -> LearnerState:
                 break
             if i % config.train_every == 0 and learner.buffer.ready:
                 learner.train_once(learner.buffer.sample(config.batch_size, learner.rng))
-            action = select_action(state, epsilon, learner.rng, learner.eval_params,
-                                   len(learner.action_space))
+            action = select_action(state, epsilon, learner.rng, learner.eval_params)
             chosen = learner.action_space.decode(action)
             quantity = 0
             if i == periods - 1:

@@ -44,7 +44,7 @@ from lobsim.metrics import (
     trace_distance,
     windowed_volume,
 )
-from lobsim.rl import ActionSpace, EpisodeResult
+from lobsim.rl import EpisodeResult
 
 
 def seconds(value: float) -> int:
@@ -555,28 +555,22 @@ class TestIntradayProfile:
         assert len(body["volumes"]) == 24
 
 
-SPACE = ActionSpace()  # the default multiplier grid
-
-
 class TestTraceDistance:
     def test_empty_trace(self):
-        assert trace_distance([], SPACE) == 0.0
+        assert trace_distance([]) == 0.0
 
     def test_unit_multiplier_everywhere(self):
         # Indices 8..11 all carry multiplier 1.0 with different placements.
-        assert trace_distance([8, 9, 10, 11], SPACE) == 0.0
+        assert trace_distance([8, 9, 10, 11]) == 0.0
 
     def test_alternating_half_and_three_halves(self):
         # |0.5 - 1| and |1.5 - 1| both contribute 0.5.
-        assert trace_distance([4, 12, 4, 12], SPACE) == pytest.approx(0.5)
+        assert trace_distance([4, 12, 4, 12]) == pytest.approx(0.5)
 
     def test_mean_over_mixed_multipliers(self):
         # 0.1 and 2.5 sit at the extremes of the multiplier grid.
-        assert trace_distance([0, 20], SPACE) == pytest.approx(1.2)
+        assert trace_distance([0, 20]) == pytest.approx(1.2)
 
-    def test_decodes_with_the_grid_it_is_given(self):
-        # index 4 is multiplier 3.0 on this grid and 0.5 on the default one
-        assert trace_distance([0, 4], ActionSpace((1.0, 3.0))) == pytest.approx(1.0)
 
 
 def episode(parent=6600, trace=None, vwap=10_010.0, arrival=10_000.0,
@@ -595,23 +589,23 @@ def episode(parent=6600, trace=None, vwap=10_010.0, arrival=10_000.0,
 class TestExecutionReport:
     def test_twap_against_itself(self):
         baseline = episode()
-        comparison = execution_report(baseline, baseline, SPACE)
+        comparison = execution_report(baseline, baseline)
         assert comparison.action_trace_distance == 0.0
         assert comparison.candidate == comparison.baseline
         assert comparison.candidate["slippage"] == pytest.approx(0.001)
 
     def test_unit_multiplier_trace_has_zero_distance(self):
-        comparison = execution_report(episode(trace=[9, 10, 11, 8, 9]), episode(), SPACE)
+        comparison = execution_report(episode(trace=[9, 10, 11, 8, 9]), episode())
         assert comparison.action_trace_distance == 0.0
 
     def test_alternating_trace_distance(self):
         candidate = episode(trace=[4, 12, 4, 12])
         baseline = episode(trace=[8, 8, 8, 8])
-        comparison = execution_report(candidate, baseline, SPACE)
+        comparison = execution_report(candidate, baseline)
         assert comparison.action_trace_distance == pytest.approx(0.5)
 
     def test_summary_fields(self):
-        comparison = execution_report(episode(), episode(), SPACE)
+        comparison = execution_report(episode(), episode())
         assert set(comparison.candidate) == {
             "slippage", "fill_ratio", "reward_sum", "fill_vwap",
             "arrival_price", "filled_quantity",
@@ -620,14 +614,14 @@ class TestExecutionReport:
 
     def test_parent_quantity_mismatch_rejected(self):
         with pytest.raises(ValueError, match="parent"):
-            execution_report(episode(parent=6600), episode(parent=6000), SPACE)
+            execution_report(episode(parent=6600), episode(parent=6000))
 
     def test_trace_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="period"):
-            execution_report(episode(trace=[8, 8]), episode(trace=[8, 8, 8]), SPACE)
+            execution_report(episode(trace=[8, 8]), episode(trace=[8, 8, 8]))
 
     def test_to_dict(self):
-        body = execution_report(episode(), episode(), SPACE).to_dict()
+        body = execution_report(episode(), episode()).to_dict()
         assert body["action_trace_distance"] == 0.0
         assert body["candidate"]["filled_quantity"] == 6600
 

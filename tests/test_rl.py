@@ -125,11 +125,6 @@ class TestActionSpace:
             action = space.decode(index)
             assert space.encode(action.multiplier, action.placement) == index
 
-    def test_repeated_multiplier_rejected(self):
-        # encode(1.0, p) used to reach only the second copy of 1.0
-        with pytest.raises(ValueError, match="distinct"):
-            ActionSpace((0.5, 1.0, 1.0))
-
     def test_bad_inputs_rejected(self):
         space = ActionSpace()
         with pytest.raises(ValueError):
@@ -206,11 +201,11 @@ class TestScheduleOrders:
             assert all(c.quantity > 0 for c in children)
 
 
-def reward(fills, reward_scale=1.0, parent_quantity=600, arrival_price=100.0):
+def reward(fills, parent_quantity=600, arrival_price=100.0):
     """compute_reward over (quantity, price) fills, summed as the agent sums them."""
     filled = sum(q for q, _ in fills)
     notional = sum(q * p for q, p in fills)
-    return compute_reward(filled, notional, arrival_price, parent_quantity, reward_scale)
+    return compute_reward(filled, notional, arrival_price, parent_quantity)
 
 
 class TestReward:
@@ -236,40 +231,31 @@ class TestReward:
         rewards = [reward([(qty, 101)]) for qty in (100, 200, 400, 600)]
         assert all(a < b for a, b in zip(rewards, rewards[1:]))
 
-    def test_scale_is_linear(self):
-        assert reward([(300, 101)], reward_scale=2.0) == pytest.approx(
-            2 * reward([(300, 101)])
-        )
-
     def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError, match="reward_scale"):
-            reward([(1, 100)], reward_scale=0.0)
         with pytest.raises(ValueError, match="parent_quantity"):
             reward([(1, 100)], parent_quantity=0)
         with pytest.raises(ValueError, match="arrival_price"):
             reward([(1, 100)], arrival_price=0.0)
 
     def test_params_checked_in_order_and_without_fills(self):
-        with pytest.raises(ValueError, match="reward_scale"):
-            reward([], reward_scale=-1.0, parent_quantity=0, arrival_price=0.0)
         with pytest.raises(ValueError, match="parent_quantity"):
-            reward([], parent_quantity=-5, arrival_price=0.0)
+            reward([], parent_quantity=0, arrival_price=0.0)
+        with pytest.raises(ValueError, match="arrival_price"):
+            reward([], arrival_price=0.0)
 
     @given(fills=st.lists(st.tuples(st.integers(1, 10_000), st.integers(1, 10**7)),
                           max_size=30),
            arrival_price=st.floats(0.5, 1e7),
-           parent_quantity=st.integers(1, 10**6),
-           reward_scale=st.floats(1e-3, 1e3))
-    def test_equals_the_quantity_weighted_form(self, fills, arrival_price,
-                                               parent_quantity, reward_scale):
+           parent_quantity=st.integers(1, 10**6))
+    def test_equals_the_quantity_weighted_form(self, fills, arrival_price, parent_quantity):
         if fills:
             total = sum(q for q, _ in fills)
             vwap = sum(q * p for q, p in fills) / total
             slippage = abs(vwap - arrival_price) / arrival_price
-            expected = (1.0 - slippage) * reward_scale * total / parent_quantity
+            expected = (1.0 - slippage) * total / parent_quantity
         else:
             expected = 0.0
-        got = reward(fills, reward_scale, parent_quantity, arrival_price)
+        got = reward(fills, parent_quantity, arrival_price)
         assert got.hex() == expected.hex()
 
 

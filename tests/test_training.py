@@ -43,7 +43,7 @@ from lobsim.messages import (
     OrderExecuted,
 )
 from lobsim.metrics import execution_report
-from lobsim.rl import ActionSpace, ChildOrder, EpisodeResult, Experience, StateVector
+from lobsim.rl import ChildOrder, EpisodeResult, Experience, StateVector
 from lobsim.training import (
     FLOW_STREAM,
     KERNEL_STREAM,
@@ -390,7 +390,7 @@ class TestSeedAlignment:
         a, b = TWAPExecutionAgent(setup.ddql), TWAPExecutionAgent(setup.ddql)
         run_episode(setup, 0, a)
         run_episode(setup, 0, b)
-        comparison = execution_report(a.result, b.result, ActionSpace())
+        comparison = execution_report(a.result, b.result)
         assert comparison.action_trace_distance == 0.0
         assert comparison.candidate["slippage"] == comparison.baseline["slippage"]
 
@@ -716,7 +716,7 @@ class TestWriters:
         result = EpisodeResult(episode=0, parent_quantity=10,
                                action_trace=[0, 8, 23])
         path = tmp_path / "trace.csv"
-        write_action_trace(result, path, ActionSpace())
+        write_action_trace(result, path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["period", "action_index", "multiplier", "placement"]

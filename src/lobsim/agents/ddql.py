@@ -96,6 +96,8 @@ class DDQLConfig:
     learning_rate: float = 0.01
 
     def validate(self) -> None:
+        if self.episodes < 1:
+            raise ValueError("episodes must be at least 1")
         if self.session_end - self.session_start != self.num_periods * self.period:
             raise ValueError("session length must equal num_periods * period")
         if not 0.0 <= self.gamma <= 1.0:

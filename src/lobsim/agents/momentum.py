@@ -13,6 +13,7 @@ by more than the rounding of both quotients.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -33,6 +34,8 @@ class MomentumConfig:
     def validate(self) -> None:
         if not 0 < self.short_window < self.long_window:
             raise ValueError("need 0 < short_window < long_window")
+        if self.long_window > sys.maxsize:
+            raise ValueError(f"long_window must be at most {sys.maxsize}, the longest deque")
         if self.order_size <= 0:
             raise ValueError("order_size must be positive")
         if self.poll_interval <= 0:

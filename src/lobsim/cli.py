@@ -22,8 +22,6 @@ from __future__ import annotations
 import argparse
 import copy
 import hashlib
-import json
-import math
 import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -73,12 +71,12 @@ class RealismConfig:
     paired: bool = False
 
     def validate(self) -> None:
-        # the fits bin on whole nanoseconds, so each width must be finite and
-        # round to at least one; nan fails every comparison
+        # the fits bin on whole int64 nanoseconds, so each width must round
+        # to at least one and stay below 2**63; nan fails every comparison
         for key, nanos in (("window_seconds", self.window_seconds * NANOS_PER_SECOND),
                            ("bucket_minutes", self.bucket_minutes * 60 * NANOS_PER_SECOND)):
-            if not 0.5 < nanos < math.inf:
-                raise ValueError(f"{key} must be finite and at least 1 ns, "
+            if not 0.5 < nanos < 2**63:
+                raise ValueError(f"{key} must be at least 1 ns and below 2**63 ns, "
                                  f"got {getattr(self, key)!r}")
 
 
@@ -318,9 +316,7 @@ def write_manifest(mode: str, cfg: dict, out_dir: Path) -> Path:
     manifest = {"mode": mode, "seed": cfg["seed"], "config": cfg,
                 "artifacts": hash_artifacts(out_dir)}
     path = Path(out_dir) / "manifest.json"
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    report_to_json(manifest, path)
     return path
 
 

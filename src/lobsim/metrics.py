@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -90,27 +90,12 @@ class FitReport:
     ks_distance: float
     sample_count: int
 
-    def to_dict(self) -> dict:
-        return {
-            "distribution": self.distribution,
-            "params": dict(self.params),
-            "ks_distance": self.ks_distance,
-            "sample_count": self.sample_count,
-        }
-
 
 @dataclass(frozen=True)
 class FitRefusal:
     distribution: str
-    reason: str
+    refused: str  # why the fit was refused
     sample_count: int
-
-    def to_dict(self) -> dict:
-        return {
-            "distribution": self.distribution,
-            "refused": self.reason,
-            "sample_count": self.sample_count,
-        }
 
 
 FitOutcome = Union[FitReport, FitRefusal]
@@ -237,8 +222,8 @@ class WindowedVolumeResult:
             "window_seconds": self.window_seconds,
             "windows": len(self.samples),
             "zero_windows": self.zero_windows,
-            "gamma": self.gamma.to_dict(),
-            "lognormal": self.lognormal.to_dict(),
+            "gamma": self.gamma,
+            "lognormal": self.lognormal,
         }
 
 
@@ -292,8 +277,8 @@ class InterarrivalResult:
         return {
             "gaps": len(self.gaps_seconds),
             "zero_gaps": self.zero_gaps,
-            "exponential": self.exponential.to_dict(),
-            "weibull": self.weibull.to_dict(),
+            "exponential": self.exponential,
+            "weibull": self.weibull,
         }
 
 
@@ -316,22 +301,11 @@ def interarrival_fit(flow: FlowSeries) -> InterarrivalResult:
 @dataclass
 class IntradayProfile:
     bucket_minutes: float
-    bucket_midpoints: list  # seconds from session start
     volumes: list
     coefficients: tuple  # (a, b, c) of a*x^2 + b*x + c
     stderr_a: float
     vertex_seconds: Optional[float]
     u_shape: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "bucket_minutes": self.bucket_minutes,
-            "volumes": list(self.volumes),
-            "coefficients": list(self.coefficients),
-            "stderr_a": self.stderr_a,
-            "vertex_seconds": self.vertex_seconds,
-            "u_shape": self.u_shape,
-        }
 
 
 def intraday_profile(flow: FlowSeries, bucket_minutes: float = 15.0) -> IntradayProfile:
@@ -345,8 +319,7 @@ def intraday_profile(flow: FlowSeries, bucket_minutes: float = 15.0) -> Intraday
     n_buckets = len(volumes)
     if n_buckets < 3:
         raise InsufficientDataError(f"flow spans {n_buckets} buckets; need >= 3")
-    midpoints = [((i + 0.5) * bucket_ns) / NANOS_PER_SECOND for i in range(n_buckets)]
-    x = np.asarray(midpoints)
+    x = np.asarray([((i + 0.5) * bucket_ns) / NANOS_PER_SECOND for i in range(n_buckets)])
     y = np.asarray(volumes, dtype=np.float64)
     design = np.column_stack([x**2, x, np.ones_like(x)])
     beta, *_ = np.linalg.lstsq(design, y, rcond=None)
@@ -368,7 +341,7 @@ def intraday_profile(flow: FlowSeries, bucket_minutes: float = 15.0) -> Intraday
         and vertex is not None
         and 0.0 < vertex < session_seconds
     )
-    return IntradayProfile(bucket_minutes, midpoints, volumes, (a, b, c),
+    return IntradayProfile(bucket_minutes, volumes, (a, b, c),
                            stderr_a, vertex, u_shape)
 
 
@@ -377,13 +350,6 @@ class ExecutionComparison:
     candidate: dict
     baseline: dict
     action_trace_distance: float
-
-    def to_dict(self) -> dict:
-        return {
-            "candidate": self.candidate,
-            "baseline": self.baseline,
-            "action_trace_distance": self.action_trace_distance,
-        }
 
 
 def trace_distance(action_trace: Sequence[int]) -> float:
@@ -441,11 +407,15 @@ def fit_deltas(before: dict, after: dict) -> dict:
 
 
 def report_to_json(sections: dict, path) -> None:
-    """Serialize a mapping of plain values and reports, at any depth; a
-    report is written as its to_dict()."""
+    """Write a mapping of plain values and reports, at any depth, as sorted,
+    indented JSON with a final newline.  A report is written as its
+    to_dict() when it has one, and otherwise as its dataclass fields, each
+    under its own name.  Every .json artifact but LOBSTER's sidecar is
+    written here."""
     with open(path, "w") as fh:
         json.dump(sections, fh, indent=2, sort_keys=True,
-                  default=lambda report: report.to_dict())
+                  default=lambda report: report.to_dict() if hasattr(report, "to_dict")
+                  else asdict(report))
         fh.write("\n")
 
 

@@ -245,10 +245,13 @@ class TestConfigHandling:
                                             ("dropout_rate", 1.0),
                                             ("max_experience", 3),
                                             ("hidden_sizes", [0]),
-                                            ("learning_rate", -1.0)])
+                                            ("learning_rate", -1.0),
+                                            ("episodes", 0),
+                                            ("episodes", -1)])
     def test_invalid_learner_setting_names_its_key(self, tmp_path, capsys, key, value):
-        # each used to end mid-run in a traceback, and learning_rate -1 to
-        # train silently; max_experience 3 is below min_experience 4
+        # each used to end mid-run in a traceback, learning_rate -1 to train
+        # silently and episodes 0 or -1 to exit 0 with no learning curve or
+        # checkpoint; max_experience 3 is below min_experience 4
         cfg = base_config()
         cfg["ddql"][key] = value
         path = write_config(tmp_path, cfg)
@@ -382,6 +385,11 @@ class TestConfigHandling:
         ("gen-data", "data.synthetic.initial_mid_ticks", 2**63 - 1),
         ("train", "data.synthetic.initial_mid_ticks", 2**63 - 1),
         ("gen-data", "data.synthetic.initial_mid_ticks", 2**62),
+        # a window past sys.maxsize overflowed the trader's deque length
+        ("train", "roster.momentum.long_window", 2**63),
+        # widths of 2**63 ns or more overflowed the int64 binning
+        ("realism", "realism.window_seconds", 2**40),
+        ("realism", "realism.bucket_minutes", 2**40),
     ])
     def test_non_finite_or_sub_nanosecond_float_names_its_key(self, tmp_path, capsys,
                                                                mode, dotted, value):
@@ -611,23 +619,28 @@ def type_accepted(default, value) -> bool:
 
 
 WRONG_TYPES = [None, True, {"key": 1}, [], ["x"], "not a number"]
+NUMBERS = [0, -1, 1e-300, 1e300, float("nan"), float("inf"), 2**40, 2**63]
+
+
+def build_every_section(user: dict) -> None:
+    """Build every section the way the commands do, but start no run."""
+    resolved = resolve_config(user)
+    _fields(resolved)
+    build_setup(resolved)
+    build_flow_config(resolved)
+    _build(RealismConfig, resolved, "realism")
 
 
 class TestSchemaWalk:
     @pytest.mark.parametrize("dotted", [dotted for dotted, _ in leaves(default_config())])
     def test_wrong_type_is_taken_by_the_rule_or_named(self, dotted):
-        # builds every section the way the commands do, but starts no run
         default = dict(leaves(default_config()))[dotted]
         section = dotted.rpartition(".")[0]
         for value in WRONG_TYPES:
             cfg = {}
             set_key(cfg, dotted, value)
             try:
-                resolved = resolve_config(cfg)
-                _fields(resolved)
-                build_setup(resolved)
-                build_flow_config(resolved)
-                _build(RealismConfig, resolved, "realism")
+                build_every_section(cfg)
             except ConfigError as exc:
                 message = str(exc)
                 if type_accepted(default, value):  # refused for its value
@@ -637,6 +650,20 @@ class TestSchemaWalk:
                     assert message.startswith(f"{dotted}: "), (value, message)
             else:
                 assert type_accepted(default, value), f"{dotted}: {value!r} taken"
+
+    @pytest.mark.parametrize("dotted", [dotted for dotted, _ in leaves(default_config())])
+    def test_extreme_number_is_taken_or_refused_in_its_section(self, dotted):
+        # a value refused only once a command runs is a row of
+        # TestConfigHandling.test_non_finite_or_sub_nanosecond_float_names_its_key
+        for value in NUMBERS:
+            cfg = {}
+            set_key(cfg, dotted, value)
+            try:
+                build_every_section(cfg)
+            except ConfigError as exc:  # any other exception fails the test
+                message = str(exc)
+                assert message.startswith(dotted.partition(".")[0]), (value, message)
+                assert "\n" not in message, (value, message)
 
 
 class TestGenData:
@@ -956,6 +983,13 @@ class TestEvaluate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["mode"] == "evaluate"
 
+    def test_report_bytes_are_pinned(self, tmp_path):
+        # the sha256 taken when ExecutionComparison had a hand-written to_dict
+        path, out = self.train_once(tmp_path, episodes=2)  # base_config() as it is
+        assert main(["evaluate", "--config", str(path), "--out", str(out)]) == 0
+        assert sha256(out / "evaluation.json") == \
+            "fd287f588699f141010db37fda3f3d4d087c3888bceb4a056b1a63b7812b6b94"
+
     def test_truncated_checkpoint_is_one_line(self, tmp_path, capsys):
         path, out = self.train_once(tmp_path)
         cut = tmp_path / "cut.ckpt"
@@ -1039,6 +1073,22 @@ class TestRealism:
         assert main(["realism", "--config", str(path), "--out", str(out)]) == 0
         assert hashlib.sha256((out / "realism.json").read_bytes()).hexdigest() == \
             "41083e8405263967e0c9f0cc645b5ef97b6f989e6a68f28601c17dea9a9a12e8"
+
+    @pytest.mark.parametrize("paired, refusals, digest", [
+        (False, 2, "b992cfaa6f53f1ba7eb1c8867cd35d60910ec34e0fe0bfa4715621f4a1e4f349"),
+        (True, 4, "efbf48a9038a9af569241109e26391d3746b24cb1e5347439918c9b853d10c59"),
+    ], ids=["unpaired", "paired"])
+    def test_report_with_refused_fits_bytes_are_pinned(self, tmp_path, paired, refusals,
+                                                       digest):
+        # the sha256 taken when each report type had a hand-written to_dict;
+        # a 300 s window leaves too few nonzero windows for the volume fits
+        cfg = base_config()
+        cfg["realism"].update(window_seconds=300, paired=paired)
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["realism", "--config", str(path), "--out", str(out)]) == 0
+        assert (out / "realism.json").read_text().count('"refused"') == refusals
+        assert sha256(out / "realism.json") == digest
 
     def test_paired_runs_make_one_flow(self, tmp_path, flows_made):
         cfg = base_config()

@@ -264,12 +264,12 @@ class TestGammaFit:
     def test_non_positive_refused(self):
         outcome = fit_gamma([1.0, -2.0, 3.0])
         assert isinstance(outcome, FitRefusal)
-        assert "non-positive" in outcome.reason
+        assert "non-positive" in outcome.refused
 
     def test_zero_variance_refused(self):
         outcome = fit_gamma([5.0] * 40)
         assert isinstance(outcome, FitRefusal)
-        assert "variance" in outcome.reason
+        assert "variance" in outcome.refused
         assert outcome.sample_count == 40
 
 
@@ -300,7 +300,7 @@ class TestLognormalFit:
     def test_zero_variance_refused(self):
         outcome = fit_lognormal([10.0] * 50)
         assert isinstance(outcome, FitRefusal)
-        assert "variance" in outcome.reason
+        assert "variance" in outcome.refused
 
 
 class TestExponentialFit:
@@ -346,7 +346,7 @@ class TestWeibullFit:
     def test_single_sample_refused(self):
         outcome = fit_weibull([1.5])
         assert isinstance(outcome, FitRefusal)
-        assert "two samples" in outcome.reason
+        assert "two samples" in outcome.refused
 
     def test_non_positive_refused(self):
         outcome = fit_weibull([1.0, 0.0])
@@ -355,7 +355,7 @@ class TestWeibullFit:
     def test_constant_sample_refused(self):
         outcome = fit_weibull([2.0, 2.0, 2.0])
         assert isinstance(outcome, FitRefusal)
-        assert "variance" in outcome.reason
+        assert "variance" in outcome.refused
 
 
 class TestWindowedVolume:
@@ -378,7 +378,7 @@ class TestWindowedVolume:
         assert result.zero_windows == 2
         assert isinstance(result.gamma, FitRefusal)
         assert isinstance(result.lognormal, FitRefusal)
-        assert "nonzero windows" in result.gamma.reason
+        assert "nonzero windows" in result.gamma.refused
 
     def test_gamma_fit_matches_oracle_on_window_sums(self):
         # Poisson-like arrivals with gamma-distributed sizes; the oracle is
@@ -406,7 +406,7 @@ class TestWindowedVolume:
         result = windowed_volume(flow)
         assert result.zero_windows == 0
         assert isinstance(result.gamma, FitRefusal)
-        assert "variance" in result.gamma.reason
+        assert "variance" in result.gamma.refused
         assert isinstance(result.lognormal, FitRefusal)
 
     def test_records_outside_session_ignored(self):
@@ -430,15 +430,19 @@ class TestWindowedVolume:
         with pytest.raises(ValueError, match="window"):
             windowed_volume(flow, window_seconds=0.0)
 
-    def test_to_dict_shape(self):
+    def test_to_dict_shape(self, tmp_path):
+        # the report counts the windows instead of listing them, and writes
+        # each fit as its fields
         times = [60.0 * i + 5.0 for i in range(35)]
         sizes = [10 + (i % 7) for i in range(35)]
         flow = limit_flow(times, sizes=sizes, session=(0, seconds(2100)))
-        body = windowed_volume(flow).to_dict()
+        report_to_json({"volume": windowed_volume(flow)}, tmp_path / "report.json")
+        body = json.loads((tmp_path / "report.json").read_text())["volume"]
+        assert set(body) == {"window_seconds", "windows", "zero_windows", "gamma", "lognormal"}
         assert body["windows"] == 35
         assert body["zero_windows"] == 0
+        assert set(body["gamma"]) == {"distribution", "params", "ks_distance", "sample_count"}
         assert body["gamma"]["distribution"] == "gamma"
-        assert "params" in body["gamma"]
 
 
 class TestInterarrivalFit:
@@ -548,11 +552,16 @@ class TestIntradayProfile:
         with pytest.raises(InsufficientDataError):
             intraday_profile(FlowSeries.from_events([]))
 
-    def test_to_dict_round_trips_through_json(self):
+    def test_to_dict_round_trips_through_json(self, tmp_path):
         flow = bucketed_flow(lambda m: round((m - 10_800.0) ** 2 / 5000.0) + 50)
-        body = json.loads(json.dumps(intraday_profile(flow).to_dict()))
+        profile = intraday_profile(flow)
+        report_to_json({"intraday": profile}, tmp_path / "report.json")
+        body = json.loads((tmp_path / "report.json").read_text())["intraday"]
+        assert set(body) == {"bucket_minutes", "volumes", "coefficients", "stderr_a",
+                             "vertex_seconds", "u_shape"}
         assert body["u_shape"] is True
-        assert len(body["volumes"]) == 24
+        assert body["volumes"] == profile.volumes and len(body["volumes"]) == 24
+        assert body["coefficients"] == list(profile.coefficients)
 
 
 class TestTraceDistance:
@@ -620,8 +629,11 @@ class TestExecutionReport:
         with pytest.raises(ValueError, match="period"):
             execution_report(episode(trace=[8, 8]), episode(trace=[8, 8, 8]))
 
-    def test_to_dict(self):
-        body = execution_report(episode(), episode()).to_dict()
+    def test_to_dict(self, tmp_path):
+        report_to_json({"comparison": execution_report(episode(), episode())},
+                       tmp_path / "report.json")
+        body = json.loads((tmp_path / "report.json").read_text())["comparison"]
+        assert set(body) == {"candidate", "baseline", "action_trace_distance"}
         assert body["action_trace_distance"] == 0.0
         assert body["candidate"]["filled_quantity"] == 6600
 
@@ -696,11 +708,15 @@ class TestSerializationHelpers:
         path = tmp_path / "report.json"
         sections = {
             "gamma": FitReport("gamma", {"shape": 2.0, "scale": 3.0}, 0.04, 60),
+            "weibull": FitRefusal("weibull", "zero variance", 3),
             "run": {"episodes": 5},
         }
         report_to_json(sections, path)
         body = json.loads(path.read_text())
         assert body["gamma"]["params"]["shape"] == 2.0
+        # each field is written under its own name
+        assert body["weibull"] == {"distribution": "weibull", "refused": "zero variance",
+                                   "sample_count": 3}
         assert body["run"]["episodes"] == 5
         assert path.read_text().endswith("\n")
 

@@ -1,8 +1,8 @@
 """The package's exports: every advertised name resolves, so a name left in
 `__all__` after its definition is deleted fails here, not at a user's
 `from lobsim import *`.  Also that the command line and the commands that
-fit nothing never load scipy, and that no module keeps an import it no
-longer uses."""
+fit nothing never load scipy, that no module keeps an import it no longer
+uses, and that JSON artifacts have one writer."""
 
 import ast
 import importlib
@@ -107,3 +107,49 @@ def test_unused_import_check_sees_a_leftover(tmp_path):
                       "from enum import Enum\nfrom typing import Optional as Maybe\n\n"
                       "def f(x: \"Maybe[int]\") -> None:\n    return os.path.join(x)\n")
     assert unused_imports(module) == ["3: Enum"]
+
+
+def json_dump_calls(path: Path) -> list:
+    """`line: function` for each json.dump call in a module, named by the
+    innermost function around it."""
+    calls = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "dump" and isinstance(child.func.value, ast.Name)
+                    and child.func.value.id == "json"):
+                calls.append(f"{child.lineno}: {function}")
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+    return calls
+
+
+# module -> the one function there that may call json.dump: every report and
+# the manifest go through report_to_json; the LOBSTER sidecar keeps its own
+# writer because lobster is imported below metrics
+JSON_WRITERS = {"metrics.py": "report_to_json", "lobster.py": "generate_to_file"}
+
+
+def test_json_artifacts_have_one_writer():
+    import lobsim
+    package = Path(lobsim.__file__).resolve().parent
+    found = {}
+    for path in sorted(package.rglob("*.py")):
+        name = path.relative_to(package).as_posix()
+        calls = [call for call in json_dump_calls(path)
+                 if call.split(": ")[1] != JSON_WRITERS.get(name)]
+        if calls:
+            found[name] = calls
+    assert found == {}
+
+
+def test_json_writer_check_sees_a_second_writer(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("import json\n\ndef save(body, fh):\n    json.dump(body, fh)\n\n"
+                      "def text(body):\n    return json.dumps(body)\n")
+    assert json_dump_calls(module) == ["4: save"]

@@ -677,8 +677,7 @@ class TestEvaluate:
         assert evaluation.candidate.result.episode == evaluation.baseline.result.episode == 1
         assert evaluation.baseline.result.action_trace == [8] * 5
         assert evaluation.comparison.action_trace_distance >= 0.0
-        body = evaluation.comparison.to_dict()
-        assert body["candidate"]["fill_ratio"] == \
+        assert evaluation.comparison.candidate["fill_ratio"] == \
             evaluation.candidate.result.fill_ratio
 
     def test_candidate_and_baseline_share_one_flow(self, tmp_path, flows_made):
@@ -693,7 +692,7 @@ class TestEvaluate:
         ckpt = train(setup).last_checkpoint
         first = evaluate(setup, ckpt)
         second = evaluate(setup, ckpt)
-        assert first.comparison.to_dict() == second.comparison.to_dict()
+        assert first.comparison == second.comparison
 
 
 class TestWriters:
